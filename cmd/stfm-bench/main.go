@@ -11,14 +11,10 @@
 //
 // A second mode, -suite sched, runs the scheduler-hot-path suite
 // behind the indexed-scheduler-state PR: the 8- and 16-core STFM mixes
-// whose event-driven wall clock the optimization targets (plus the
-// HBM 8-channel mix the channel-parallel engine targets), compared
-// against the per-mix timings recorded at the pre-optimization baseline
-// commit and written to BENCH_sched.json. Since the channel-parallel
-// engine landed the suite also times each mix with parallel stepping
-// (serial and parallel columns per mix) and re-verifies the parallel
-// schedule is bit-identical; wall-clock speedup scales with real CPUs,
-// so the report records GOMAXPROCS alongside the timings.
+// whose event-driven wall clock the optimization targets (plus the same
+// 16-core mix on the HBM pack's 8 channels), compared against the
+// per-mix timings recorded at the pre-optimization baseline commit and
+// written to BENCH_sched.json, with the host's GOMAXPROCS alongside.
 //
 // A third mode, -suite matrix, benchmarks the checkpoint-fork matrix
 // engine and the persistent alone-baseline store (DESIGN.md §18): the
@@ -35,8 +31,8 @@
 //
 //	stfm-bench [-mix mcf,h264ref] [-policy FR-FCFS] [-instrs 100000] \
 //	           [-minmisses 150] [-repeat 3] [-sample-every 1000] \
-//	           [-parallel N] [-trace-out trace.json] [-o BENCH_stepping.json]
-//	stfm-bench -suite sched [-repeat 3] [-parallel N] [-o BENCH_sched.json]
+//	           [-trace-out trace.json] [-o BENCH_stepping.json]
+//	stfm-bench -suite sched [-repeat 3] [-o BENCH_sched.json]
 //	stfm-bench -suite matrix [-repeat 2] [-baseline-dir store/] [-o BENCH_matrix.json]
 package main
 
@@ -101,7 +97,6 @@ func main() {
 	repeat := flag.Int("repeat", 3, "timed repetitions per mode (best is reported)")
 	out := flag.String("o", "BENCH_stepping.json", "output JSON path")
 	sampleEvery := flag.Int64("sample-every", 1000, "telemetry sampling interval in DRAM cycles for the overhead run")
-	parallelFlag := flag.Int("parallel", 0, "channel-parallel stepping workers (single-mix: 0/1 = serial, -1 = one per CPU; sched suite: worker budget for the parallel column, 0 = one per CPU)")
 	traceOut := flag.String("trace-out", "", "write the telemetered run's event ring as a Chrome trace")
 	baselineDir := flag.String("baseline-dir", "", "matrix suite: persistent alone-baseline store directory shared with stfm-experiments/-sweep/-server (empty: a throwaway temp dir)")
 	suite := flag.String("suite", "", `named suite to run instead of a single mix ("sched", "matrix")`)
@@ -118,14 +113,14 @@ func main() {
 		if path == "BENCH_stepping.json" {
 			path = "BENCH_sched.json"
 		}
-		runSchedSuite(ctx, stop, *repeat, *parallelFlag, path)
+		runSchedSuite(ctx, stop, *repeat, path)
 		return
 	case "matrix":
 		path := *out
 		if path == "BENCH_stepping.json" {
 			path = "BENCH_matrix.json"
 		}
-		runMatrixSuite(ctx, stop, *repeat, *parallelFlag, *baselineDir, path)
+		runMatrixSuite(ctx, stop, *repeat, *baselineDir, path)
 		return
 	case "":
 	default:
@@ -145,10 +140,6 @@ func main() {
 	}
 	cfg.InstrTarget = *instrs
 	cfg.MinMisses = *minMisses
-	// Schedule-neutral: the dense run ignores Parallel (dense ticking is
-	// the serial oracle), so the bit-exactness check still compares the
-	// parallel event engine against an independent serial schedule.
-	cfg.Parallel = *parallelFlag
 
 	run := func(dense, tel bool) (*sim.Result, *telemetry.Collector, time.Duration) {
 		best := time.Duration(1<<63 - 1)
@@ -241,9 +232,8 @@ func main() {
 // wall clock as a ratio against these numbers.
 const schedSuiteCommit = "2d9d139"
 
-// schedMix is one timed workload of the sched suite: the serial
-// event-driven column, the channel-parallel column, and the dense run
-// that re-verifies bit-exactness of both.
+// schedMix is one timed workload of the sched suite: the event-driven
+// column and the dense run that re-verifies its bit-exactness.
 type schedMix struct {
 	Name              string         `json:"name"`
 	Mix               []string       `json:"mix"`
@@ -256,17 +246,6 @@ type schedMix struct {
 	EventNs           int64          `json:"event_ns"`
 	EventCyclesPerSec float64        `json:"event_cycles_per_sec"`
 	ResultsIdentical  bool           `json:"results_identical"`
-	// Channel-parallel stepping column (DESIGN.md §16): the same mix
-	// re-timed with ParallelWorkers stepping workers. ParallelSpeedup is
-	// serial event_ns / parallel_ns; it approaches the channel count
-	// only when GOMAXPROCS provides that many real CPUs, and sits near
-	// 1.0x on a single-CPU host — which is why ParallelIdentical (the
-	// schedule, not the wall clock) is the gating column.
-	ParallelWorkers      int     `json:"parallel_workers"`
-	ParallelNs           int64   `json:"parallel_ns"`
-	ParallelCyclesPerSec float64 `json:"parallel_cycles_per_sec"`
-	ParallelSpeedup      float64 `json:"parallel_speedup"`
-	ParallelIdentical    bool    `json:"parallel_results_identical"`
 	// BaselineEventNs is 0 for mixes added after the baseline commit
 	// (no recorded pre-optimization timing); SpeedupVsBaseline is then 0.
 	BaselineEventNs   int64   `json:"baseline_event_ns"`
@@ -276,9 +255,9 @@ type schedMix struct {
 type schedReport struct {
 	Suite          string `json:"suite"`
 	BaselineCommit string `json:"baseline_commit"`
-	// GOMAXPROCS records the CPU budget the parallel columns ran under:
-	// parallel_speedup from hosts with different CPU counts is not
-	// comparable, while every other column (and every Result) is.
+	// GOMAXPROCS records the host's CPU budget: every timed run is one
+	// goroutine, but wall clocks from different hosts are not
+	// comparable, while every Result is.
 	GOMAXPROCS int        `json:"gomaxprocs"`
 	Mixes      []schedMix `json:"mixes"`
 }
@@ -287,18 +266,13 @@ type schedReport struct {
 // policy that keeps the controller awake every DRAM edge, so the
 // per-edge scheduling cost dominates) on an 8-core 2-channel mix, the
 // 16-core 4-channel high8+low8 mix, and the same 16-core mix under the
-// HBM pack's 8 channels (the widest parallel fan-out a preset offers).
-// Each mix runs densely once to re-verify bit-exactness of the event
-// engine, then serial-event and parallel-event timed columns; the
-// parallel Result must DeepEqual the serial one. parallel <= 0 sizes
-// the parallel column's worker budget to one per CPU.
-func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat, parallel int, out string) {
+// HBM pack's 8 channels (the widest preset). Each mix runs densely to
+// re-verify bit-exactness of the event engine, then event-driven for
+// the timed column.
+func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out string) {
 	eight, err := experiments.Profiles("mcf", "h264ref", "bzip2", "gromacs", "gobmk", "dealII", "wrf", "namd")
 	if err != nil {
 		fatal(err)
-	}
-	if parallel <= 0 {
-		parallel = -1 // auto: one worker per CPU, clamped to channels
 	}
 	sixteen := workloads.SixteenCoreMixes()[1] // high8+low8
 	cases := []struct {
@@ -309,8 +283,8 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat, paralle
 	}{
 		{"8core-2ch", eight, "", 229_843_963},
 		{"16core-4ch-high8+low8", sixteen.Profiles, "", 884_328_817},
-		// Added with the channel-parallel engine; no baseline timing
-		// exists at the pre-optimization commit.
+		// Added after the baseline commit; no pre-optimization timing
+		// exists for it.
 		{"16core-HBM-8ch-high8+low8", sixteen.Profiles, dram.HBM, 0},
 	}
 	rep := schedReport{Suite: "sched", BaselineCommit: schedSuiteCommit, GOMAXPROCS: runtime.GOMAXPROCS(0)}
@@ -325,13 +299,12 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat, paralle
 			channels = sim.ProtocolChannels(tc.protocol, len(tc.profiles))
 			cfg.Channels = channels
 		}
-		timed := func(dense bool, par int) (*sim.Result, time.Duration) {
+		timed := func(dense bool) (*sim.Result, time.Duration) {
 			best := time.Duration(1<<63 - 1)
 			var res *sim.Result
 			for i := 0; i < repeat; i++ {
 				c := cfg
 				c.DenseTick = dense
-				c.Parallel = par
 				start := time.Now()
 				r, err := sim.RunContext(ctx, c, tc.profiles)
 				if err != nil {
@@ -349,16 +322,8 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat, paralle
 			}
 			return res, best
 		}
-		denseRes, denseT := timed(true, 0)
-		eventRes, eventT := timed(false, 0)
-		parRes, parT := timed(false, parallel)
-		workers := parallel
-		if workers < 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > channels {
-			workers = channels
-		}
+		denseRes, denseT := timed(true)
+		eventRes, eventT := timed(false)
 		names := make([]string, len(tc.profiles))
 		for i, p := range tc.profiles {
 			names[i] = p.Name
@@ -375,27 +340,16 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat, paralle
 			EventNs:           eventT.Nanoseconds(),
 			EventCyclesPerSec: float64(eventRes.TotalCycles) / eventT.Seconds(),
 			ResultsIdentical:  reflect.DeepEqual(denseRes, eventRes),
-
-			ParallelWorkers:      workers,
-			ParallelNs:           parT.Nanoseconds(),
-			ParallelCyclesPerSec: float64(parRes.TotalCycles) / parT.Seconds(),
-			ParallelSpeedup:      eventT.Seconds() / parT.Seconds(),
-			ParallelIdentical:    reflect.DeepEqual(eventRes, parRes),
-
-			BaselineEventNs: tc.baselineEventNs,
+			BaselineEventNs:   tc.baselineEventNs,
 		}
 		if tc.baselineEventNs > 0 {
 			m.SpeedupVsBaseline = float64(tc.baselineEventNs) / float64(eventT.Nanoseconds())
 		}
 		rep.Mixes = append(rep.Mixes, m)
-		fmt.Printf("%s: event %v (%.2fx vs baseline @%s), parallel %v (%.2fx, %d workers), dense %v, %d cycles, identical=%v/%v\n",
-			m.Name, eventT, m.SpeedupVsBaseline, schedSuiteCommit, parT, m.ParallelSpeedup, m.ParallelWorkers,
-			denseT, m.Cycles, m.ResultsIdentical, m.ParallelIdentical)
+		fmt.Printf("%s: event %v (%.2fx vs baseline @%s), dense %v, %d cycles, identical=%v\n",
+			m.Name, eventT, m.SpeedupVsBaseline, schedSuiteCommit, denseT, m.Cycles, m.ResultsIdentical)
 		if !m.ResultsIdentical {
 			fatal(fmt.Errorf("%s: dense and event-driven results diverged", m.Name))
-		}
-		if !m.ParallelIdentical {
-			fatal(fmt.Errorf("%s: channel-parallel stepping diverged from the serial schedule", m.Name))
 		}
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -492,7 +446,7 @@ type matrixReport struct {
 // against a shared alone-baseline store, writing BENCH_matrix.json.
 // The fork-amortized pass is gated on bit-exactness against the cold
 // pass; a divergence is a hard failure, not a report field.
-func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat, parallel int, baselineDir, out string) {
+func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, baselineDir, out string) {
 	tempStore := baselineDir == ""
 	if tempStore {
 		dir, err := os.MkdirTemp("", "stfm-bench-baseline-")
@@ -530,7 +484,6 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat, parall
 				cfg.Seed = 1
 				cfg.Protocol = proto
 				cfg.Channels = sim.ProtocolChannels(proto, len(m.Profiles))
-				cfg.Parallel = parallel
 				res, err := sim.RunContext(ctx, cfg, m.Profiles)
 				if err != nil {
 					interruptible(err)
@@ -556,7 +509,7 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat, parall
 					w := warmups[pi][mi]
 					opts := experiments.Options{
 						InstrTarget: matrixSuiteInstrs, MinMisses: 150, Seed: 1,
-						Protocol: proto, Parallel: parallel, Baseline: store,
+						Protocol: proto, Baseline: store,
 					}
 					var mutate func(*sim.Config)
 					switch mode {
@@ -587,7 +540,7 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat, parall
 		for _, proto := range protocols {
 			r := experiments.NewRunnerContext(ctx, experiments.Options{
 				InstrTarget: matrixSuiteInstrs, MinMisses: 150, Seed: 1,
-				Protocol: proto, Parallel: parallel, BaselineDir: baselineDir,
+				Protocol: proto, BaselineDir: baselineDir,
 			})
 			channels := sim.ProtocolChannels(proto, len(spec.Mixes[0].Profiles))
 			for _, p := range distinctProfiles(spec.Mixes) {
@@ -650,10 +603,10 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat, parall
 		}
 
 		c := matrixCase{
-			ID:         spec.ID,
-			Mixes:      len(spec.Mixes),
-			Policies:   len(spec.Policies),
-			Protocols:  len(spec.Protocols),
+			ID:             spec.ID,
+			Mixes:          len(spec.Mixes),
+			Policies:       len(spec.Policies),
+			Protocols:      len(spec.Protocols),
 			Cells:          spec.Cells(),
 			Instrs:         matrixSuiteInstrs,
 			ForkWarmupFrac: float64(matrixWarmupNum) / float64(matrixWarmupDen),

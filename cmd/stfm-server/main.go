@@ -52,7 +52,6 @@ func main() {
 		queueSize    = flag.Int("queue", 64, "job queue capacity (submissions beyond it get 429)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the result cache's disk spill (empty = memory only)")
 		sampleEvery  = flag.Int64("sample-every", 5000, "progress sampling interval in DRAM cycles")
-		jobParallel  = flag.Int("job-parallel", 0, "cap on each job's channel-parallel stepping workers (0 = CPUs divided by -workers, negative = uncapped; results are bit-identical either way)")
 		baselineDir  = flag.String("baseline-dir", "", "directory for the shared alone-baseline store: completed 1-core FR-FCFS jobs spill here and matching submissions are served from it; share with stfm-experiments/-sweep/-bench (empty = disabled)")
 		journalDir   = flag.String("journal-dir", "", "directory for the durable job journal and checkpoints; restarts re-enqueue pending jobs and resume from checkpoints (empty = no journal)")
 		ckptEvery    = flag.Int64("checkpoint-every", 0, "checkpoint period for journaled jobs in CPU cycles (0 = 250000, negative = journal without checkpoints)")
@@ -67,7 +66,6 @@ func main() {
 		CacheDir:        *cacheDir,
 		BaselineDir:     *baselineDir,
 		SampleEvery:     *sampleEvery,
-		JobParallel:     *jobParallel,
 		JournalDir:      *journalDir,
 		CheckpointEvery: *ckptEvery,
 		Logf:            logger.Printf,

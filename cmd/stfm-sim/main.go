@@ -51,7 +51,6 @@ func main() {
 		caches   = flag.Bool("caches", false, "simulate the full L1/L2 hierarchy instead of miss streams")
 		refresh  = flag.Bool("refresh", false, "enable DRAM auto-refresh with the protocol's tREFI/tRFC constants")
 		protocol = flag.String("protocol", "", "DRAM protocol pack: DDR2, DDR3, DDR4, GDDR5, HBM (default: the paper's DDR2-800)")
-		parallel = flag.Int("parallel", 0, "channel-parallel stepping workers (0/1 = serial, -1 = one per CPU; results are bit-identical)")
 		list     = flag.Bool("list", false, "list available benchmarks and exit")
 
 		useTel      = flag.Bool("telemetry", false, "collect interval time series and DRAM event trace")
@@ -120,7 +119,6 @@ func main() {
 	// alone-run baselines behind the slowdown metrics use the same
 	// memory system as the shared run.
 	opts.Protocol = proto
-	opts.Parallel = *parallel
 	if *useTel {
 		opts.Telemetry = telemetry.Options{SampleEvery: *sampleEvery, TraceCap: telemetry.DefaultTraceCap}
 	}

@@ -41,7 +41,6 @@ func main() {
 		policies = flag.String("policies", "", `schedulers to include, or "all" for every implemented policy including the PAR-BS and TCM extensions (default depends on knob)`)
 		instrs   = flag.Int64("instrs", 200_000, "per-thread instruction budget")
 		seed     = flag.Uint64("seed", 1, "trace seed")
-		parallel = flag.Int("parallel", 0, "channel-parallel stepping workers per run (0/1 = serial, -1 = one per CPU; results are bit-identical)")
 		baseline = flag.String("baseline-dir", "", "persistent alone-baseline store directory, shared across runs and tools (empty: memory-only)")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof and periodic runtime metrics on this address (e.g. localhost:6060)")
 	)
@@ -54,7 +53,6 @@ func main() {
 	defer stop()
 	runCtx = ctx
 	protoPack = dram.Protocol(*protocol)
-	parWorkers = *parallel
 	baselineDir = *baseline
 	if protoPack != "" && !protoPack.Known() {
 		fmt.Fprintf(os.Stderr, "stfm-sweep: unknown protocol %q (known: %v)\n", protoPack, dram.Protocols())
@@ -116,9 +114,6 @@ func main() {
 var (
 	runCtx    = context.Background()
 	protoPack dram.Protocol
-	// parWorkers is the -parallel flag: the stepping-engine worker
-	// budget every sweep simulation runs with (schedule-neutral).
-	parWorkers int
 	// baselineDir is the -baseline-dir flag: every sweep runner spills
 	// its alone-run baselines there, so repeated sweeps (and other
 	// tools) skip recomputing the Talone denominators.
@@ -129,7 +124,7 @@ func runner(instrs int64, seed uint64, geom *dram.Geometry, channels int) *exper
 	return experiments.NewRunnerContext(runCtx, experiments.Options{
 		InstrTarget: instrs, MinMisses: 150, Seed: seed,
 		Protocol: protoPack, Geometry: geom, Channels: channels,
-		Parallel: parWorkers, BaselineDir: baselineDir,
+		BaselineDir: baselineDir,
 	})
 }
 
@@ -146,7 +141,7 @@ func sweepProtocol(names []string, instrs int64, seed uint64, pols []sim.PolicyK
 	for _, p := range dram.Protocols() {
 		r := experiments.NewRunnerContext(runCtx, experiments.Options{
 			InstrTarget: instrs, MinMisses: 150, Seed: seed, Protocol: p,
-			Parallel: parWorkers, BaselineDir: baselineDir,
+			BaselineDir: baselineDir,
 		})
 		for _, pol := range pols {
 			wr, err := r.RunWorkload(pol, profs, nil)

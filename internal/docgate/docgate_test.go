@@ -1,9 +1,9 @@
 // Package docgate enforces the documentation contract on the packages
 // whose exported API the engine work keeps growing: every exported
 // identifier in internal/memctrl (and its policy subpackage) and
-// internal/sim must carry a doc comment, so contracts like goroutine
-// confinement (DESIGN.md §16) are stated where the identifier is
-// declared, not reverse-engineered from call sites. CI runs this test
+// internal/sim must carry a doc comment, so contracts like the
+// ordering-epoch memo rules (DESIGN.md §14) are stated where the
+// identifier is declared, not reverse-engineered from call sites. CI runs this test
 // as its doc gate.
 package docgate
 

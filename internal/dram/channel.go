@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Horizon is the "no event scheduled" sentinel returned by the
 // next-event queries of the stepping protocol: a cycle far enough in
@@ -82,32 +79,7 @@ type Channel struct {
 	// zero cache key can then mean "never computed".
 	sharedEpoch uint64
 
-	// stepping guards the channel-confinement contract of the parallel
-	// stepping engine (DESIGN.md §16): a goroutine stepping this
-	// channel holds it exclusively via BeginExclusive/EndExclusive, and
-	// a second concurrent acquisition — i.e. cross-channel mutation on
-	// the step path — panics immediately instead of corrupting state.
-	stepping atomic.Bool
-
 	stats Stats
-}
-
-// BeginExclusive asserts that the calling goroutine is the only one
-// stepping this channel. The parallel engine brackets each channel's
-// arbitration phase with BeginExclusive/EndExclusive; because all
-// channel mutation on the step path goes through the owning goroutine,
-// a double acquisition can only mean a confinement bug, and the panic
-// (rather than a silent data race) is the point. The serial engine
-// never calls it — single-goroutine stepping is trivially exclusive.
-func (c *Channel) BeginExclusive() {
-	if !c.stepping.CompareAndSwap(false, true) {
-		panic("dram: channel stepped by two goroutines at once — the parallel engine's channel confinement is broken")
-	}
-}
-
-// EndExclusive releases the exclusivity asserted by BeginExclusive.
-func (c *Channel) EndExclusive() {
-	c.stepping.Store(false)
 }
 
 // NewChannel creates a channel with the given number of banks.

@@ -39,12 +39,6 @@ type Options struct {
 	// Geometry / Timing override the DRAM organization (Table 5).
 	Geometry *dram.Geometry
 	Timing   *dram.Timing
-	// Parallel selects the channel-parallel stepping engine for every
-	// run (sim.Config.Parallel): 0/1 serial, negative auto-sized to
-	// GOMAXPROCS. Schedule-neutral — results and alone baselines are
-	// bit-identical either way (DESIGN.md §16) — so it does not enter
-	// the baseline key (sim.Config.Fingerprint excludes it).
-	Parallel int
 	// BaselineDir spills alone-run baselines to a persistent
 	// content-addressed store (DESIGN.md §18): runners and processes
 	// pointed at the same directory share one alone-run fleet instead of
@@ -150,7 +144,6 @@ func (r *Runner) baseConfig(policy sim.PolicyKind, cores int) sim.Config {
 	cfg.Channels = r.opts.Channels
 	cfg.Geometry = r.opts.Geometry
 	cfg.Timing = r.opts.Timing
-	cfg.Parallel = r.opts.Parallel
 	return cfg
 }
 
@@ -164,13 +157,36 @@ func (r *Runner) aloneConfig(channels int) sim.Config {
 	return cfg
 }
 
+// aloneConfigFor is the alone-run configuration behind one shared run:
+// aloneConfig(channels) on the shared config's machine — cache mode,
+// DRAM pack and overrides, core and MSHR sizing — so a mutate that
+// changes the machine (cache mode, refresh timing) changes the Talone
+// denominator with it. Scheduler fields (STFM, CapValue, NFQWeights,
+// the fork knobs) stay at the alone run's FR-FCFS defaults, so a nil or
+// policy-only mutate keeps the BaselineKey that Alone computes.
+func (r *Runner) aloneConfigFor(shared sim.Config, channels int) sim.Config {
+	cfg := r.aloneConfig(channels)
+	cfg.UseCaches = shared.UseCaches
+	cfg.Protocol = shared.Protocol
+	cfg.Geometry = shared.Geometry
+	cfg.Timing = shared.Timing
+	cfg.CoreCfg = shared.CoreCfg
+	cfg.MSHRs = shared.MSHRs
+	return cfg
+}
+
 // Alone returns the benchmark's alone-run result in a memory system
 // with the given channel count, computing it on first use. Safe for
 // concurrent use: callers racing on the same baseline block on one
 // compute (BaselineStore.Do), and distinct baselines compute in
 // parallel.
 func (r *Runner) Alone(p trace.Profile, channels int) (sim.ThreadResult, error) {
-	cfg := r.aloneConfig(channels)
+	return r.alone(r.aloneConfig(channels), p)
+}
+
+// alone returns p's alone-run result under cfg, through the baseline
+// store.
+func (r *Runner) alone(cfg sim.Config, p trace.Profile) (sim.ThreadResult, error) {
 	res, err := r.baseline.Do(r.ctx, BaselineKey(cfg, p.Name), func() (*sim.Result, error) {
 		res, err := sim.RunContext(r.ctx, cfg, []trace.Profile{p})
 		if err != nil {
@@ -195,9 +211,9 @@ type WorkloadResult struct {
 	// (Result.Threads == Shared). Fork-amortized matrix cells being
 	// bit-identical to their cold scratch oracle is asserted against
 	// this field (stfm-bench -suite matrix).
-	Result *sim.Result
-	AloneMCPI  []float64
-	AloneIPC   []float64
+	Result    *sim.Result
+	AloneMCPI []float64
+	AloneIPC  []float64
 	// Slowdowns are the per-thread memory slowdowns
 	// (MCPI_shared / MCPI_alone).
 	Slowdowns []float64
@@ -244,15 +260,16 @@ func (r *Runner) RunWorkload(policy sim.PolicyKind, profiles []trace.Profile, mu
 	if err != nil {
 		return nil, err
 	}
-	return r.assembleWorkloadResult(policy, profiles, channels, res)
+	return r.assembleWorkloadResult(policy, profiles, r.aloneConfigFor(cfg, channels), res)
 }
 
 // assembleWorkloadResult turns one completed shared run into the
-// paper's metrics against the cached alone baselines. It is the shared
+// paper's metrics against the cached alone baselines run under
+// aloneCfg (see aloneConfigFor). It is the shared
 // tail of the cold path (RunWorkload) and the checkpoint-fork path
 // (RunMatrix with Options.ForkWarmup), so both produce structurally
 // identical WorkloadResults.
-func (r *Runner) assembleWorkloadResult(policy sim.PolicyKind, profiles []trace.Profile, channels int, res *sim.Result) (*WorkloadResult, error) {
+func (r *Runner) assembleWorkloadResult(policy sim.PolicyKind, profiles []trace.Profile, aloneCfg sim.Config, res *sim.Result) (*WorkloadResult, error) {
 	wr := &WorkloadResult{
 		Policy:     policy,
 		Benchmarks: trace.Names(profiles),
@@ -262,7 +279,7 @@ func (r *Runner) assembleWorkloadResult(policy sim.PolicyKind, profiles []trace.
 	sharedIPC := make([]float64, len(profiles))
 	sharedMCPI := make([]float64, len(profiles))
 	for i, th := range res.Threads {
-		alone, err := r.Alone(profiles[i], channels)
+		alone, err := r.alone(aloneCfg, profiles[i])
 		if err != nil {
 			return nil, err
 		}

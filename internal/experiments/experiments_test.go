@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"stfm/internal/core"
 	"stfm/internal/sim"
+	"stfm/internal/trace"
 	"stfm/internal/workloads"
 )
 
@@ -45,6 +47,77 @@ func TestAloneCaching(t *testing.T) {
 	}
 	if c.MCPI == a.MCPI && c.Cycles == a.Cycles {
 		t.Error("2-channel baseline should differ from 1-channel")
+	}
+}
+
+// TestRunWorkloadCacheModeAlone: a cache-mode shared run is divided by
+// cache-mode alone runs. Each AloneMCPI RunWorkload reports must equal
+// a direct 1-core FR-FCFS UseCaches run of the same benchmark, not the
+// direct-mode (miss-stream) baseline Options alone would describe.
+func TestRunWorkloadCacheModeAlone(t *testing.T) {
+	opts := Options{InstrTarget: 20_000, Seed: 1}
+	r := NewRunner(opts)
+	profs, err := Profiles("mcf", "libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr, err := r.RunWorkload(sim.PolicySTFM, profs, func(c *sim.Config) { c.UseCaches = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range profs {
+		cfg := sim.DefaultConfig(sim.PolicyFRFCFS, 1)
+		cfg.InstrTarget = opts.InstrTarget
+		cfg.Seed = opts.Seed
+		cfg.Channels = sim.ChannelsFor(len(profs))
+		cfg.UseCaches = true
+		alone, err := sim.Run(cfg, []trace.Profile{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := wr.AloneMCPI[i], alone.Threads[0].MCPI; got != want {
+			t.Errorf("%s: AloneMCPI = %v, want the cache-mode alone run's %v", p.Name, got, want)
+		}
+	}
+}
+
+// TestAloneKeyIgnoresPolicyMutate pins the alone-baseline keys of a nil
+// or scheduler-only mutate to the keys Alone computes, as golden
+// digests: a store primed through Alone (a matrix set-up phase) or
+// spilled to a -baseline-dir by an earlier build keeps serving those
+// cells. A machine mutate must move the key.
+func TestAloneKeyIgnoresPolicyMutate(t *testing.T) {
+	r := NewRunner(Options{InstrTarget: 20_000, MinMisses: 150, Seed: 1})
+	golden := map[int]string{
+		1: "0c262bc21b93f76e0fc6645a914603032984423220f720a5f526877aab79f3ab",
+		2: "96f6f1ceae9dccba4bba17789ad54d1dd59d229504625723568c1ff01a3bcdde",
+	}
+	mutates := map[string]func(*sim.Config){
+		"nil": nil,
+		"STFM alpha": func(c *sim.Config) {
+			c.STFM = core.DefaultConfig()
+			c.STFM.Alpha = 2
+		},
+		"NFQWeights": func(c *sim.Config) { c.NFQWeights = []float64{1, 4} },
+	}
+	for ch, want := range golden {
+		if got := BaselineKey(r.aloneConfig(ch), "mcf"); got != want {
+			t.Errorf("Alone key (%d channels) = %s, want %s", ch, got, want)
+		}
+		for name, mutate := range mutates {
+			shared := r.baseConfig(sim.PolicySTFM, 2)
+			if mutate != nil {
+				mutate(&shared)
+			}
+			if got := BaselineKey(r.aloneConfigFor(shared, ch), "mcf"); got != want {
+				t.Errorf("%s mutate: alone key (%d channels) = %s, want %s", name, ch, got, want)
+			}
+		}
+		shared := r.baseConfig(sim.PolicySTFM, 2)
+		shared.UseCaches = true
+		if BaselineKey(r.aloneConfigFor(shared, ch), "mcf") == want {
+			t.Errorf("UseCaches mutate kept the direct-mode alone key (%d channels)", ch)
+		}
 	}
 }
 

@@ -501,6 +501,7 @@ func (r *Runner) runForkGroup(mix workloads.Mix, policies []sim.PolicyKind, muta
 	if channels == 0 {
 		channels = sim.ProtocolChannels(warm.Protocol, len(mix.Profiles))
 	}
+	aloneCfg := r.aloneConfigFor(warm, channels)
 	sys, err := sim.NewSystem(warm, mix.Profiles)
 	if err != nil {
 		return nil, &JobError{Mix: mix.Name, Policy: "(fork-warmup)", Err: err}
@@ -513,7 +514,7 @@ func (r *Runner) runForkGroup(mix workloads.Mix, policies []sim.PolicyKind, muta
 	var errs []error
 	for _, pol := range policies {
 		pol := pol
-		forked, err := sim.Restore(snap, &sim.RestoreOptions{Policy: &pol, Parallel: &r.opts.Parallel})
+		forked, err := sim.Restore(snap, &sim.RestoreOptions{Policy: &pol})
 		if err != nil {
 			errs = append(errs, &JobError{Mix: mix.Name, Policy: pol, Err: err})
 			continue
@@ -523,7 +524,7 @@ func (r *Runner) runForkGroup(mix workloads.Mix, policies []sim.PolicyKind, muta
 			errs = append(errs, &JobError{Mix: mix.Name, Policy: pol, Err: err})
 			continue
 		}
-		wr, err := r.assembleWorkloadResult(pol, mix.Profiles, channels, res)
+		wr, err := r.assembleWorkloadResult(pol, mix.Profiles, aloneCfg, res)
 		if err != nil {
 			errs = append(errs, &JobError{Mix: mix.Name, Policy: pol, Err: err})
 			continue
@@ -679,7 +680,6 @@ func table5(mixCount int) func(*Runner) (*Report, error) {
 				MinMisses:   r.opts.MinMisses,
 				Seed:        r.opts.Seed,
 				Geometry:    &geom,
-				Parallel:    r.opts.Parallel,
 				Baseline:    r.baseline,
 			})
 			res, err := sub.RunMatrix(mixes, []sim.PolicyKind{sim.PolicyFRFCFS, sim.PolicySTFM}, nil)

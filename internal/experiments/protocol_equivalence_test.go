@@ -9,17 +9,23 @@ import (
 )
 
 // TestProtocolEquivalence extends the dense-vs-event differential test
-// to the protocol packs whose timing rules did not exist when the
-// event engine was written: DDR4 (bank groups, tCCD_L/tCCD_S) and HBM
-// (bank groups plus doubled channels). Every implemented scheduler must
-// produce bit-identical Results under dense per-cycle ticking and
+// to every protocol pack. DDR4 (bank groups, tCCD_L/tCCD_S) and HBM
+// (bank groups plus doubled channels) carry timing rules that did not
+// exist when the event engine was written; DDR2, DDR3 and GDDR5 step
+// the same engine under their own timing. Every implemented scheduler
+// must produce bit-identical Results under dense per-cycle ticking and
 // event-driven jumping — the bank-group CAS spacing feeds
 // CommandReadyAt, so a horizon that under-reports it would make the
-// event engine issue early and diverge here.
+// event engine issue early and diverge here. -short keeps the two
+// bank-grouped packs.
 func TestProtocolEquivalence(t *testing.T) {
 	t.Parallel()
 	mix := []string{"mcf", "libquantum", "GemsFDTD", "astar"}
-	for _, proto := range []dram.Protocol{dram.DDR4, dram.HBM} {
+	protos := []dram.Protocol{dram.DDR2, dram.DDR3, dram.DDR4, dram.GDDR5, dram.HBM}
+	if testing.Short() {
+		protos = []dram.Protocol{dram.DDR4, dram.HBM}
+	}
+	for _, proto := range protos {
 		for _, pol := range sim.ExtendedPolicies() {
 			proto, pol := proto, pol
 			t.Run(string(proto)+"/"+string(pol), func(t *testing.T) {

@@ -148,6 +148,47 @@ func TestCheckedEquivalence(t *testing.T) {
 	}
 }
 
+// TestParallelEquivalence runs every implemented scheduler on Figure
+// 6's four-core mix spread over two channels, dense and event-driven,
+// and requires both Results to match. The write-heavy GemsFDTD stream
+// matters here: write-drain hysteresis is controller-global, so its
+// flips couple the two channels' arbitration, and a horizon that missed
+// one diverges on exactly this kind of mix. (The name dates from the
+// channel-parallel engine, DESIGN.md §16, which this test also
+// compared against; the dense-vs-event half is what remains.)
+func TestParallelEquivalence(t *testing.T) {
+	t.Parallel()
+	mix := []string{"mcf", "libquantum", "GemsFDTD", "astar"}
+	for _, pol := range sim.ExtendedPolicies() {
+		pol := pol
+		t.Run(string(pol), func(t *testing.T) {
+			t.Parallel()
+			profiles, err := Profiles(mix...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.DefaultConfig(pol, len(profiles))
+			cfg.Channels = 2
+			cfg.InstrTarget = 12_000
+			cfg.MinMisses = 30
+
+			cfg.DenseTick = true
+			dense, err := sim.Run(cfg, profiles)
+			if err != nil {
+				t.Fatalf("dense run: %v", err)
+			}
+			cfg.DenseTick = false
+			event, err := sim.Run(cfg, profiles)
+			if err != nil {
+				t.Fatalf("event run: %v", err)
+			}
+			if !reflect.DeepEqual(dense, event) {
+				t.Errorf("dense and event results diverge\ndense: %+v\nevent: %+v", dense, event)
+			}
+		})
+	}
+}
+
 // TestEquivalenceAllPoliciesMultiChannel extends the matrix to every
 // implemented scheduler — the paper's five plus the follow-up PAR-BS
 // and TCM — on an 8-core, 2-channel mix. The multi-channel 8-core shape

@@ -22,16 +22,13 @@ func (c *Controller) EnqueuedReads() int64 { return c.enqueuedReads }
 func (c *Controller) EnqueuedWrites() int64 { return c.enqueuedWrites }
 
 // InFlight returns the number of requests whose column access has
-// issued and whose completion is pending, split by kind, summed over
-// the per-channel in-flight lists.
+// issued and whose completion is pending, split by kind.
 func (c *Controller) InFlight() (reads, writes int) {
-	for i := range c.chState {
-		for _, r := range c.chState[i].inFlight {
-			if r.IsWrite {
-				writes++
-			} else {
-				reads++
-			}
+	for _, r := range c.inFlight {
+		if r.IsWrite {
+			writes++
+		} else {
+			reads++
 		}
 	}
 	return reads, writes
@@ -183,14 +180,6 @@ func (c *Controller) CheckInvariants() error {
 			return fmt.Errorf("memctrl: thread %d has negative in-service bank count %d", t, c.inServiceBanks[t])
 		}
 	}
-	for ch := range c.chState {
-		for _, r := range c.chState[ch].inFlight {
-			if r.Loc.Channel != ch {
-				return fmt.Errorf("memctrl: in-flight request %d for channel %d filed under channel %d",
-					r.ID, r.Loc.Channel, ch)
-			}
-		}
-	}
 	fr, fw := c.InFlight()
 	if got := c.ServicedReads() + int64(c.queuedReads) + int64(fr); got != c.enqueuedReads {
 		return fmt.Errorf("memctrl: read conservation violated: %d enqueued, but serviced+queued+inflight = %d",
@@ -246,7 +235,7 @@ func (c *Controller) Snapshot(now int64) Snapshot {
 		Cycle:        now,
 		QueuedReads:  c.queuedReads,
 		QueuedWrites: c.queuedWrites,
-		InFlight:     c.inFlightTotal(),
+		InFlight:     len(c.inFlight),
 	}
 	snap := func(r *Request) RequestSnapshot {
 		return RequestSnapshot{

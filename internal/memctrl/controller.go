@@ -29,17 +29,6 @@ type Config struct {
 	// start and stop opportunistic write draining on a channel.
 	WriteDrainHigh int
 	WriteDrainLow  int // see WriteDrainHigh
-	// Parallelism selects the channel-parallel stepping engine
-	// (DESIGN.md §16): on each DRAM edge, per-channel arbitration runs
-	// on up to Parallelism goroutines (the calling goroutine included)
-	// and the resulting decisions are committed serially in channel
-	// order, reproducing the serial schedule bit for bit. 0 or 1 keeps
-	// the serial engine; values above the channel count are clamped; a
-	// negative value means "one worker per available CPU"
-	// (runtime.GOMAXPROCS). Controllers driven by a BatchPolicy
-	// (PAR-BS) always run serially — batch formation is defined over
-	// the sequential schedule.
-	Parallelism int
 }
 
 // DefaultConfig returns the paper's Table 2 controller configuration
@@ -157,14 +146,6 @@ type Controller struct {
 	// channel's bank queues), so empty channels are skipped in O(1).
 	chReads  []int
 	chWrites []int
-	// chState holds each channel's goroutine-confined scheduling state:
-	// candidate scratch, per-bank winner slots, the in-flight list, and
-	// the parallel engine's per-edge decision record. Both engines use
-	// it — the serial path simply never touches two channels' entries
-	// concurrently. Splitting these per channel (rather than sharing
-	// one scratch set, as before the parallel engine) is what makes the
-	// arbitration phase goroutine-confined; see DESIGN.md §16.
-	chState []chanState
 	// chHorizon memoizes a channel's no-issue scheduling horizon: when
 	// scheduleChannel finds no ready candidate, nothing on the channel
 	// can issue before the horizon regardless of policy (a ready
@@ -178,11 +159,12 @@ type Controller struct {
 	// state, and eligibility are provably constant, so skipped edges
 	// compute nothing a scan would.
 	chHorizon []int64
-	// due is completeFinished's merge scratch: the requests completing
-	// on the current edge, gathered from every channel's in-flight list
-	// and fired in deterministic (CompleteAt, ID) order — the ordered
-	// merge point where per-channel work re-enters cross-channel state
-	// (thread stats, MSHR frees, core wakeups).
+	// inFlight holds requests whose column access has issued and whose
+	// completion time is pending, across all channels.
+	inFlight []*Request
+	// due is completeFinished's scratch for the requests completing on
+	// the current edge (fired in deterministic CompleteAt-then-ID
+	// order).
 	due []*Request
 
 	nextID       uint64
@@ -211,6 +193,19 @@ type Controller struct {
 	inServiceBanks []int
 
 	threadStats []ThreadStats
+	// scratch is the per-channel candidate slice, materialized only
+	// when a command issues (for Policy.OnSchedule) or when a
+	// BatchPolicy needs the waiting set; bankCand holds each bank's
+	// level-1 winner, bankBest the per-bank winner pointers, and
+	// challenger is the stack-avoiding slot candidates are staged in
+	// before comparison (policies receive *Candidate, and a pointer
+	// into controller-owned memory keeps the edge path free of
+	// escape-analysis heap allocations). Channels are scheduled one at
+	// a time, so one set serves them all.
+	scratch    []Candidate
+	bankCand   []Candidate
+	bankBest   []*Candidate
+	challenger Candidate
 	// reserved[ch][bank] is the request whose activate opened the
 	// bank's current row and whose column access has not issued yet.
 	// Until that column access issues, the bank is not re-arbitrated
@@ -242,91 +237,7 @@ type Controller struct {
 	// arrivals are scheduled exactly when a dense-ticked controller
 	// would first see them.
 	nextWake int64
-
-	// Parallel-engine state (DESIGN.md §16). parWorkers is the resolved
-	// worker budget (calling goroutine included; ≤1 means the parallel
-	// path is never taken), chLocalOrder caches whether the policy
-	// carries the ChannelLocalOrder marker, parActive is the per-edge
-	// list of channels with due work, and pool holds the lazily started
-	// worker goroutines.
-	parWorkers   int
-	chLocalOrder bool
-	parActive    []int32
-	parNow       int64
-	pool         *workerPool
 }
-
-// chanState is the scheduling state owned by exactly one channel. The
-// arbitration phase of an edge touches only its own channel's chanState
-// (plus that channel's bank queues, memos, and dram.Channel), which is
-// the confinement property that lets the parallel engine run phase A of
-// different channels on different goroutines without synchronization.
-type chanState struct {
-	// scratch is the channel's candidate slice, materialized only when
-	// a command issues (for Policy.OnSchedule) or when a BatchPolicy
-	// needs the waiting set; bankCand holds each bank's level-1 winner
-	// slot, bankBest the per-bank winner pointers, and challenger is
-	// the stack-avoiding slot candidates are staged in before
-	// comparison (policies receive *Candidate, and a pointer into
-	// controller-owned memory keeps the edge path free of
-	// escape-analysis heap allocations).
-	scratch    []Candidate
-	bankCand   []Candidate
-	bankBest   []*Candidate
-	challenger Candidate
-	// inFlight holds the channel's requests whose column access has
-	// issued and whose completion time is pending. Kept per channel so
-	// issue stays channel-confined; completeFinished merges all
-	// channels' due completions in (CompleteAt, ID) order.
-	inFlight []*Request
-	// dec is the channel's decision record for the parallel engine's
-	// current edge: phase A (concurrent, channel-confined) fills it,
-	// phase B (serial, channel order) validates and commits it.
-	dec decision
-}
-
-// decision is one channel's provisional scheduling outcome for one DRAM
-// edge, computed against a pre-edge snapshot of the cross-channel
-// inputs (write-buffer occupancy, policy ordering). Phase B re-checks
-// those inputs before committing; a mismatch discards the decision and
-// re-arbitrates the channel serially.
-type decision struct {
-	// active records whether the channel was dispatched to phase A this
-	// edge; inactive channels are handled purely in phase B from their
-	// cached no-issue horizon.
-	active bool
-	// kind discriminates the outcome below.
-	kind decisionKind
-	// draining/useWrites/hasWork snapshot the eligibility inputs the
-	// decision was computed under (the channel's view of the global
-	// write-drain hysteresis); phase B recomputes them to validate.
-	draining  bool
-	useWrites bool
-	hasWork   bool
-	// winner is the command to issue (kind == decIssue); it points into
-	// the channel's own bankCand slots. cands is the materialized
-	// waiting set for Policy.OnSchedule, backed by the channel's
-	// scratch.
-	winner *Candidate
-	cands  []Candidate
-	// horizon is the channel's no-issue horizon (kind == decHorizon).
-	horizon int64
-}
-
-// decisionKind enumerates phase-A outcomes for one channel.
-type decisionKind uint8
-
-const (
-	// decSkip: the channel's cached horizon is still in the future
-	// after its refresh ran (possible only on a refresh-due edge);
-	// phase B treats it like an inactive channel.
-	decSkip decisionKind = iota
-	// decHorizon: arbitration found no ready command; horizon holds the
-	// channel's next interesting edge.
-	decHorizon
-	// decIssue: arbitration selected winner to issue.
-	decIssue
-)
 
 // NewController builds a controller over freshly initialized DRAM
 // channels. policy may be nil at construction (STFM needs the
@@ -365,7 +276,7 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		chReads:        make([]int, cfg.Geometry.Channels),
 		chWrites:       make([]int, cfg.Geometry.Channels),
 		chHorizon:      make([]int64, cfg.Geometry.Channels),
-		chState:        make([]chanState, cfg.Geometry.Channels),
+		inFlight:       make([]*Request, 0, bufCap),
 		due:            make([]*Request, 0, bufCap),
 		draining:       make([]bool, cfg.Geometry.Channels),
 		queuedPerThr:   make([]int, cfg.NumThreads),
@@ -374,16 +285,10 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		inServiceBank:  make([][]int16, cfg.NumThreads),
 		inServiceBanks: make([]int, cfg.NumThreads),
 		threadStats:    make([]ThreadStats, cfg.NumThreads),
-		parActive:      make([]int32, 0, cfg.Geometry.Channels),
+		scratch:        make([]Candidate, 0, bufCap),
+		bankCand:       make([]Candidate, banks),
+		bankBest:       make([]*Candidate, banks),
 	}
-	for i := range c.chState {
-		cs := &c.chState[i]
-		cs.scratch = make([]Candidate, 0, bufCap)
-		cs.bankCand = make([]Candidate, banks)
-		cs.bankBest = make([]*Candidate, banks)
-		cs.inFlight = make([]*Request, 0, bufCap)
-	}
-	c.parWorkers = resolveParallelism(cfg.Parallelism, cfg.Geometry.Channels)
 	c.setPolicy(policy)
 	for i := range c.inServiceBank {
 		c.inServiceBank[i] = make([]int16, cfg.Geometry.Channels*banks)
@@ -413,7 +318,6 @@ func (c *Controller) setPolicy(p Policy) {
 	c.batch, _ = p.(BatchPolicy)
 	c.eventPol, _ = p.(EventPolicy)
 	c.ordering, _ = p.(OrderingPolicy)
-	_, c.chLocalOrder = p.(ChannelLocalOrder)
 }
 
 // SwitchPolicy replaces the scheduling policy mid-run and normalizes
@@ -576,46 +480,6 @@ func (c *Controller) Tick(now int64) int64 {
 	}
 	c.completeFinished(now)
 	c.policy.BeginCycle(now)
-	var next int64
-	// The parallel engine handles non-batch policies only: a
-	// BatchPolicy's PrepareCycle mutates policy state during
-	// arbitration, which is exactly what phase A must not do.
-	if c.parWorkers > 1 && c.batch == nil {
-		next = c.tickChannelsParallel(now)
-	} else {
-		next = c.tickChannelsSerial(now)
-	}
-	// Wake for the earliest in-flight completion, pending refresh
-	// deadline, and any time-driven policy work.
-	for i := range c.chState {
-		for _, r := range c.chState[i].inFlight {
-			next = min(next, c.edgeCeil(r.CompleteAt))
-		}
-	}
-	for _, ch := range c.channels {
-		if at := ch.NextRefresh(); at < dram.Horizon {
-			next = min(next, c.edgeCeil(at))
-		}
-	}
-	if c.eventPol != nil {
-		if at := c.eventPol.NextPolicyEvent(now); at < dram.Horizon {
-			next = min(next, c.edgeCeil(at))
-		}
-	}
-	// The controller already acted on this edge; nothing further can
-	// become observable before the next one.
-	if next < dram.Horizon {
-		next = max(next, c.nextEdge(now))
-	}
-	c.nextWake = next
-	return next
-}
-
-// tickChannelsSerial is the serial engine's per-edge channel loop — the
-// bit-exactness oracle the parallel engine is validated against. It
-// refreshes, skips, or arbitrates each channel in index order and
-// returns the earliest horizon across channels.
-func (c *Controller) tickChannelsSerial(now int64) int64 {
 	next := int64(dram.Horizon)
 	for ch := range c.channels {
 		if c.channels[ch].MaybeRefresh(now) {
@@ -643,6 +507,27 @@ func (c *Controller) tickChannelsSerial(now int64) int64 {
 			}
 		}
 	}
+	// Wake for the earliest in-flight completion, pending refresh
+	// deadline, and any time-driven policy work.
+	for _, r := range c.inFlight {
+		next = min(next, c.edgeCeil(r.CompleteAt))
+	}
+	for _, ch := range c.channels {
+		if at := ch.NextRefresh(); at < dram.Horizon {
+			next = min(next, c.edgeCeil(at))
+		}
+	}
+	if c.eventPol != nil {
+		if at := c.eventPol.NextPolicyEvent(now); at < dram.Horizon {
+			next = min(next, c.edgeCeil(at))
+		}
+	}
+	// The controller already acted on this edge; nothing further can
+	// become observable before the next one.
+	if next < dram.Horizon {
+		next = max(next, c.nextEdge(now))
+	}
+	c.nextWake = next
 	return next
 }
 
@@ -692,37 +577,30 @@ func refreshMemo(channel *dram.Channel, r *Request, epoch uint64) {
 
 // completeFinished retires every in-flight request whose completion
 // time has arrived, firing OnComplete callbacks in deterministic
-// (CompleteAt, then arrival ID) order. In-flight requests live in
-// per-channel lists (issue is channel-confined, DESIGN.md §16) whose
-// internal order is scrambled by past removals, so gathering the due
-// set across channels and sorting it is what keeps same-cycle
-// completions — and everything downstream of their callbacks (MSHR
-// frees, dependent wakeups, the IDs of requests enqueued from inside a
-// callback) — independent of both buffer layout and channel index.
+// (CompleteAt, then arrival ID) order. The in-flight buffer's internal
+// order is scrambled by past removals and mixes every channel's
+// requests, so sorting the due set is what keeps same-cycle completions
+// — and everything downstream of their callbacks (MSHR frees, dependent
+// wakeups, the IDs of requests enqueued from inside a callback) —
+// independent of both buffer layout and channel index.
 func (c *Controller) completeFinished(now int64) {
 	due := c.due[:0]
-	for i := range c.chState {
-		cs := &c.chState[i]
-		kept := 0
-		for _, r := range cs.inFlight {
-			if r.CompleteAt > now {
-				cs.inFlight[kept] = r
-				kept++
-				continue
-			}
-			due = append(due, r)
-		}
-		if kept == len(cs.inFlight) {
+	kept := 0
+	for _, r := range c.inFlight {
+		if r.CompleteAt > now {
+			c.inFlight[kept] = r
+			kept++
 			continue
 		}
-		for j := kept; j < len(cs.inFlight); j++ {
-			cs.inFlight[j] = nil
-		}
-		cs.inFlight = cs.inFlight[:kept]
+		due = append(due, r)
 	}
 	if len(due) == 0 {
 		return
 	}
+	for i := kept; i < len(c.inFlight); i++ {
+		c.inFlight[i] = nil
+	}
+	c.inFlight = c.inFlight[:kept]
 	c.due = due[:0] // keep the backing array; due stays valid below
 	// Insertion sort by (CompleteAt, ID): the due set is tiny (bounded
 	// by commands retiring on one edge) and this keeps the path
@@ -772,11 +650,9 @@ func (c *Controller) completeFinished(now int64) {
 // candidate becoming ready wakes the controller even if it then
 // loses): conservative, and therefore exact.
 //
-// The method is a serial composition of the three channel-confined
-// pieces the parallel engine stages separately: eligibility (the
-// channel's read of the global write-drain hysteresis),
-// arbitrateChannel (the two-level tournament), and — on an issue —
-// materializeChannel plus the commit in issue. See DESIGN.md §16.
+// The steps are eligibility (the channel's read of the global
+// write-drain hysteresis), arbitrateChannel (the two-level tournament),
+// and — on an issue — materializeChannel plus the commit in issue.
 func (c *Controller) scheduleChannel(ch int, now int64) (issued bool, horizon int64) {
 	draining, useWrites, hasWork := c.eligibility(ch)
 	c.draining[ch] = draining
@@ -794,20 +670,18 @@ func (c *Controller) scheduleChannel(ch int, now int64) (issued bool, horizon in
 	// the policy's OnSchedule accounting (and the inversion tracer).
 	cands := c.materializeChannel(ch, now, useWrites)
 	if c.trace != nil {
-		c.traceInversion(now, ch, best, c.chState[ch].bankBest)
+		c.traceInversion(now, ch, best, c.bankBest)
 	}
 	c.issue(ch, now, best, cands)
 	return true, 0
 }
 
-// eligibility computes a channel's view of the write-drain policy
-// without committing it: whether the channel would be in a drain
-// episode this edge, whether buffered writes are eligible, and whether
-// the channel has any eligible work at all. It reads the global
-// write-buffer occupancy and the channel's sticky draining flag but
-// writes nothing — the caller commits the draining transition (serial:
-// immediately; parallel: in phase B, after validating that the
-// occupancy the decision was computed under still holds).
+// eligibility computes a channel's view of the write-drain policy:
+// whether the channel is in a drain episode this edge, whether buffered
+// writes are eligible, and whether the channel has any eligible work at
+// all. It reads the global write-buffer occupancy and the channel's
+// sticky draining flag; scheduleChannel commits the draining
+// transition.
 //
 // Write-drain policy: writes become eligible (and preferred) when the
 // buffer passes the high watermark, with hysteresis down to the low
@@ -827,16 +701,14 @@ func (c *Controller) eligibility(ch int) (draining, useWrites, hasWork bool) {
 
 // arbitrateChannel runs the paper's two-level tournament for one
 // channel and returns the winning ready candidate, or (nil, horizon)
-// when nothing can issue. It touches only the channel's own state —
-// bank queues, winner memos, request timing memos, chanState scratch —
-// plus read-only policy ordering state, so the parallel engine may run
-// it for different channels on different goroutines (phase A).
+// when nothing can issue. The winner points into bankCand, and
+// bankBest holds every bank's level-1 winner until the next channel is
+// arbitrated.
 func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites bool) (*Candidate, int64) {
 	channel := c.channels[ch]
 	base := ch * c.banksPer
 	minReady := int64(dram.Horizon)
-	cs := &c.chState[ch]
-	chal := &cs.challenger
+	chal := &c.challenger
 	memoize := c.ordering != nil
 	var orderEp uint64
 	if memoize {
@@ -853,7 +725,7 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 	// ordering are all unchanged (the reservation lock is covered too:
 	// reserved[ch][b] changes only when a command issues to the bank,
 	// which bumps its epoch).
-	bankBest := cs.bankBest
+	bankBest := c.bankBest
 	for b := 0; b < c.banksPer; b++ {
 		bankBest[b] = nil
 		q := &c.queues[base+b]
@@ -861,7 +733,7 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 			continue
 		}
 		epoch := channel.BankEpoch(b)
-		slot := &cs.bankCand[b]
+		slot := &c.bankCand[b]
 		if memoize {
 			m := &c.memo[base+b]
 			bankEp := channel.Bank(b).Epoch()
@@ -931,13 +803,11 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 // revalidated first — on a memo-hit edge only the bank winners were
 // refreshed during arbitration — so the copied-out candidates are
 // exact. It runs only on issue edges (the far more frequent no-issue
-// edges skip it entirely) and is channel-confined: the returned slice
-// is backed by the channel's own scratch.
+// edges skip it entirely); the returned slice is backed by scratch.
 func (c *Controller) materializeChannel(ch int, now int64, useWrites bool) []Candidate {
 	channel := c.channels[ch]
 	base := ch * c.banksPer
-	cs := &c.chState[ch]
-	cands := cs.scratch[:0]
+	cands := c.scratch[:0]
 	for b := 0; b < c.banksPer; b++ {
 		q := &c.queues[base+b]
 		epoch := channel.BankEpoch(b)
@@ -958,7 +828,7 @@ func (c *Controller) materializeChannel(ch int, now int64, useWrites bool) []Can
 			}
 		}
 	}
-	cs.scratch = cands[:0]
+	c.scratch = cands[:0]
 	return cands
 }
 
@@ -1041,8 +911,7 @@ func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites
 	channel := c.channels[ch]
 	base := ch * c.banksPer
 	minReady := int64(dram.Horizon)
-	cs := &c.chState[ch]
-	cands := cs.scratch[:0]
+	cands := c.scratch[:0]
 	for b := 0; b < c.banksPer; b++ {
 		q := &c.queues[base+b]
 		if len(q.reads) == 0 && (!useWrites || len(q.writes) == 0) {
@@ -1069,7 +938,7 @@ func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites
 			}
 		}
 	}
-	cs.scratch = cands[:0]
+	c.scratch = cands[:0]
 	if len(cands) == 0 {
 		return false, dram.Horizon
 	}
@@ -1077,7 +946,7 @@ func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites
 
 	// Level 1: per-bank winner over the materialized set, honoring the
 	// reservation lock exactly like the fast path.
-	bankBest := cs.bankBest
+	bankBest := c.bankBest
 	for b := range bankBest {
 		bankBest[b] = nil
 	}
@@ -1181,7 +1050,7 @@ func (c *Controller) issue(ch int, now int64, chosen *Candidate, cands []Candida
 			r.CompleteAt += c.cfg.Timing.RoundTripOverhead
 		}
 		c.removeQueued(r)
-		c.chState[ch].inFlight = append(c.chState[ch].inFlight, r)
+		c.inFlight = append(c.inFlight, r)
 	}
 	if c.CommandTrace != nil {
 		c.CommandTrace(now, ch, chosen.Cmd, r)
@@ -1345,7 +1214,7 @@ func (c *Controller) QueuedBanks(thread int) int { return c.queuedBanks[thread] 
 // Tick reports. It is a test/tool convenience, not used in simulation.
 func (c *Controller) Drain(start int64) int64 {
 	now := start
-	for c.queuedReads > 0 || c.queuedWrites > 0 || c.inFlightTotal() > 0 {
+	for c.queuedReads > 0 || c.queuedWrites > 0 || len(c.inFlight) > 0 {
 		next := c.Tick(now)
 		now++
 		if next >= dram.Horizon {

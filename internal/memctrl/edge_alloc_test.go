@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"reflect"
 	"testing"
 
 	"stfm/internal/dram"
@@ -68,40 +69,68 @@ func TestEdgePathZeroAllocsBankGroups(t *testing.T) {
 // completion-order fix: the in-flight buffer's internal order is
 // scrambled by swap-removal, so same-cycle completions must fire their
 // OnComplete callbacks sorted by (CompleteAt, then arrival ID) — never
-// by buffer position. Anything downstream of the callbacks (MSHR frees,
-// the IDs assigned to requests enqueued from inside a callback) depends
-// on this order being a function of the schedule, not of slice layout.
+// by buffer position or channel index. Anything downstream of the
+// callbacks (MSHR frees, the IDs assigned to requests enqueued from
+// inside a callback) depends on this order being a function of the
+// schedule, not of slice layout.
 func TestCompleteFinishedDeterministicOrder(t *testing.T) {
-	c := newEdgeController(t, 4, 1)
-	var fired []uint64
-	mk := func(id uint64, at int64) *Request {
-		return &Request{
-			ID:         id,
-			Thread:     int(id) % 4,
-			IsWrite:    true, // writes skip read-side stats bookkeeping
-			CompleteAt: at,
-			OnComplete: func(int64) { fired = append(fired, id) },
-		}
+	type inFlight struct {
+		id uint64
+		ch int
+		at int64
 	}
-	// Buffer layout deliberately scrambled: neither CompleteAt- nor
-	// ID-sorted, with two same-cycle clusters (cycle 5 and cycle 7) and
-	// one not-yet-due request that must survive untouched. (Zero-value
-	// Loc puts every request on channel 0's in-flight list.)
-	inFlight := &c.chState[0].inFlight
-	*inFlight = append((*inFlight)[:0],
-		mk(9, 7), mk(2, 5), mk(30, 900), mk(7, 5), mk(1, 7), mk(4, 3),
-	)
-	c.completeFinished(10)
-	want := []uint64{4, 2, 7, 1, 9}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %d callbacks (%v), want %d (%v)", len(fired), fired, len(want), want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("completion order = %v, want %v (CompleteAt, then ID)", fired, want)
-		}
-	}
-	if len(*inFlight) != 1 || (*inFlight)[0].ID != 30 {
-		t.Fatalf("in-flight after retirement = %v, want only request 30", *inFlight)
+	cases := []struct {
+		name     string
+		channels int
+		buf      []inFlight
+		want     []uint64 // callback firing order
+		kept     []uint64 // in-flight IDs left after retirement
+	}{{
+		// Neither CompleteAt- nor ID-sorted, with two same-cycle
+		// clusters (cycle 5 and cycle 7) and one not-yet-due request
+		// that must survive untouched.
+		name:     "scrambled",
+		channels: 1,
+		buf:      []inFlight{{9, 0, 7}, {2, 0, 5}, {30, 0, 900}, {7, 0, 5}, {1, 0, 7}, {4, 0, 3}},
+		want:     []uint64{4, 2, 7, 1, 9},
+		kept:     []uint64{30},
+	}, {
+		// The cycle-6 cluster spans both channels with IDs interleaved
+		// across them, and channel 1 holds the oldest request (ID 2):
+		// retiring channel 0's requests first would fire 5 before 2.
+		name:     "cross-channel",
+		channels: 2,
+		buf:      []inFlight{{5, 0, 6}, {90, 0, 900}, {3, 0, 6}, {2, 1, 6}, {7, 1, 3}, {91, 1, 900}},
+		want:     []uint64{7, 2, 3, 5},
+		kept:     []uint64{90, 91},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newEdgeController(t, 4, tc.channels)
+			var fired []uint64
+			c.inFlight = c.inFlight[:0]
+			for _, f := range tc.buf {
+				id := f.id
+				c.inFlight = append(c.inFlight, &Request{
+					ID:         id,
+					Thread:     int(id) % 4,
+					Loc:        dram.Location{Channel: f.ch},
+					IsWrite:    true, // writes skip read-side stats bookkeeping
+					CompleteAt: f.at,
+					OnComplete: func(int64) { fired = append(fired, id) },
+				})
+			}
+			c.completeFinished(10)
+			if !reflect.DeepEqual(fired, tc.want) {
+				t.Fatalf("completion order = %v, want %v (CompleteAt, then ID)", fired, tc.want)
+			}
+			var kept []uint64
+			for _, r := range c.inFlight {
+				kept = append(kept, r.ID)
+			}
+			if !reflect.DeepEqual(kept, tc.kept) {
+				t.Fatalf("in-flight after retirement = %v, want %v", kept, tc.kept)
+			}
+		})
 	}
 }

@@ -176,13 +176,7 @@ func BenchmarkCompleteFinished(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for ch := range c.chState {
-					c.chState[ch].inFlight = c.chState[ch].inFlight[:0]
-				}
-				for _, r := range reqs {
-					cs := &c.chState[r.Loc.Channel]
-					cs.inFlight = append(cs.inFlight, r)
-				}
+				c.inFlight = append(c.inFlight[:0], reqs...)
 				c.completeFinished(1000)
 			}
 		})

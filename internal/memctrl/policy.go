@@ -68,9 +68,7 @@ type Policy interface {
 // PrepareCycle with the channel's candidates before arbitration.
 type BatchPolicy interface {
 	// PrepareCycle observes (and may re-batch over) the channel's full
-	// candidate set before this cycle's arbitration. Because it runs
-	// interleaved with per-channel selection, controllers driven by a
-	// BatchPolicy always use the serial stepping engine (DESIGN.md §16).
+	// candidate set before this cycle's arbitration.
 	PrepareCycle(channel int, now int64, waiting []Candidate)
 }
 

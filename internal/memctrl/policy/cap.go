@@ -82,15 +82,7 @@ func (p *FRFCFSCap) OnSchedule(_ int64, chosen *memctrl.Candidate, ready []memct
 // reorder budget changes, the only mutable input to Less.
 func (p *FRFCFSCap) OrderEpoch() uint64 { return p.epoch }
 
-// ChannelLocalOrder marks the policy's OnSchedule mutations as
-// channel-confined for the parallel engine (DESIGN.md §16): the column
-// counters Less consults are indexed [channel][bank], and OnSchedule
-// for a command on channel X touches only counts[X], so an issue on one
-// channel cannot reorder another channel's candidates mid-edge.
-func (p *FRFCFSCap) ChannelLocalOrder() {}
-
 var (
-	_ memctrl.Policy            = (*FRFCFSCap)(nil)
-	_ memctrl.OrderingPolicy    = (*FRFCFSCap)(nil)
-	_ memctrl.ChannelLocalOrder = (*FRFCFSCap)(nil)
+	_ memctrl.Policy         = (*FRFCFSCap)(nil)
+	_ memctrl.OrderingPolicy = (*FRFCFSCap)(nil)
 )

@@ -165,18 +165,4 @@ func (p *NFQ) OnSchedule(now int64, chosen *memctrl.Candidate, ready []memctrl.C
 	}
 }
 
-// ChannelLocalOrder marks the policy's OnSchedule mutations as
-// channel-confined for the parallel engine (DESIGN.md §16): virtual
-// finish times and row-blocked marks are indexed by the global
-// (channel, bank) pair of the scheduled command, so an issue on one
-// channel cannot change Less outcomes between another channel's
-// candidates on the same edge. (NFQ is not an OrderingPolicy — its
-// inversion-expiry rule reads the wall clock, which has no sound memo
-// epoch — so this marker is what lets its phase-A decisions commit
-// without serial re-arbitration.)
-func (p *NFQ) ChannelLocalOrder() {}
-
-var (
-	_ memctrl.Policy            = (*NFQ)(nil)
-	_ memctrl.ChannelLocalOrder = (*NFQ)(nil)
-)
+var _ memctrl.Policy = (*NFQ)(nil)

@@ -162,10 +162,8 @@ func (c *Controller) SaveState() ControllerState {
 			st.Requests = append(st.Requests, snapshotRequest(r))
 		}
 	}
-	for i := range c.chState {
-		for _, r := range c.chState[i].inFlight {
-			st.Requests = append(st.Requests, snapshotRequest(r))
-		}
+	for _, r := range c.inFlight {
+		st.Requests = append(st.Requests, snapshotRequest(r))
 	}
 	sort.Slice(st.Requests, func(i, j int) bool { return st.Requests[i].ID < st.Requests[j].ID })
 	for ch := range c.reserved {
@@ -268,8 +266,7 @@ func (c *Controller) RestoreState(st ControllerState, resolve func(r RequestStat
 		byID[r.ID] = r
 		idx := r.Loc.Channel*c.banksPer + r.Loc.Bank
 		if r.CASIssued {
-			cs := &c.chState[r.Loc.Channel]
-			cs.inFlight = append(cs.inFlight, r)
+			c.inFlight = append(c.inFlight, r)
 		} else {
 			q := &c.queues[idx]
 			if r.IsWrite {

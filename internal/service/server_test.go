@@ -532,49 +532,3 @@ func TestServerProtocolMatrixExpansion(t *testing.T) {
 		}
 	}
 }
-
-// TestServerJobParallelCap: a job requesting more stepping workers
-// than the server's per-job budget is clamped, runs to completion, and
-// — because the parallel engine is bit-identical (DESIGN.md §16) and
-// Config.Parallel is fingerprint-excluded — serves the same result and
-// cache entry as a serial submission of the same configuration.
-func TestServerJobParallelCap(t *testing.T) {
-	srv, client := newTestServer(t, Options{Workers: 1, QueueSize: 8, SampleEvery: 500, JobParallel: 2})
-	ctx := context.Background()
-
-	serial := quickConfig(11)
-	sub, err := client.Submit(ctx, JobRequest{Config: serial, Workload: []string{"mcf", "libquantum"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := waitStatus(t, client, sub.Jobs[0].ID, StatusDone)
-	rr, err := client.Result(ctx, sub.Jobs[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	par := serial
-	par.Parallel = 64 // far above the cap; clamped to JobParallel in runJob
-	sub2, err := client.Submit(ctx, JobRequest{Config: par, Workload: []string{"mcf", "libquantum"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2 := sub2.Jobs[0]
-	if j2.Fingerprint != info.Fingerprint {
-		t.Errorf("Parallel changed the fingerprint: %s != %s (must be fingerprint-excluded)", j2.Fingerprint, info.Fingerprint)
-	}
-	if !j2.Cached {
-		t.Errorf("parallel resubmission missed the cache (status %s)", j2.Status)
-	}
-	rr2, err := client.Result(ctx, j2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rr2.Result, rr.Result) {
-		t.Error("parallel-capped result differs from the serial run")
-	}
-
-	if got := srv.Stats().JobParallel; got != 2 {
-		t.Errorf("Stats().JobParallel = %d, want 2", got)
-	}
-}

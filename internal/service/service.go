@@ -73,17 +73,6 @@ type Options struct {
 	// Chaos installs the deterministic fault-injection harness on the
 	// server's durability paths; nil runs fault-free. Test use.
 	Chaos *Chaos
-	// JobParallel caps each job's channel-parallel stepping workers
-	// (sim.Config.Parallel, DESIGN.md §16) so jobs cannot oversubscribe
-	// a host already running Workers simultaneous simulations: a job
-	// requesting more is clamped, and a job requesting auto (-1)
-	// receives the cap. 0 derives the cap by dividing the host's CPUs
-	// among the worker pool (max(1, GOMAXPROCS/Workers)); negative
-	// leaves job requests uncapped. Clamping is result-neutral — the
-	// parallel engine is bit-identical at any worker count — which is
-	// also why the result cache may serve a serial run's entry for a
-	// parallel request.
-	JobParallel int
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -137,9 +126,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.SampleEvery == 0 {
 		opts.SampleEvery = 5000
-	}
-	if opts.JobParallel == 0 {
-		opts.JobParallel = max(1, runtime.GOMAXPROCS(0)/opts.Workers)
 	}
 	cache, err := NewCache(opts.CacheDir)
 	if err != nil {
@@ -607,13 +593,6 @@ func (s *Server) runJob(j *job) (crashed bool) {
 		j.col = telemetry.New(telemetry.Options{SampleEvery: s.opts.SampleEvery})
 		cfg.Telemetry = j.col
 	}
-	// Cap the job's stepping parallelism by the pool-derived budget so
-	// Workers concurrent jobs cannot oversubscribe the host. Neutral to
-	// the result (and the cache key): the parallel engine's schedule is
-	// bit-identical at any worker count.
-	if cap := s.opts.JobParallel; cap > 0 && (cfg.Parallel < 0 || cfg.Parallel > cap) {
-		cfg.Parallel = cap
-	}
 	j.status = StatusRunning
 	j.cancel = cancel
 	j.startedAt = time.Now()
@@ -636,30 +615,15 @@ func (s *Server) runJob(j *job) (crashed bool) {
 		panic(chaosCrash{point: "checkpoint.write"})
 	}
 
-	j.mu.Lock()
-	j.cancel = nil
-	j.finishedAt = time.Now()
-	j.result = res
-	j.err = err
+	var status JobStatus
 	switch {
 	case err == nil:
-		j.status = StatusDone
-	case errors.Is(err, sim.ErrCanceled):
-		j.status = StatusCanceled
-	default:
-		// Deadline expiry, watchdog stalls, invariant violations,
-		// recovered panics, bad configs that slipped past Validate —
-		// all structured sim errors, all terminal failures.
-		j.status = StatusFailed
-	}
-	status := j.status
-	wall := j.finishedAt.Sub(j.startedAt)
-	j.mu.Unlock()
-
-	if status == StatusDone {
-		// Spill the result before journaling completion: a "done" record
-		// implies the result is retrievable, so a crash between the two
-		// re-runs the job instead of losing its result.
+		status = StatusDone
+		// Spill the result before publishing or journaling completion:
+		// a client that sees "done" may read the spill from another
+		// process on the same directory, and a "done" record implies
+		// the result is retrievable, so a crash before either re-runs
+		// the job instead of losing its result.
 		if cerr := s.cache.Put(j.fp, res); cerr != nil {
 			s.logf("job %s: %v", j.id, cerr)
 		}
@@ -668,7 +632,24 @@ func (s *Server) runJob(j *job) (crashed bool) {
 			// at the same -baseline-dir skip this alone run entirely.
 			s.baseline.Put(experiments.BaselineKey(j.cfg, j.workload[0]), res)
 		}
+	case errors.Is(err, sim.ErrCanceled):
+		status = StatusCanceled
+	default:
+		// Deadline expiry, watchdog stalls, invariant violations,
+		// recovered panics, bad configs that slipped past Validate —
+		// all structured sim errors, all terminal failures.
+		status = StatusFailed
 	}
+
+	j.mu.Lock()
+	j.cancel = nil
+	j.finishedAt = time.Now()
+	j.result = res
+	j.err = err
+	j.status = status
+	wall := j.finishedAt.Sub(j.startedAt)
+	j.mu.Unlock()
+
 	rec := walRecord{Type: walComplete, Job: j.id, Status: status}
 	if err != nil {
 		rec.Error = err.Error()
@@ -730,7 +711,7 @@ func (s *Server) execute(ctx context.Context, j *job, cfg sim.Config) (*sim.Resu
 			s.logf("job %s: fork warm-up failed, running cold: %v", j.id, err)
 		} else {
 			pol := cfg.Policy
-			sys, rerr := sim.Restore(snap, &sim.RestoreOptions{Telemetry: j.col, Parallel: &cfg.Parallel, Policy: &pol})
+			sys, rerr := sim.Restore(snap, &sim.RestoreOptions{Telemetry: j.col, Policy: &pol})
 			if rerr != nil {
 				s.logf("job %s: fork snapshot rejected, running cold: %v", j.id, rerr)
 			} else {
@@ -765,7 +746,7 @@ func (s *Server) restoreSystem(j *job, cfg sim.Config) *sim.System {
 		s.logf("job %s: checkpoint unreadable, running from scratch: %v", j.id, err)
 		return nil
 	}
-	sys, err := sim.Restore(data, &sim.RestoreOptions{Telemetry: j.col, Parallel: &cfg.Parallel})
+	sys, err := sim.Restore(data, &sim.RestoreOptions{Telemetry: j.col})
 	if err != nil {
 		if qerr := quarantine(j.resumeFrom); qerr != nil {
 			s.logf("job %s: %v", j.id, qerr)
@@ -861,20 +842,16 @@ func atomicWrite(path string, data []byte) error {
 type Stats struct {
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 	Workers       int     `json:"workers"`
-	// JobParallel is the per-job stepping-worker cap applied to every
-	// executed job's Config.Parallel (Options.JobParallel; negative
-	// means uncapped).
-	JobParallel   int   `json:"jobParallel"`
-	Running       int   `json:"running"`
-	QueueDepth    int   `json:"queueDepth"`
-	QueueCapacity int   `json:"queueCapacity"`
-	Submitted     int64 `json:"submitted"`
-	Completed     int64 `json:"completed"`
-	Failed        int64 `json:"failed"`
-	Canceled      int64 `json:"canceled"`
-	CacheEntries  int   `json:"cacheEntries"`
-	CacheHits     int64 `json:"cacheHits"`
-	CacheMisses   int64 `json:"cacheMisses"`
+	Running       int     `json:"running"`
+	QueueDepth    int     `json:"queueDepth"`
+	QueueCapacity int     `json:"queueCapacity"`
+	Submitted     int64   `json:"submitted"`
+	Completed     int64   `json:"completed"`
+	Failed        int64   `json:"failed"`
+	Canceled      int64   `json:"canceled"`
+	CacheEntries  int     `json:"cacheEntries"`
+	CacheHits     int64   `json:"cacheHits"`
+	CacheMisses   int64   `json:"cacheMisses"`
 	// Job wall-time distribution in milliseconds (power-of-two bucket
 	// resolution, reusing the memctrl latency histogram).
 	JobP50Ms int64 `json:"jobP50Ms"`
@@ -913,10 +890,9 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Baseline: baseline,
+		Baseline:      baseline,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Workers:       s.opts.Workers,
-		JobParallel:   s.opts.JobParallel,
 		Running:       s.running,
 		QueueDepth:    s.queue.Depth(),
 		QueueCapacity: s.queue.Cap(),

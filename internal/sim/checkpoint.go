@@ -30,8 +30,7 @@ import (
 // continues bit-identically (TestCheckpointRestoreEquivalence).
 //
 // What is deliberately NOT checkpointed: scheduling memos and cache
-// epochs (recomputed, schedule-neutral by construction), the parallel
-// engine's worker pool (an engine knob, rebuilt per run), telemetry
+// epochs (recomputed, schedule-neutral by construction), telemetry
 // buffers (observers), and completion callbacks (closures; re-created
 // by pairing restored controller/cache state back to window entries
 // via issue sequence numbers).
@@ -175,11 +174,6 @@ type RestoreOptions struct {
 	// Telemetry re-attaches a collector (checkpoints do not carry
 	// telemetry buffers; a restored run's series restarts empty).
 	Telemetry *telemetry.Collector
-	// Parallel, if non-nil, overrides the saved engine parallelism.
-	// The engine knob is schedule-neutral, so restoring a checkpoint
-	// from a serial run onto the parallel engine (or vice versa) still
-	// continues bit-identically.
-	Parallel *int
 	// Policy, if non-nil, forks the checkpoint under a different
 	// scheduler: the machine state (queues, banks, cores, generators) is
 	// restored exactly, but the scheduler is a FRESH instance of the
@@ -220,9 +214,6 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 	forked := false
 	if opts != nil {
 		cfg.Telemetry = opts.Telemetry
-		if opts.Parallel != nil {
-			cfg.Parallel = *opts.Parallel
-		}
 		if opts.Policy != nil {
 			forked = true
 			cfg.Policy = *opts.Policy
@@ -416,7 +407,6 @@ func (s *System) CheckpointAt(ctx context.Context, cycle int64) (data []byte, er
 			err = &SimError{Cycle: s.now, Check: "panic", Err: panicErr(v), Stack: debug.Stack()}
 		}
 	}()
-	defer s.ctrl.StopWorkers()
 	if cycle < 0 {
 		return nil, ckptErr("save", "negative checkpoint cycle %d", cycle)
 	}

@@ -44,9 +44,9 @@ func captureCheckpoints(t *testing.T, cfg Config, every int64, names ...string) 
 }
 
 // resumeFrom restores a snapshot and runs it to completion.
-func resumeFrom(t *testing.T, snap []byte, parallel *int) *Result {
+func resumeFrom(t *testing.T, snap []byte) *Result {
 	t.Helper()
-	s, err := Restore(snap, &RestoreOptions{Parallel: parallel})
+	s, err := Restore(snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			}
 			// Every snapshot must resume exactly — first, middle, last.
 			for _, idx := range []int{0, len(snaps) / 2, len(snaps) - 1} {
-				got := resumeFrom(t, snaps[idx], nil)
+				got := resumeFrom(t, snaps[idx])
 				assertResultsEqual(t, fmt.Sprintf("resume from snapshot %d/%d", idx, len(snaps)), got, ref)
 			}
 		})
@@ -127,45 +127,8 @@ func TestCheckpointRestoreProtocols(t *testing.T) {
 			if len(snaps) == 0 {
 				t.Fatal("no snapshots captured")
 			}
-			got := resumeFrom(t, snaps[len(snaps)/2], nil)
+			got := resumeFrom(t, snaps[len(snaps)/2])
 			assertResultsEqual(t, "resume", got, ref)
-		})
-	}
-}
-
-// TestCheckpointRestoreParallelEngine pins engine-neutrality: a
-// snapshot from a serial run resumes bit-identically on the parallel
-// engine and vice versa (the engine is excluded from the checkpoint;
-// only Config.Parallel selects it).
-func TestCheckpointRestoreParallelEngine(t *testing.T) {
-	for _, pol := range []PolicyKind{PolicyFRFCFS, PolicySTFM, PolicyTCM} {
-		pol := pol
-		t.Run(string(pol), func(t *testing.T) {
-			t.Parallel()
-			cfg := DefaultConfig(pol, 8) // 2 channels: parallel engine engages
-			cfg.InstrTarget = 8_000
-			names := []string{"mcf", "libquantum", "GemsFDTD", "astar", "hmmer", "mcf", "libquantum", "astar"}
-			ref := runReference(t, cfg, names...)
-			_, snaps := captureCheckpoints(t, cfg, 60_000, names...)
-			if len(snaps) == 0 {
-				t.Fatal("no snapshots captured")
-			}
-			par := 2
-			got := resumeFrom(t, snaps[len(snaps)/2], &par)
-			assertResultsEqual(t, "serial snapshot resumed on parallel engine", got, ref)
-
-			// And the reverse: checkpoint under the parallel engine,
-			// resume serially.
-			pcfg := cfg
-			pcfg.Parallel = 2
-			pres, psnaps := captureCheckpoints(t, pcfg, 60_000, names...)
-			assertResultsEqual(t, "parallel checkpointed run", pres, ref)
-			if len(psnaps) == 0 {
-				t.Fatal("no parallel snapshots captured")
-			}
-			serial := 0
-			got = resumeFrom(t, psnaps[len(psnaps)/2], &serial)
-			assertResultsEqual(t, "parallel snapshot resumed serially", got, ref)
 		})
 	}
 }
@@ -183,7 +146,7 @@ func TestCheckpointRestoreCacheMode(t *testing.T) {
 		t.Fatal("no snapshots captured")
 	}
 	for _, idx := range []int{0, len(snaps) / 2, len(snaps) - 1} {
-		got := resumeFrom(t, snaps[idx], nil)
+		got := resumeFrom(t, snaps[idx])
 		assertResultsEqual(t, fmt.Sprintf("cache-mode resume from snapshot %d", idx), got, ref)
 	}
 }

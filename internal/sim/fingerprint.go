@@ -14,13 +14,10 @@ import (
 
 // fingerprintSkip lists Config fields excluded from Fingerprint: the
 // process-local attachments (Streams, Telemetry) and the knobs that are
-// proven not to change a run's Result — DenseTick, Parallel,
-// WatchdogCycles, and CheckInvariants only alter how the schedule is
-// stepped and observed, and the equivalence tests pin the schedules
-// bit-identical (for Parallel, the channel-parallel engine commits
-// decisions serially in channel order and re-arbitrates any channel
-// whose cross-channel inputs moved, DESIGN.md §16). Excluding them lets
-// a checked, densely-ticked, or parallel run share a cache entry with
+// proven not to change a run's Result — DenseTick, WatchdogCycles, and
+// CheckInvariants only alter how the schedule is stepped and observed,
+// and the equivalence tests pin the schedules bit-identical. Excluding
+// them lets a checked or densely-ticked run share a cache entry with
 // the plain run it is guaranteed to match.
 //
 // Protocol is skipped here only to be encoded explicitly by
@@ -36,7 +33,6 @@ var fingerprintSkip = map[string]bool{
 	"Streams":         true,
 	"Telemetry":       true,
 	"DenseTick":       true,
-	"Parallel":        true,
 	"WatchdogCycles":  true,
 	"CheckInvariants": true,
 	"Protocol":        true,

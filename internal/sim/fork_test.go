@@ -30,7 +30,7 @@ func runScratchSwitch(t *testing.T, cfg Config, warmup PolicyKind, at int64, nam
 // runForked runs the checkpoint-fork path: a warm-up-only run to a
 // checkpoint at the switch cycle, then a Restore with the Policy
 // override and a continuation to completion.
-func runForked(t *testing.T, cfg Config, warmup PolicyKind, at int64, parallel *int, names ...string) *Result {
+func runForked(t *testing.T, cfg Config, warmup PolicyKind, at int64, names ...string) *Result {
 	t.Helper()
 	wcfg := cfg
 	wcfg.Policy = warmup
@@ -45,7 +45,7 @@ func runForked(t *testing.T, cfg Config, warmup PolicyKind, at int64, parallel *
 		t.Fatal(err)
 	}
 	target := cfg.Policy
-	forked, err := Restore(snap, &RestoreOptions{Policy: &target, Parallel: parallel})
+	forked, err := Restore(snap, &RestoreOptions{Policy: &target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,10 @@ func runForked(t *testing.T, cfg Config, warmup PolicyKind, at int64, parallel *
 }
 
 // TestForkEquivalence is the fork-mode correctness contract: for every
-// implemented target policy, across protocol packs and with the
-// serial and parallel stepping engines, a warm-up run checkpointed at
-// the switch cycle and forked under the target produces a Result
-// reflect.DeepEqual to a scratch run that switches policy at the same
-// cycle.
+// implemented target policy and across protocol packs, a warm-up run
+// checkpointed at the switch cycle and forked under the target produces
+// a Result reflect.DeepEqual to a scratch run that switches policy at
+// the same cycle.
 func TestForkEquivalence(t *testing.T) {
 	const switchAt = 60_000
 	protocols := []dram.Protocol{"", dram.DDR4}
@@ -76,11 +75,8 @@ func TestForkEquivalence(t *testing.T) {
 				t.Parallel()
 				cfg := forkTestConfig(pol, proto)
 				oracle := runScratchSwitch(t, cfg, PolicyFRFCFS, switchAt, "mcf", "libquantum")
-				serial := runForked(t, cfg, PolicyFRFCFS, switchAt, nil, "mcf", "libquantum")
-				assertResultsEqual(t, "fork(serial) vs scratch switch", serial, oracle)
-				par := 4
-				parallel := runForked(t, cfg, PolicyFRFCFS, switchAt, &par, "mcf", "libquantum")
-				assertResultsEqual(t, "fork(parallel) vs scratch switch", parallel, oracle)
+				forked := runForked(t, cfg, PolicyFRFCFS, switchAt, "mcf", "libquantum")
+				assertResultsEqual(t, "fork vs scratch switch", forked, oracle)
 			})
 		}
 	}
@@ -98,7 +94,7 @@ func TestForkEquivalenceStatefulWarmup(t *testing.T) {
 			t.Parallel()
 			cfg := forkTestConfig(target, "")
 			oracle := runScratchSwitch(t, cfg, PolicySTFM, switchAt, "mcf", "libquantum")
-			forked := runForked(t, cfg, PolicySTFM, switchAt, nil, "mcf", "libquantum")
+			forked := runForked(t, cfg, PolicySTFM, switchAt, "mcf", "libquantum")
 			assertResultsEqual(t, "fork vs scratch switch (STFM warm-up)", forked, oracle)
 		})
 	}
@@ -114,7 +110,7 @@ func TestForkSwitchAfterRunEnd(t *testing.T) {
 	cfg := forkTestConfig(PolicySTFM, "")
 	const wayPast = int64(1) << 40
 	oracle := runScratchSwitch(t, cfg, PolicyFRFCFS, wayPast, "mcf", "libquantum")
-	forked := runForked(t, cfg, PolicyFRFCFS, wayPast, nil, "mcf", "libquantum")
+	forked := runForked(t, cfg, PolicyFRFCFS, wayPast, "mcf", "libquantum")
 	assertResultsEqual(t, "fork past run end", forked, oracle)
 	if oracle.Policy != PolicySTFM {
 		t.Errorf("oracle Result.Policy = %q, want STFM (the fork target)", oracle.Policy)
@@ -152,7 +148,7 @@ func TestForkRunCheckpointedResume(t *testing.T) {
 		t.Fatalf("need snapshots on both sides of the switch, got %d", len(snaps))
 	}
 	for i, snap := range snaps {
-		res := resumeFrom(t, snap, nil)
+		res := resumeFrom(t, snap)
 		assertResultsEqual(t, "resume from fork-run snapshot", res, ref)
 		_ = i
 	}

@@ -137,18 +137,6 @@ type Config struct {
 	// exists as the differential-testing escape hatch and for debugging
 	// with per-cycle traces.
 	DenseTick bool `json:"denseTick"`
-	// Parallel selects the controller's channel-parallel stepping
-	// engine (DESIGN.md §16): on each DRAM edge, per-channel
-	// arbitration runs concurrently on up to Parallel goroutines and
-	// the decisions are validated and committed serially in channel
-	// order, so the schedule — and therefore the Result — is
-	// bit-identical to the serial engine's (the parallel equivalence
-	// tests in internal/experiments assert it). 0 or 1 keeps the
-	// serial engine; a negative value sizes the pool to the available
-	// CPUs (runtime.GOMAXPROCS); values above the channel count are
-	// clamped. Schedule-neutral by construction, so it is excluded
-	// from Fingerprint like the other engine knobs.
-	Parallel int `json:"parallel,omitempty"`
 	// WatchdogCycles sets the forward-progress watchdog window in CPU
 	// cycles: if no core commits an instruction and no DRAM command
 	// issues for a full window, the run aborts with a *StallError
@@ -350,12 +338,6 @@ func NewSystem(cfg Config, profiles []trace.Profile) (*System, error) {
 	}
 	if cfg.Timing != nil {
 		mcfg.Timing = *cfg.Timing
-	}
-	// Dense ticking exists to oracle the event engine; stacking the
-	// parallel engine under it would just slow the oracle down, so the
-	// knob only takes effect on event-driven runs.
-	if !cfg.DenseTick {
-		mcfg.Parallelism = cfg.Parallel
 	}
 
 	s := &System{cfg: cfg, profiles: profiles}
@@ -737,11 +719,6 @@ func (s *System) runLoop(ctx context.Context, sink *CheckpointSink) (res *Result
 			err = &SimError{Cycle: s.now, Check: "panic", Err: panicErr(v), Stack: debug.Stack()}
 		}
 	}()
-	// The parallel engine's worker goroutines live only for the run:
-	// long-lived callers (the server's worker pool) must not leak a
-	// pool per job. Runs first on unwind, so even a panicking run shuts
-	// its workers down before the recovery above reports it.
-	defer s.ctrl.StopWorkers()
 	maxCycles := s.cfg.CycleBudget(s.profiles)
 	done := ctx.Done()
 	// Watchdog state: the next boundary to observe at, and the progress
