@@ -9,12 +9,13 @@
 // bit-identical; -trace-out additionally saves that run's event ring
 // as a Chrome trace (the CI artifact).
 //
-// A second mode, -suite sched, runs the scheduler-hot-path suite
-// behind the indexed-scheduler-state PR: the 8- and 16-core STFM mixes
-// whose event-driven wall clock the optimization targets (plus the same
-// 16-core mix on the HBM pack's 8 channels), compared against the
-// per-mix timings recorded at the pre-optimization baseline commit and
-// written to BENCH_sched.json, with the host's GOMAXPROCS alongside.
+// A second mode, -suite sched, runs the scheduler-hot-path suite: the
+// 8- and 16-core STFM mixes that keep the controller busy every DRAM
+// edge (plus the same 16-core mix on the HBM pack's 8 channels), timed
+// event-driven and written to BENCH_sched.json with the host's
+// GOMAXPROCS alongside. Wall clocks are comparable only between runs on
+// one host, so the report carries no ratio against another host's
+// numbers: compare two commits by running the suite on both.
 //
 // A third mode, -suite matrix, benchmarks the checkpoint-fork matrix
 // engine and the persistent alone-baseline store (DESIGN.md §18): the
@@ -59,6 +60,12 @@ import (
 )
 
 type report struct {
+	// Suite names the report's shape ("stepping"), like the sched and
+	// matrix reports; GOMAXPROCS records the host's CPU budget (every
+	// timed run is one goroutine, but wall clocks from different hosts
+	// are not comparable, while every Result is).
+	Suite      string `json:"suite"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Workload identification.
 	Mix    []string       `json:"mix"`
 	Policy sim.PolicyKind `json:"policy"`
@@ -176,6 +183,8 @@ func main() {
 	telRes, telCol, telT := run(false, true)
 
 	rep := report{
+		Suite:             "stepping",
+		GOMAXPROCS:        runtime.GOMAXPROCS(0),
 		Mix:               names,
 		Policy:            cfg.Policy,
 		Instrs:            cfg.InstrTarget,
@@ -226,12 +235,6 @@ func main() {
 	}
 }
 
-// schedSuiteCommit is the commit at which the schedBaselines timings
-// were recorded, immediately before the indexed-scheduler-state
-// optimization landed. The suite reports each mix's current event-mode
-// wall clock as a ratio against these numbers.
-const schedSuiteCommit = "2d9d139"
-
 // schedMix is one timed workload of the sched suite: the event-driven
 // column and the dense run that re-verifies its bit-exactness.
 type schedMix struct {
@@ -246,15 +249,10 @@ type schedMix struct {
 	EventNs           int64          `json:"event_ns"`
 	EventCyclesPerSec float64        `json:"event_cycles_per_sec"`
 	ResultsIdentical  bool           `json:"results_identical"`
-	// BaselineEventNs is 0 for mixes added after the baseline commit
-	// (no recorded pre-optimization timing); SpeedupVsBaseline is then 0.
-	BaselineEventNs   int64   `json:"baseline_event_ns"`
-	SpeedupVsBaseline float64 `json:"speedup_vs_baseline"`
 }
 
 type schedReport struct {
-	Suite          string `json:"suite"`
-	BaselineCommit string `json:"baseline_commit"`
+	Suite string `json:"suite"`
 	// GOMAXPROCS records the host's CPU budget: every timed run is one
 	// goroutine, but wall clocks from different hosts are not
 	// comparable, while every Result is.
@@ -276,18 +274,15 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out
 	}
 	sixteen := workloads.SixteenCoreMixes()[1] // high8+low8
 	cases := []struct {
-		name            string
-		profiles        []trace.Profile
-		protocol        dram.Protocol
-		baselineEventNs int64
+		name     string
+		profiles []trace.Profile
+		protocol dram.Protocol
 	}{
-		{"8core-2ch", eight, "", 229_843_963},
-		{"16core-4ch-high8+low8", sixteen.Profiles, "", 884_328_817},
-		// Added after the baseline commit; no pre-optimization timing
-		// exists for it.
-		{"16core-HBM-8ch-high8+low8", sixteen.Profiles, dram.HBM, 0},
+		{"8core-2ch", eight, ""},
+		{"16core-4ch-high8+low8", sixteen.Profiles, ""},
+		{"16core-HBM-8ch-high8+low8", sixteen.Profiles, dram.HBM},
 	}
-	rep := schedReport{Suite: "sched", BaselineCommit: schedSuiteCommit, GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	rep := schedReport{Suite: "sched", GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for _, tc := range cases {
 		cfg := sim.DefaultConfig(sim.PolicySTFM, len(tc.profiles))
 		cfg.InstrTarget = 60_000
@@ -340,14 +335,10 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out
 			EventNs:           eventT.Nanoseconds(),
 			EventCyclesPerSec: float64(eventRes.TotalCycles) / eventT.Seconds(),
 			ResultsIdentical:  reflect.DeepEqual(denseRes, eventRes),
-			BaselineEventNs:   tc.baselineEventNs,
-		}
-		if tc.baselineEventNs > 0 {
-			m.SpeedupVsBaseline = float64(tc.baselineEventNs) / float64(eventT.Nanoseconds())
 		}
 		rep.Mixes = append(rep.Mixes, m)
-		fmt.Printf("%s: event %v (%.2fx vs baseline @%s), dense %v, %d cycles, identical=%v\n",
-			m.Name, eventT, m.SpeedupVsBaseline, schedSuiteCommit, denseT, m.Cycles, m.ResultsIdentical)
+		fmt.Printf("%s: event %v, dense %v, %d cycles, identical=%v\n",
+			m.Name, eventT, denseT, m.Cycles, m.ResultsIdentical)
 		if !m.ResultsIdentical {
 			fatal(fmt.Errorf("%s: dense and event-driven results diverged", m.Name))
 		}

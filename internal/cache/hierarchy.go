@@ -9,43 +9,52 @@ import (
 // Hierarchy is one core's private L1+L2 cache stack in front of the
 // shared DRAM controller, with MSHR-based non-blocking misses
 // (same-line merging) and dirty writebacks. It implements the cpu
-// package's Memory port.
+// package's Memory port, and is the controller's ReadConsumer for its
+// thread: DRAM fills come back to it by line address.
 type Hierarchy struct {
 	thread int
 	l1     *Cache
 	l2     *Cache
 	ctrl   *memctrl.Controller
 	mshrs  int
+	// loads completes the hierarchy's loads by issue sequence number:
+	// the core it serves.
+	loads LoadSink
 
-	outstanding map[uint64]*mshr
+	// outstanding holds the in-flight L2 misses (the MSHRs), keyed by
+	// line, each with whether a store missed on the line (the fill then
+	// installs it dirty).
+	outstanding map[uint64]bool
+	// waiters are the loads waiting on in-flight misses, in arrival
+	// order. One list shared by all MSHRs is bounded by the core's
+	// in-flight loads, so it stops growing once warm and a steady miss
+	// stream allocates nothing.
+	waiters     []waiter
 	completions []completion
 	pendingWB   []uint64
 
 	dramLoads int64
-
-	// pendingTag is the issue sequence number of the load about to
-	// arrive (cpu.LoadTagger); consumed by the next Load call. Tags
-	// identify which window entry a pending completion or MSHR waiter
-	// belongs to, which is what lets checkpoint restore re-create the
-	// callback closures (DESIGN.md §17). They have no effect on timing.
-	pendingTag int64
 }
 
-type mshr struct {
-	waiters []func(now int64)
-	// tags[i] is the issue tag of waiters[i] (see Hierarchy.pendingTag).
-	tags  []int64
-	write bool
+// LoadSink completes loads by their issue sequence numbers; the core a
+// hierarchy serves (*cpu.Core) is one.
+type LoadSink interface {
+	LoadDone(now, seq int64)
 }
 
+// waiter is a load, by issue sequence number, waiting on the in-flight
+// miss of line.
+type waiter struct {
+	line uint64
+	seq  int64
+}
+
+// completion is a pending cache-hit completion of the load with issue
+// sequence number seq.
 type completion struct {
-	at   int64
-	done func(now int64)
-	tag  int64
+	at  int64
+	seq int64
 }
-
-// TagNextLoad implements cpu.LoadTagger.
-func (h *Hierarchy) TagNextLoad(seq int64) { h.pendingTag = seq }
 
 // NewHierarchy builds a private L1/L2 pair for the given hardware
 // thread over the shared controller. mshrs bounds outstanding L2
@@ -62,15 +71,24 @@ func NewHierarchy(thread int, l1cfg, l2cfg Config, mshrs int, ctrl *memctrl.Cont
 	if err != nil {
 		return nil, fmt.Errorf("cache: L2: %w", err)
 	}
-	return &Hierarchy{
+	h := &Hierarchy{
 		thread:      thread,
 		l1:          l1,
 		l2:          l2,
 		ctrl:        ctrl,
 		mshrs:       mshrs,
-		outstanding: make(map[uint64]*mshr),
-	}, nil
+		outstanding: make(map[uint64]bool, mshrs),
+		// The retry queue holds writebacks the DRAM write buffer turned
+		// away; sized like that buffer, it rarely needs to grow.
+		pendingWB: make([]uint64, 0, ctrl.Config().WriteBufferCap),
+	}
+	ctrl.SetReadConsumer(thread, h)
+	return h, nil
 }
+
+// SetLoadSink installs the consumer of the hierarchy's completed loads,
+// the core it serves. Install it before the first Load.
+func (h *Hierarchy) SetLoadSink(s LoadSink) { h.loads = s }
 
 // L1 exposes the L1 cache for statistics.
 func (h *Hierarchy) L1() *Cache { return h.l1 }
@@ -85,29 +103,28 @@ func (h *Hierarchy) DRAMLoads() int64 { return h.dramLoads }
 // OutstandingMisses returns the number of in-flight L2 misses.
 func (h *Hierarchy) OutstandingMisses() int { return len(h.outstanding) }
 
-// Load issues a cache-line read. If accepted, done runs exactly once
-// when the data is available; l2Miss reports whether the access goes
-// to DRAM (the classification the core's stall accounting needs). A
-// false return means MSHRs or the DRAM request buffer are exhausted;
-// the caller should retry next cycle.
-func (h *Hierarchy) Load(now int64, lineAddr uint64, done func(now int64)) (accepted, l2Miss bool) {
-	tag := h.pendingTag
-	h.pendingTag = 0
+// Load issues a cache-line read for the load with issue sequence
+// number seq. If accepted, the hierarchy completes it exactly once,
+// when the data is available, through the load sink; l2Miss reports
+// whether the access goes to DRAM (the classification the core's stall
+// accounting needs). A false return means MSHRs or the DRAM request
+// buffer are exhausted; the caller should retry next cycle.
+func (h *Hierarchy) Load(now int64, lineAddr uint64, seq int64) (accepted, l2Miss bool) {
 	if h.l1.Access(lineAddr, false) {
-		h.complete(now+h.l1.cfg.Latency, done, tag)
+		h.completions = append(h.completions, completion{at: now + h.l1.cfg.Latency, seq: seq})
 		return true, false
 	}
 	if h.l2.Access(lineAddr, false) {
 		h.fillL1(lineAddr, false)
-		h.complete(now+h.l2.cfg.Latency, done, tag)
+		h.completions = append(h.completions, completion{at: now + h.l2.cfg.Latency, seq: seq})
 		return true, false
 	}
-	return h.miss(now, lineAddr, false, done, tag), true
+	return h.miss(now, lineAddr, false, seq), true
 }
 
 // Store issues a cache-line write (write-allocate, write-back). Store
-// misses fetch the line from DRAM but never block commit, so no
-// completion callback is taken. A false return means resources are
+// misses fetch the line from DRAM but never block commit, so nothing
+// waits on their completion. A false return means resources are
 // exhausted and the access must be retried.
 func (h *Hierarchy) Store(now int64, lineAddr uint64) (accepted bool) {
 	if h.l1.Access(lineAddr, true) {
@@ -117,54 +134,50 @@ func (h *Hierarchy) Store(now int64, lineAddr uint64) (accepted bool) {
 		h.fillL1(lineAddr, true)
 		return true
 	}
-	return h.miss(now, lineAddr, true, nil, 0)
+	return h.miss(now, lineAddr, true, 0)
 }
 
-func (h *Hierarchy) miss(now int64, lineAddr uint64, write bool, done func(now int64), tag int64) bool {
-	if m, ok := h.outstanding[lineAddr]; ok {
-		// MSHR merge: piggyback on the in-flight fill.
-		if done != nil {
-			m.waiters = append(m.waiters, done)
-			m.tags = append(m.tags, tag)
+// miss sends an L2 miss to DRAM, or merges it into the line's
+// outstanding MSHR. A load (write false) waits on the fill by its issue
+// sequence number seq; a store waits on nothing.
+func (h *Hierarchy) miss(now int64, lineAddr uint64, write bool, seq int64) bool {
+	dirty, merge := h.outstanding[lineAddr]
+	if !merge {
+		if len(h.outstanding) >= h.mshrs || !h.ctrl.EnqueueRead(now, h.thread, lineAddr, 0) {
+			return false
 		}
-		m.write = m.write || write
-		return true
+		h.dramLoads++
 	}
-	if len(h.outstanding) >= h.mshrs {
-		return false
+	h.outstanding[lineAddr] = dirty || write
+	if !write {
+		h.waiters = append(h.waiters, waiter{line: lineAddr, seq: seq})
 	}
-	m := &mshr{write: write}
-	if done != nil {
-		m.waiters = append(m.waiters, done)
-		m.tags = append(m.tags, tag)
-	}
-	ok := h.ctrl.EnqueueRead(now, h.thread, lineAddr, h.fillCallback(lineAddr))
-	if !ok {
-		return false
-	}
-	h.outstanding[lineAddr] = m
-	h.dramLoads++
 	return true
 }
 
-// fillCallback builds the controller completion callback for the
-// in-flight fill of lineAddr. Checkpoint restore re-creates these for
-// restored DRAM read requests (FillCallback), so the two must agree.
-func (h *Hierarchy) fillCallback(lineAddr uint64) func(at int64) {
-	return func(at int64) { h.fill(at, lineAddr) }
-}
+// ReadDone implements memctrl.ReadConsumer: a DRAM fill arrives for
+// r.LineAddr. The hierarchy keys its MSHRs by line address and keeps
+// nothing of r.
+func (h *Hierarchy) ReadDone(now int64, r *memctrl.Request) { h.fill(now, r.LineAddr) }
 
-// fill handles a DRAM fill arriving for lineAddr.
+// fill handles a DRAM fill arriving for lineAddr: it installs the line
+// and completes the loads waiting on it, in arrival order.
 func (h *Hierarchy) fill(now int64, lineAddr uint64) {
-	m := h.outstanding[lineAddr]
+	write := h.outstanding[lineAddr]
 	delete(h.outstanding, lineAddr)
-	if victim, dirty := h.l2.Fill(lineAddr, m.write); dirty {
+	if victim, dirty := h.l2.Fill(lineAddr, write); dirty {
 		h.writeback(now, victim)
 	}
-	h.fillL1(lineAddr, m.write)
-	for _, w := range m.waiters {
-		w(now)
+	h.fillL1(lineAddr, write)
+	kept := h.waiters[:0]
+	for _, w := range h.waiters {
+		if w.line != lineAddr {
+			kept = append(kept, w)
+			continue
+		}
+		h.loads.LoadDone(now, w.seq)
 	}
+	h.waiters = kept
 }
 
 // fillL1 installs a line into L1, spilling dirty victims into L2.
@@ -189,13 +202,6 @@ func (h *Hierarchy) writeback(now int64, lineAddr uint64) {
 	}
 }
 
-func (h *Hierarchy) complete(at int64, done func(now int64), tag int64) {
-	if done == nil {
-		return
-	}
-	h.completions = append(h.completions, completion{at: at, done: done, tag: tag})
-}
-
 // Tick delivers due cache-hit completions and retries writebacks that
 // found the DRAM write buffer full. It returns the hierarchy's event
 // horizon: the earliest cycle a scheduled completion comes due, or
@@ -212,13 +218,16 @@ func (h *Hierarchy) Tick(now int64) int64 {
 		}
 		h.completions[i] = h.completions[len(h.completions)-1]
 		h.completions = h.completions[:len(h.completions)-1]
-		c.done(now)
+		h.loads.LoadDone(now, c.seq)
 	}
-	for len(h.pendingWB) > 0 {
-		if !h.ctrl.EnqueueWrite(now, h.thread, h.pendingWB[0]) {
-			break
-		}
-		h.pendingWB = h.pendingWB[1:]
+	// Retry in order, then drain the accepted prefix in place, so the
+	// queue keeps its backing array under sustained back-pressure.
+	sent := 0
+	for sent < len(h.pendingWB) && h.ctrl.EnqueueWrite(now, h.thread, h.pendingWB[sent]) {
+		sent++
+	}
+	if sent > 0 {
+		h.pendingWB = h.pendingWB[:copy(h.pendingWB, h.pendingWB[sent:])]
 	}
 	return h.NextEventAt()
 }

@@ -17,7 +17,38 @@ func newHierarchy(t *testing.T, mshrs int) (*Hierarchy, *memctrl.Controller) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.SetLoadSink(&loadLog{at: make(map[int64]int64)})
 	return h, ctrl
+}
+
+// loadLog is the test LoadSink: it records when each load completed
+// and hands out the issue sequence numbers load uses.
+type loadLog struct {
+	at      map[int64]int64
+	lastSeq int64
+}
+
+func (l *loadLog) LoadDone(now, seq int64) {
+	if _, dup := l.at[seq]; dup {
+		panic("load completed twice")
+	}
+	l.at[seq] = now
+}
+
+// load issues a load under the next issue sequence number.
+func load(h *Hierarchy, now int64, addr uint64) (seq int64, accepted, l2Miss bool) {
+	l := h.loads.(*loadLog)
+	l.lastSeq++
+	accepted, l2Miss = h.Load(now, addr, l.lastSeq)
+	return l.lastSeq, accepted, l2Miss
+}
+
+// doneAt returns the cycle load seq completed at, or -1.
+func doneAt(h *Hierarchy, seq int64) int64 {
+	if at, ok := h.loads.(*loadLog).at[seq]; ok {
+		return at
+	}
+	return -1
 }
 
 // step advances the controller and hierarchy together.
@@ -40,25 +71,24 @@ func TestHierarchyValidation(t *testing.T) {
 
 func TestMissGoesToDRAMThenHits(t *testing.T) {
 	h, ctrl := newHierarchy(t, 8)
-	var missAt, hitAt int64 = -1, -1
-	accepted, l2miss := h.Load(0, 42, func(at int64) { missAt = at })
+	miss, accepted, l2miss := load(h, 0, 42)
 	if !accepted || !l2miss {
 		t.Fatalf("cold load: accepted=%v l2miss=%v, want true/true", accepted, l2miss)
 	}
 	step(h, ctrl, 0, 2000)
-	if missAt < 0 {
+	if doneAt(h, miss) < 0 {
 		t.Fatal("miss never completed")
 	}
 	if h.DRAMLoads() != 1 {
 		t.Errorf("DRAM loads = %d, want 1", h.DRAMLoads())
 	}
 
-	accepted, l2miss = h.Load(2000, 42, func(at int64) { hitAt = at })
+	hit, accepted, l2miss := load(h, 2000, 42)
 	if !accepted || l2miss {
 		t.Fatalf("warm load should be a cache hit, got l2miss=%v", l2miss)
 	}
 	step(h, ctrl, 2000, 2100)
-	if hitAt-2000 != L1Config().Latency {
+	if hitAt := doneAt(h, hit); hitAt-2000 != L1Config().Latency {
 		t.Errorf("L1 hit latency = %d, want %d", hitAt-2000, L1Config().Latency)
 	}
 }
@@ -67,18 +97,16 @@ func TestL2HitAfterL1Eviction(t *testing.T) {
 	h, ctrl := newHierarchy(t, 16)
 	// Fill line 0, then sweep enough same-set lines through L1 to
 	// evict it from L1 while it stays in the larger L2.
-	done := 0
-	h.Load(0, 0, func(int64) { done++ })
+	load(h, 0, 0)
 	step(h, ctrl, 0, 2000)
 
 	l1sets := int64(L1Config().SizeBytes / L1Config().LineBytes / L1Config().Ways)
 	for i := int64(1); i <= int64(L1Config().Ways); i++ {
-		h.Load(2000, uint64(i*l1sets), func(int64) { done++ })
+		load(h, 2000, uint64(i*l1sets))
 		step(h, ctrl, 2000, 2000+1)
 		step(h, ctrl, 2001, 4000)
 	}
-	var hitAt int64 = -1
-	acc, l2miss := h.Load(5000, 0, func(at int64) { hitAt = at })
+	hit, acc, l2miss := load(h, 5000, 0)
 	if !acc {
 		t.Fatal("refused")
 	}
@@ -86,21 +114,20 @@ func TestL2HitAfterL1Eviction(t *testing.T) {
 		t.Fatal("line should still be in L2")
 	}
 	step(h, ctrl, 5000, 5100)
-	if hitAt-5000 != L2Config().Latency {
+	if hitAt := doneAt(h, hit); hitAt-5000 != L2Config().Latency {
 		t.Errorf("L2 hit latency = %d, want %d", hitAt-5000, L2Config().Latency)
 	}
 }
 
 func TestMSHRMerging(t *testing.T) {
 	h, ctrl := newHierarchy(t, 8)
-	completions := 0
-	h.Load(0, 7, func(int64) { completions++ })
-	h.Load(0, 7, func(int64) { completions++ }) // same line: merged
+	load(h, 0, 7)
+	load(h, 0, 7) // same line: merged
 	if h.OutstandingMisses() != 1 {
 		t.Fatalf("outstanding = %d, want 1 (merged)", h.OutstandingMisses())
 	}
 	step(h, ctrl, 0, 2000)
-	if completions != 2 {
+	if completions := len(h.loads.(*loadLog).at); completions != 2 {
 		t.Errorf("completions = %d, want 2", completions)
 	}
 	if h.DRAMLoads() != 1 {
@@ -110,9 +137,9 @@ func TestMSHRMerging(t *testing.T) {
 
 func TestMSHRLimit(t *testing.T) {
 	h, _ := newHierarchy(t, 2)
-	ok1, _ := h.Load(0, 1, func(int64) {})
-	ok2, _ := h.Load(0, 2, func(int64) {})
-	ok3, _ := h.Load(0, 3, func(int64) {})
+	_, ok1, _ := load(h, 0, 1)
+	_, ok2, _ := load(h, 0, 2)
+	_, ok3, _ := load(h, 0, 3)
 	if !ok1 || !ok2 {
 		t.Fatal("first two misses must be accepted")
 	}
@@ -129,7 +156,7 @@ func TestStoreMissAllocatesWithoutBlocking(t *testing.T) {
 	step(h, ctrl, 0, 2000)
 	// The line must now be resident and dirty: evicting it later
 	// produces a writeback.
-	if _, l2miss := h.Load(2500, 99, func(int64) {}); l2miss {
+	if _, _, l2miss := load(h, 2500, 99); l2miss {
 		t.Error("store-allocated line should hit")
 	}
 }
@@ -172,6 +199,6 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 }
 
 func try(h *Hierarchy, now int64, addr uint64) bool {
-	acc, _ := h.Load(now, addr, func(int64) {})
+	_, acc, _ := load(h, now, addr)
 	return acc
 }

@@ -7,13 +7,12 @@ import (
 
 // This file implements checkpoint support for the cache hierarchy
 // (DESIGN.md §17). Cache content (tags, dirty bits, LRU timestamps) is
-// serialized verbatim. MSHR waiter callbacks and pending hit
-// completions are core closures and cannot be serialized; each carries
-// the issue tag of the window entry it belongs to (cpu.LoadTagger), so
-// restore re-creates the closures by asking the restored core for a
-// fresh callback per tag. Slice orders are preserved exactly: Tick
-// delivers completions by slice scan with swap-removal and fill fires
-// waiters in append order, so order is part of the schedule.
+// serialized verbatim. MSHR waiters and pending hit completions are
+// the issue sequence numbers of the loads they complete, so they
+// serialize as they are and restore re-links nothing. Slice orders are
+// preserved exactly: Tick delivers completions by slice scan with
+// swap-removal and fill completes waiters in append order, so order is
+// part of the schedule.
 
 // LineSnapshot is the serialized state of one cache line.
 type LineSnapshot struct {
@@ -68,13 +67,13 @@ func (c *Cache) RestoreState(st CacheState) error {
 type MSHRSnapshot struct {
 	LineAddr uint64 `json:"lineAddr"`
 	Write    bool   `json:"write"`
-	// WaiterTags are the issue tags of the loads merged into this miss,
-	// in registration order (the order fill fires them in).
+	// WaiterTags are the issue sequence numbers of the loads waiting on
+	// this miss, in arrival order (the order fill completes them in).
 	WaiterTags []int64 `json:"waiterTags"`
 }
 
 // CompletionSnapshot is the serialized state of one pending cache-hit
-// completion.
+// completion: the load's issue sequence number (Tag) and due cycle.
 type CompletionSnapshot struct {
 	At  int64 `json:"at"`
 	Tag int64 `json:"tag"`
@@ -102,27 +101,30 @@ func (h *Hierarchy) SaveState() HierarchyState {
 		PendingWB: append([]uint64(nil), h.pendingWB...),
 		DRAMLoads: h.dramLoads,
 	}
-	for addr, m := range h.outstanding {
-		st.Outstanding = append(st.Outstanding, MSHRSnapshot{
-			LineAddr:   addr,
-			Write:      m.write,
-			WaiterTags: append([]int64(nil), m.tags...),
-		})
+	for addr, write := range h.outstanding {
+		ms := MSHRSnapshot{LineAddr: addr, Write: write}
+		for _, w := range h.waiters {
+			if w.line == addr {
+				ms.WaiterTags = append(ms.WaiterTags, w.seq)
+			}
+		}
+		st.Outstanding = append(st.Outstanding, ms)
 	}
 	sort.Slice(st.Outstanding, func(i, j int) bool {
 		return st.Outstanding[i].LineAddr < st.Outstanding[j].LineAddr
 	})
 	for _, c := range h.completions {
-		st.Completions = append(st.Completions, CompletionSnapshot{At: c.at, Tag: c.tag})
+		st.Completions = append(st.Completions, CompletionSnapshot{At: c.at, Tag: c.seq})
 	}
 	return st
 }
 
 // RestoreState overwrites the hierarchy's mutable state with a
-// snapshot. resolve maps an issue tag back to a fresh completion
-// callback on the restored core (cpu.Core.InFlightCallback); it is
-// invoked for every MSHR waiter and pending completion.
-func (h *Hierarchy) RestoreState(st HierarchyState, resolve func(tag int64) (func(now int64), error)) error {
+// snapshot. Waiters and pending completions restore as the issue
+// sequence numbers they are; waiters of different lines may interleave
+// differently than in the original run, which fill cannot observe (it
+// completes one line's waiters, in their order).
+func (h *Hierarchy) RestoreState(st HierarchyState) error {
 	if err := h.l1.RestoreState(st.L1); err != nil {
 		return fmt.Errorf("cache: L1: %w", err)
 	}
@@ -132,45 +134,25 @@ func (h *Hierarchy) RestoreState(st HierarchyState, resolve func(tag int64) (fun
 	if len(st.Outstanding) > h.mshrs {
 		return fmt.Errorf("cache: snapshot has %d outstanding misses, hierarchy allows %d", len(st.Outstanding), h.mshrs)
 	}
-	outstanding := make(map[uint64]*mshr, len(st.Outstanding))
+	outstanding := make(map[uint64]bool, h.mshrs)
+	var waiters []waiter
 	for _, ms := range st.Outstanding {
 		if _, dup := outstanding[ms.LineAddr]; dup {
 			return fmt.Errorf("cache: snapshot has duplicate MSHR for line %#x", ms.LineAddr)
 		}
-		m := &mshr{write: ms.Write}
-		for _, tag := range ms.WaiterTags {
-			done, err := resolve(tag)
-			if err != nil {
-				return fmt.Errorf("cache: MSHR waiter for line %#x: %w", ms.LineAddr, err)
-			}
-			m.waiters = append(m.waiters, done)
-			m.tags = append(m.tags, tag)
+		outstanding[ms.LineAddr] = ms.Write
+		for _, seq := range ms.WaiterTags {
+			waiters = append(waiters, waiter{line: ms.LineAddr, seq: seq})
 		}
-		outstanding[ms.LineAddr] = m
 	}
 	completions := make([]completion, 0, len(st.Completions))
 	for _, cs := range st.Completions {
-		done, err := resolve(cs.Tag)
-		if err != nil {
-			return fmt.Errorf("cache: pending completion: %w", err)
-		}
-		completions = append(completions, completion{at: cs.At, done: done, tag: cs.Tag})
+		completions = append(completions, completion{at: cs.At, seq: cs.Tag})
 	}
 	h.outstanding = outstanding
+	h.waiters = waiters
 	h.completions = completions
 	h.pendingWB = append([]uint64(nil), st.PendingWB...)
 	h.dramLoads = st.DRAMLoads
-	h.pendingTag = 0
 	return nil
-}
-
-// FillCallback returns a fresh controller completion callback for the
-// in-flight fill of lineAddr, behaviorally identical to the one miss()
-// registered in the original run. It errors when the hierarchy has no
-// outstanding miss for that line — a checkpoint/component mismatch.
-func (h *Hierarchy) FillCallback(lineAddr uint64) (func(at int64), error) {
-	if _, ok := h.outstanding[lineAddr]; !ok {
-		return nil, fmt.Errorf("cache: thread %d has no outstanding miss for line %#x", h.thread, lineAddr)
-	}
-	return h.fillCallback(lineAddr), nil
 }

@@ -409,8 +409,10 @@ func (s *STFM) bankLatency(o dram.RowBufferOutcome) float64 {
 }
 
 // OnSchedule implements memctrl.Policy: the Tinterference update rules
-// of Section 3.2.2.
-func (s *STFM) OnSchedule(_ int64, chosen *memctrl.Candidate, ready []memctrl.Candidate) {
+// of Section 3.2.2. Only the bus rule (1a) looks beyond the scheduled
+// bank, and it applies only to column accesses, so the whole channel's
+// waiting set is read only when the chosen command is one.
+func (s *STFM) OnSchedule(_ int64, chosen *memctrl.Candidate, waiting *memctrl.Waiting) {
 	c := chosen.Req.Thread
 
 	// 1a) Bus interference: a scheduled read/write occupies the data
@@ -421,6 +423,12 @@ func (s *STFM) OnSchedule(_ int64, chosen *memctrl.Candidate, ready []memctrl.Ca
 	// amortized over the victim's BankWaitingParallelism.
 	chosenBank := chosen.Channel*s.banks + chosen.Cmd.Bank
 	var busVictims, bankVictims uint64 // thread bitmasks (numThreads <= 64)
+	var ready []memctrl.Candidate
+	if chosen.Cmd.Kind.IsColumn() {
+		ready = waiting.Channel()
+	} else {
+		ready = waiting.Bank(chosen.Cmd.Bank)
+	}
 	for i := range ready {
 		r := &ready[i]
 		t := r.Req.Thread

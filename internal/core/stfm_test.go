@@ -248,7 +248,7 @@ func TestBusInterferenceCharge(t *testing.T) {
 	victim := candAt(1, dram.CmdRead, 3, 0) // ready CAS on same channel, other bank
 	f.view.requests[1] = 1
 	f.view.banks[1] = 1
-	f.stfm.OnSchedule(0, &chosen, []memctrl.Candidate{chosen, victim})
+	f.stfm.OnSchedule(0, &chosen, memctrl.NewWaiting([]memctrl.Candidate{chosen, victim}))
 	if got := f.stfm.Interference(1); got != float64(tm.BurstCycles) {
 		t.Errorf("bus interference = %v, want %d", got, tm.BurstCycles)
 	}
@@ -264,7 +264,7 @@ func TestBankInterferenceAmortization(t *testing.T) {
 	chosen := candAt(0, dram.CmdActivate, 5, 0)
 	victim := candAt(1, dram.CmdPrecharge, 5, 0) // same bank
 	f.view.banks[1] = 4                          // waiting in 4 banks
-	f.stfm.OnSchedule(0, &chosen, []memctrl.Candidate{chosen, victim})
+	f.stfm.OnSchedule(0, &chosen, memctrl.NewWaiting([]memctrl.Candidate{chosen, victim}))
 	want := float64(tm.RCD) / 4 // ACT latency / (gamma*BWP)
 	if got := f.stfm.Interference(1); math.Abs(got-want) > 1e-9 {
 		t.Errorf("bank interference = %v, want %v", got, want)
@@ -276,7 +276,7 @@ func TestBankInterferenceIgnoresOtherBanks(t *testing.T) {
 	chosen := candAt(0, dram.CmdActivate, 5, 0)
 	victim := candAt(1, dram.CmdPrecharge, 6, 0) // different bank, not a CAS
 	f.view.banks[1] = 1
-	f.stfm.OnSchedule(0, &chosen, []memctrl.Candidate{chosen, victim})
+	f.stfm.OnSchedule(0, &chosen, memctrl.NewWaiting([]memctrl.Candidate{chosen, victim}))
 	if got := f.stfm.Interference(1); got != 0 {
 		t.Errorf("interference = %v, want 0 (different bank, row command)", got)
 	}
@@ -293,7 +293,7 @@ func TestOwnThreadExtraLatency(t *testing.T) {
 	first.Req.Loc = dram.Location{Bank: 2, Row: 7}
 	first.First = true
 	f.view.inService[0] = 1
-	f.stfm.OnSchedule(0, &first, []memctrl.Candidate{first})
+	f.stfm.OnSchedule(0, &first, memctrl.NewWaiting([]memctrl.Candidate{first}))
 	if f.stfm.Interference(0) != 0 {
 		t.Fatalf("no own charge expected on first-ever access, got %v", f.stfm.Interference(0))
 	}
@@ -305,7 +305,7 @@ func TestOwnThreadExtraLatency(t *testing.T) {
 	second.Req.Loc = dram.Location{Bank: 2, Row: 7}
 	second.First = true
 	second.Outcome = dram.RowConflict
-	f.stfm.OnSchedule(10, &second, []memctrl.Candidate{second})
+	f.stfm.OnSchedule(10, &second, memctrl.NewWaiting([]memctrl.Candidate{second}))
 	want := float64(tm.RP + tm.RCD)
 	if got := f.stfm.Interference(0); math.Abs(got-want) > 1e-9 {
 		t.Errorf("own-thread interference = %v, want %v", got, want)
@@ -321,7 +321,7 @@ func TestOwnThreadNegativeExtraLatency(t *testing.T) {
 	a := candAt(0, dram.CmdRead, 2, 0)
 	a.Req.Loc = dram.Location{Bank: 2, Row: 7}
 	a.First = true
-	f.stfm.OnSchedule(0, &a, []memctrl.Candidate{a})
+	f.stfm.OnSchedule(0, &a, memctrl.NewWaiting([]memctrl.Candidate{a}))
 
 	// Next access targets row 9 (conflict alone) but arrives as a hit
 	// in the shared system (someone else opened row 9 — shared data).
@@ -329,7 +329,7 @@ func TestOwnThreadNegativeExtraLatency(t *testing.T) {
 	b.Req.Loc = dram.Location{Bank: 2, Row: 9}
 	b.First = true
 	b.Outcome = dram.RowHit
-	f.stfm.OnSchedule(10, &b, []memctrl.Candidate{b})
+	f.stfm.OnSchedule(10, &b, memctrl.NewWaiting([]memctrl.Candidate{b}))
 	if got := f.stfm.Interference(0); got >= 0 {
 		t.Errorf("interference = %v, want negative (positive interference case)", got)
 	}
@@ -343,12 +343,12 @@ func TestOwnThreadUpdateDisabled(t *testing.T) {
 	a := candAt(0, dram.CmdRead, 2, 0)
 	a.Req.Loc = dram.Location{Bank: 2, Row: 7}
 	a.First = true
-	f.stfm.OnSchedule(0, &a, []memctrl.Candidate{a})
+	f.stfm.OnSchedule(0, &a, memctrl.NewWaiting([]memctrl.Candidate{a}))
 	b := candAt(0, dram.CmdPrecharge, 2, 10)
 	b.Req.Loc = dram.Location{Bank: 2, Row: 7}
 	b.First = true
 	b.Outcome = dram.RowConflict
-	f.stfm.OnSchedule(10, &b, []memctrl.Candidate{b})
+	f.stfm.OnSchedule(10, &b, memctrl.NewWaiting([]memctrl.Candidate{b}))
 	if got := f.stfm.Interference(0); got != 0 {
 		t.Errorf("own-thread update should be disabled, got %v", got)
 	}
@@ -359,14 +359,14 @@ func TestNonReadyVictimNotChargedWhenSelfBlocked(t *testing.T) {
 	// Thread 1's own command last used bank 5; its non-ready request
 	// there is self-blocked and must not be charged.
 	warm := candAt(1, dram.CmdRead, 5, 0)
-	f.stfm.OnSchedule(0, &warm, []memctrl.Candidate{warm})
+	f.stfm.OnSchedule(0, &warm, memctrl.NewWaiting([]memctrl.Candidate{warm}))
 	base := f.stfm.Interference(1)
 
 	chosen := candAt(0, dram.CmdActivate, 5, 5)
 	victim := candAt(1, dram.CmdPrecharge, 5, 5)
 	victim.Ready = false
 	f.view.banks[1] = 1
-	f.stfm.OnSchedule(10, &chosen, []memctrl.Candidate{chosen, victim})
+	f.stfm.OnSchedule(10, &chosen, memctrl.NewWaiting([]memctrl.Candidate{chosen, victim}))
 	if got := f.stfm.Interference(1); got != base {
 		t.Errorf("self-blocked victim charged: %v -> %v", base, got)
 	}
@@ -374,7 +374,7 @@ func TestNonReadyVictimNotChargedWhenSelfBlocked(t *testing.T) {
 	// After thread 0 used the bank, thread 1's blocked request is a
 	// cross-thread victim and must be charged.
 	chosen2 := candAt(0, dram.CmdRead, 5, 20)
-	f.stfm.OnSchedule(20, &chosen2, []memctrl.Candidate{chosen2, victim})
+	f.stfm.OnSchedule(20, &chosen2, memctrl.NewWaiting([]memctrl.Candidate{chosen2, victim}))
 	if got := f.stfm.Interference(1); got <= base {
 		t.Error("cross-thread-blocked victim must be charged")
 	}

@@ -63,7 +63,7 @@ func TestLastBankUserTracksAcrossChannels(t *testing.T) {
 
 	// Thread 1 uses bank 3 on channel 0.
 	warm := candAt(1, dram.CmdRead, 3, 0)
-	s.OnSchedule(0, &warm, nil)
+	s.OnSchedule(0, &warm, memctrl.NewWaiting(nil))
 	// A non-ready victim of thread 1 on channel 1 bank 3 must still be
 	// charged: its self-use was on a different channel.
 	chosen := candAt(0, dram.CmdActivate, 3, 5)
@@ -72,7 +72,7 @@ func TestLastBankUserTracksAcrossChannels(t *testing.T) {
 	victim.Channel = 1
 	victim.Ready = false
 	view.banks[1] = 1
-	s.OnSchedule(10, &chosen, []memctrl.Candidate{chosen, victim})
+	s.OnSchedule(10, &chosen, memctrl.NewWaiting([]memctrl.Candidate{chosen, victim}))
 	if s.Interference(1) <= 0 {
 		t.Error("victim blocked on another channel's bank must be charged")
 	}

@@ -13,7 +13,11 @@
 // one thread, hence bank-level parallelism).
 package cpu
 
-import "stfm/internal/trace"
+import (
+	"fmt"
+
+	"stfm/internal/trace"
+)
 
 // Horizon is the "no self-scheduled event" sentinel a core returns from
 // Tick when it cannot make progress on its own: every state change it
@@ -22,27 +26,17 @@ import "stfm/internal/trace"
 // bounds the simulation jump. The value matches dram.Horizon.
 const Horizon = int64(1) << 62
 
-// LoadTagger is an optional interface a Memory implementation exposes
-// when it needs to know which window entry an incoming Load belongs to
-// (checkpoint support): the core calls TagNextLoad with the issue
-// sequence number it is about to assign, immediately before Load. The
-// tag travels with the access through the port's internal pending
-// structures so a restored port can be re-linked to the restored core's
-// window entries. Implemented by cache.Hierarchy; the direct DRAM port
-// does not need it (its requests are matched by issue order instead).
-type LoadTagger interface {
-	TagNextLoad(seq int64)
-}
-
 // Memory is the port a core uses to access its memory hierarchy. It is
 // implemented by cache.Hierarchy (cache mode) and by the simulation
 // engine's direct DRAM port (miss-stream mode).
 type Memory interface {
-	// Load issues a cache-line read. If accepted, done runs exactly
-	// once when the data is available; l2Miss reports whether the
-	// access goes to DRAM (the stall-accounting classification). A
-	// false accepted means resources are exhausted; retry next cycle.
-	Load(now int64, lineAddr uint64, done func(now int64)) (accepted, l2Miss bool)
+	// Load issues a cache-line read for the load with issue sequence
+	// number seq. If accepted, the port completes it exactly once, when
+	// the data is available, by calling the core's LoadDone with seq;
+	// l2Miss reports whether the access goes to DRAM (the
+	// stall-accounting classification). A false accepted means resources
+	// are exhausted; retry next cycle.
+	Load(now int64, lineAddr uint64, seq int64) (accepted, l2Miss bool)
 	// Store submits non-blocking write traffic. A false return means
 	// the write path is backed up; retry next cycle.
 	Store(now int64, lineAddr uint64) bool
@@ -74,9 +68,8 @@ type winEntry struct {
 	dep    bool
 
 	// seq is the core-local issue sequence number assigned when the
-	// load was accepted by the memory port. Checkpoint restore uses it
-	// to re-associate in-flight memory requests with their window
-	// entries (DESIGN.md §17); it has no effect on scheduling.
+	// load was accepted by the memory port: the tag the port completes
+	// it by (LoadDone). It has no effect on scheduling.
 	seq int64
 }
 
@@ -85,23 +78,32 @@ type Core struct {
 	id     int
 	cfg    Config
 	mem    Memory
-	tagger LoadTagger // mem's optional LoadTagger side, asserted once
 	stream trace.Stream
 
-	window    []*winEntry
+	// ring is the instruction window: a fixed ring of WindowSize entries
+	// holding n live ones, the oldest at head. Every entry holds at
+	// least one instruction (an open tail whose compute just committed
+	// is the only, transient, exception, and it is then the sole entry),
+	// so WindowSize slots always suffice. A live entry never moves, so
+	// unissued can name it by slot.
+	ring      []winEntry
+	head      int
+	n         int
 	occupancy int // instructions currently in the window
 
 	// Fetch state: the access being brought into the window.
 	fetching  bool
 	curAccess trace.Access
-	gapLeft   int64     // compute instructions of curAccess still to fetch
-	tail      *winEntry // open entry accumulating compute instructions
+	gapLeft   int64 // compute instructions of curAccess still to fetch
+	// tailOpen marks the newest entry as open, accumulating compute
+	// instructions until a memory instruction closes it.
+	tailOpen bool
 
 	streamDone bool
 
-	// unissued holds window entries whose loads are waiting on a
-	// dependence-chain predecessor or on memory-port resources.
-	unissued []*winEntry
+	// unissued holds the ring slots of entries whose loads are waiting
+	// on a dependence-chain predecessor or on memory-port resources.
+	unissued []int
 	// storeBlocked records that the current writeback was rejected by
 	// the memory port this cycle; it can only be accepted again after an
 	// external event, so the core does not self-schedule a retry.
@@ -131,7 +133,8 @@ type Core struct {
 	// next cycle when an external unblock must be polled for (a
 	// resource-rejected load, a back-pressured writeback), and Horizon
 	// when the core is parked — every state change it waits for arrives
-	// through one of its own completion callbacks, which reset nextAt.
+	// through one of its own load completions (LoadDone), which reset
+	// nextAt.
 	// The engine simply skips Ticks on cycles before nextAt; the
 	// bookkeeping those ticks would have performed is applied lazily by
 	// FlushIdle.
@@ -141,10 +144,10 @@ type Core struct {
 	// cycles already reflected in the architected counters; cycles in
 	// [settled, now) of a parked window are accounted in bulk by
 	// FlushIdle using the per-cycle rates recorded at the last Tick.
-	// The rates are frozen at tick time deliberately: a completion
-	// callback firing at cycle T mutates window state before the core's
-	// own Tick at T, but the idle window it terminates ends at T, so the
-	// park-time classification is the correct one for every cycle in it.
+	// The rates are frozen at tick time deliberately: a load completion
+	// at cycle T mutates window state before the core's own Tick at T,
+	// but the idle window it terminates ends at T, so the park-time
+	// classification is the correct one for every cycle in it.
 	settled      int64
 	idleHasWork  bool // a parked cycle is a stall cycle (stallAny)
 	idleMemStall bool // ... and a Tshared memory-stall cycle (memStall)
@@ -156,9 +159,7 @@ func New(id int, cfg Config, mem Memory, stream trace.Stream) *Core {
 	if cfg.Width <= 0 || cfg.WindowSize <= 0 {
 		panic("cpu: Width and WindowSize must be positive")
 	}
-	c := &Core{id: id, cfg: cfg, mem: mem, stream: stream}
-	c.tagger, _ = mem.(LoadTagger)
-	return c
+	return &Core{id: id, cfg: cfg, mem: mem, stream: stream, ring: make([]winEntry, cfg.WindowSize)}
 }
 
 // ID returns the core's index.
@@ -182,7 +183,7 @@ func (c *Core) Cycles() int64 { return c.cycles }
 func (c *Core) DRAMLoads() int64 { return c.dramLoads }
 
 // Done reports whether the core has drained a finite trace completely.
-func (c *Core) Done() bool { return c.streamDone && len(c.window) == 0 && !c.fetching }
+func (c *Core) Done() bool { return c.streamDone && c.n == 0 && !c.fetching }
 
 // IPC returns committed instructions per cycle so far.
 func (c *Core) IPC() float64 {
@@ -217,7 +218,7 @@ func (c *Core) Tick(now int64) int64 {
 	committed := c.commit()
 	c.issueLoads(now)
 	c.fetch(now)
-	hasWork := len(c.window) > 0 || c.fetching || !c.streamDone
+	hasWork := c.n > 0 || c.fetching || !c.streamDone
 	if committed == 0 {
 		if !hasWork {
 			c.recordIdleRates(false)
@@ -225,8 +226,8 @@ func (c *Core) Tick(now int64) int64 {
 			return Horizon
 		}
 		c.stallAny++
-		if len(c.window) > 0 {
-			head := c.window[0]
+		if c.n > 0 {
+			head := &c.ring[c.head]
 			if head.compute == 0 && head.hasMem && !head.memDone && head.l2Miss {
 				// The oldest instruction is an L2 miss that has not
 				// returned: a Tshared stall cycle.
@@ -248,7 +249,7 @@ func (c *Core) Tick(now int64) int64 {
 			// Fully stalled, but an unblock must be polled for: it
 			// arrives as shared-resource back-pressure clearing (a
 			// rejected load or writeback), not as one of this core's
-			// completion callbacks.
+			// load completions.
 			c.nextAt = now + 1
 		}
 	}
@@ -262,13 +263,13 @@ func (c *Core) Tick(now int64) int64 {
 // exists, and a Tshared memory-stall cycle when additionally the oldest
 // instruction is an incomplete L2 miss. That state is invariant while
 // the core is parked — it changes only through the core's own activity
-// or a completion callback, and a callback firing at cycle T wakes the
-// core for a Tick at T, ending the idle window there.
+// or a load completion, and a completion at cycle T wakes the core for
+// a Tick at T, ending the idle window there.
 func (c *Core) recordIdleRates(hasWork bool) {
 	c.idleHasWork = hasWork
 	c.idleMemStall = false
-	if hasWork && len(c.window) > 0 {
-		head := c.window[0]
+	if hasWork && c.n > 0 {
+		head := &c.ring[c.head]
 		if head.compute == 0 && head.hasMem && !head.memDone && head.l2Miss {
 			c.idleMemStall = true
 		}
@@ -278,20 +279,21 @@ func (c *Core) recordIdleRates(hasWork bool) {
 // NextAt returns the next cycle the core must be Tick'd at. On cycles
 // before it, the core is provably inert — the engine skips the Tick
 // entirely and the skipped cycles' stall accounting is applied lazily
-// by FlushIdle. Completion callbacks pull it to the cycle they fire at,
+// by FlushIdle. Load completions pull it to the cycle they arrive at,
 // so it must be re-read every cycle after the memory system has acted.
 func (c *Core) NextAt() int64 { return c.nextAt }
 
 // parkSafe reports whether every unblock the stalled core is waiting
-// for arrives via one of its own completion callbacks (which reset
-// nextAt). A rejected writeback or a load held back by anything other
-// than a busy dependence chain of this core clears through shared
-// state the callbacks do not cover, so the core must poll instead.
+// for arrives via one of its own load completions (which reset nextAt).
+// A rejected writeback or a load held back by anything other than a
+// busy dependence chain of this core clears through shared state the
+// completions do not cover, so the core must poll instead.
 func (c *Core) parkSafe() bool {
 	if c.storeBlocked {
 		return false
 	}
-	for _, e := range c.unissued {
+	for _, slot := range c.unissued {
+		e := &c.ring[slot]
 		if !e.dep || c.chainOutstanding(e.chain) == 0 {
 			return false
 		}
@@ -306,8 +308,8 @@ func (c *Core) parkSafe() bool {
 // the completion that unblocks them is tracked by the controller or the
 // cache hierarchy, whose horizons bound the simulation jump.
 func (c *Core) nextEvent(now int64) int64 {
-	if len(c.window) > 0 {
-		head := c.window[0]
+	if c.n > 0 {
+		head := &c.ring[c.head]
 		if head.compute > 0 || (head.hasMem && head.memDone) {
 			return now + 1 // commit can retire next cycle
 		}
@@ -365,8 +367,8 @@ func (c *Core) FlushIdle(now int64) {
 func (c *Core) commit() int {
 	budget := c.cfg.Width
 	done := 0
-	for budget > 0 && len(c.window) > 0 {
-		head := c.window[0]
+	for budget > 0 && c.n > 0 {
+		head := &c.ring[c.head]
 		if head.compute > 0 {
 			n := int64(budget)
 			if head.compute < n {
@@ -393,13 +395,34 @@ func (c *Core) commit() int {
 	return done
 }
 
+// popHead retires the oldest entry. Popping the sole entry closes an
+// open tail, since the tail is always the newest entry.
 func (c *Core) popHead() {
-	head := c.window[0]
-	if head == c.tail {
-		c.tail = nil
+	if c.n == 1 {
+		c.tailOpen = false
 	}
-	copy(c.window, c.window[1:])
-	c.window = c.window[:len(c.window)-1]
+	if c.head++; c.head == len(c.ring) {
+		c.head = 0
+	}
+	c.n--
+}
+
+// push opens a new, zeroed entry at the young end of the window.
+func (c *Core) push() {
+	if c.n == len(c.ring) {
+		panic("cpu: instruction window ring overflow") // structural invariant
+	}
+	c.ring[c.slot(c.n)] = winEntry{}
+	c.n++
+}
+
+// slot maps a window position (0 = oldest) to its ring slot.
+func (c *Core) slot(pos int) int {
+	s := c.head + pos
+	if s >= len(c.ring) {
+		s -= len(c.ring)
+	}
+	return s
 }
 
 // fetch brings up to Width instructions into the window, issuing
@@ -448,11 +471,12 @@ func (c *Core) fetch(now int64) {
 		// fetch unit; at most one memory op per fetch group). The
 		// access issues later, once its dependence chain is clear and
 		// memory-port resources are available.
-		entry := c.closeEntryWithMem()
+		slot := c.closeEntryWithMem()
+		entry := &c.ring[slot]
 		entry.addr = c.curAccess.LineAddr
 		entry.chain = c.curAccess.Chain
 		entry.dep = c.curAccess.Dep
-		c.unissued = append(c.unissued, entry)
+		c.unissued = append(c.unissued, slot)
 		c.fetchedMem = true
 		c.occupancy++
 		budget = 0 // one memory op ends the fetch group
@@ -465,18 +489,15 @@ func (c *Core) fetch(now int64) {
 // outstanding.
 func (c *Core) issueLoads(now int64) {
 	kept := c.unissued[:0]
-	for _, e := range c.unissued {
+	for _, slot := range c.unissued {
+		e := &c.ring[slot]
 		if e.dep && c.chainOutstanding(e.chain) > 0 {
-			kept = append(kept, e)
+			kept = append(kept, slot)
 			continue
 		}
-		e := e
-		if c.tagger != nil {
-			c.tagger.TagNextLoad(c.issueSeq + 1)
-		}
-		accepted, l2Miss := c.mem.Load(now, e.addr, c.loadDone(e))
+		accepted, l2Miss := c.mem.Load(now, e.addr, c.issueSeq+1)
 		if !accepted {
-			kept = append(kept, e) // resources exhausted; retry next cycle
+			kept = append(kept, slot) // resources exhausted; retry next cycle
 			continue
 		}
 		c.issueSeq++
@@ -492,19 +513,28 @@ func (c *Core) issueLoads(now int64) {
 	c.unissued = kept
 }
 
-// loadDone builds the completion callback for window entry e: it marks
-// the load complete, releases its dependence chain, and wakes a parked
-// core (the completion may unblock commit or a dependent load at the
-// cycle it fires). Checkpoint restore re-creates these callbacks for
-// in-flight loads via InFlightCallback, so the two must stay in sync.
-func (c *Core) loadDone(e *winEntry) func(at int64) {
-	return func(at int64) {
+// LoadDone completes the in-flight load with issue sequence number seq
+// at cycle now: it marks the load done, releases its dependence chain,
+// and wakes a parked core (the completion may unblock commit or a
+// dependent load at this cycle). Memory ports call it exactly once per
+// accepted load. An issued, incomplete load cannot commit, so its entry
+// is always in the window; the scan starts at the oldest entry, where
+// completions mostly land. A seq naming no in-flight load is a port
+// bug and panics.
+func (c *Core) LoadDone(now, seq int64) {
+	for pos := 0; pos < c.n; pos++ {
+		e := &c.ring[c.slot(pos)]
+		if e.seq != seq || !e.issued || e.memDone {
+			continue
+		}
 		e.memDone = true
 		c.chainBusy[e.chain]--
-		if at < c.nextAt {
-			c.nextAt = at
+		if now < c.nextAt {
+			c.nextAt = now
 		}
+		return
 	}
+	panic(fmt.Sprintf("cpu: core %d has no in-flight load with issue seq %d", c.id, seq))
 }
 
 func (c *Core) chainOutstanding(chain int) int {
@@ -522,23 +552,22 @@ func (c *Core) growChain(chain int) {
 
 // appendCompute adds n compute instructions to the open tail entry.
 func (c *Core) appendCompute(n int64) {
-	if c.tail == nil {
-		c.tail = &winEntry{}
-		c.window = append(c.window, c.tail)
+	if !c.tailOpen {
+		c.push()
+		c.tailOpen = true
 	}
-	c.tail.compute += n
+	c.ring[c.slot(c.n-1)].compute += n
 	c.occupancy += int(n)
 }
 
 // closeEntryWithMem turns the open tail entry into one terminated by a
-// memory instruction and returns it.
-func (c *Core) closeEntryWithMem() *winEntry {
-	if c.tail == nil {
-		c.tail = &winEntry{}
-		c.window = append(c.window, c.tail)
+// memory instruction and returns its slot.
+func (c *Core) closeEntryWithMem() int {
+	if !c.tailOpen {
+		c.push()
 	}
-	e := c.tail
-	e.hasMem = true
-	c.tail = nil
-	return e
+	slot := c.slot(c.n - 1)
+	c.ring[slot].hasMem = true
+	c.tailOpen = false
+	return slot
 }

@@ -19,16 +19,16 @@ type scriptMem struct {
 }
 
 type pendingOp struct {
-	at   int64
-	done func(int64)
+	at  int64
+	seq int64
 }
 
-func (m *scriptMem) Load(now int64, lineAddr uint64, done func(int64)) (bool, bool) {
+func (m *scriptMem) Load(now int64, lineAddr uint64, seq int64) (bool, bool) {
 	if m.refuse {
 		return false, m.l2Miss
 	}
 	m.loads++
-	m.pending = append(m.pending, pendingOp{at: now + m.latency, done: done})
+	m.pending = append(m.pending, pendingOp{at: now + m.latency, seq: seq})
 	return true, m.l2Miss
 }
 
@@ -41,10 +41,11 @@ func (m *scriptMem) Store(now int64, lineAddr uint64) bool {
 	return true
 }
 
-func (m *scriptMem) tick(now int64) {
+// tick completes the loads due by now on core c.
+func (m *scriptMem) tick(c *Core, now int64) {
 	for i := 0; i < len(m.pending); {
 		if m.pending[i].at <= now {
-			m.pending[i].done(now)
+			c.LoadDone(now, m.pending[i].seq)
 			m.pending[i] = m.pending[len(m.pending)-1]
 			m.pending = m.pending[:len(m.pending)-1]
 		} else {
@@ -71,7 +72,7 @@ func (s *fixedStream) Next() (trace.Access, bool) {
 func run(c *Core, mem *scriptMem, maxCycles int64) int64 {
 	now := int64(0)
 	for ; now < maxCycles && !c.Done(); now++ {
-		mem.tick(now)
+		mem.tick(c, now)
 		c.Tick(now)
 	}
 	return now
@@ -189,7 +190,7 @@ func TestWindowCapacityLimitsOutstanding(t *testing.T) {
 	}
 	c := New(0, DefaultConfig(), mem, &fixedStream{accesses: acc})
 	for now := int64(0); now < 200; now++ {
-		mem.tick(now)
+		mem.tick(c, now)
 		c.Tick(now)
 	}
 	if mem.loads != 4 {
@@ -219,7 +220,7 @@ func TestRefusedAccessesRetry(t *testing.T) {
 	s := &fixedStream{accesses: []trace.Access{{Gap: 0, LineAddr: 1}}}
 	c := New(0, DefaultConfig(), mem, s)
 	for now := int64(0); now < 50; now++ {
-		mem.tick(now)
+		mem.tick(c, now)
 		c.Tick(now)
 	}
 	if mem.loads != 0 {
@@ -227,7 +228,7 @@ func TestRefusedAccessesRetry(t *testing.T) {
 	}
 	mem.refuse = false
 	for now := int64(50); now < 200 && !c.Done(); now++ {
-		mem.tick(now)
+		mem.tick(c, now)
 		c.Tick(now)
 	}
 	if !c.Done() || mem.loads != 1 {

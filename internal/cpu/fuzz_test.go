@@ -45,7 +45,7 @@ func TestCoreRandomTraceInvariants(t *testing.T) {
 		c := New(0, DefaultConfig(), mem, &fixedStream{accesses: accesses})
 		var now int64
 		for ; now < 1_000_000 && !c.Done(); now++ {
-			mem.tick(now)
+			mem.tick(c, now)
 			c.Tick(now)
 		}
 		if !c.Done() {

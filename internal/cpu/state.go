@@ -2,19 +2,18 @@ package cpu
 
 import (
 	"fmt"
-	"sort"
 
 	"stfm/internal/trace"
 )
 
 // This file implements checkpoint support for the core model
-// (DESIGN.md §17). The window is serialized entry by entry; the tail
-// pointer and the unissued list are stored as window indices (every
-// unissued entry is in the window: it was created there and commit
-// cannot retire an un-completed memory entry). The completion closures
-// of in-flight loads are NOT serialized — restore re-creates them via
-// InFlightCallback, matching controller/cache pending state back to
-// window entries by issue sequence number.
+// (DESIGN.md §17). The window is serialized entry by entry, oldest
+// first; the open tail and the unissued list are stored as window
+// indices (every unissued entry is in the window: it was created there
+// and commit cannot retire an un-completed memory entry). In-flight
+// loads need nothing beyond their issue sequence numbers: the memory
+// ports complete them by seq (LoadDone), so a restored port reaches the
+// restored window with nothing re-linked.
 
 // WinEntrySnapshot is the serialized form of one window entry.
 type WinEntrySnapshot struct {
@@ -37,7 +36,8 @@ type CoreState struct {
 	Fetching  bool         `json:"fetching"`
 	CurAccess trace.Access `json:"curAccess"`
 	GapLeft   int64        `json:"gapLeft"`
-	// TailIdx is the window index of the open tail entry, or -1.
+	// TailIdx is the window index of the open tail entry (always the
+	// newest one), or -1.
 	TailIdx    int  `json:"tailIdx"`
 	StreamDone bool `json:"streamDone"`
 
@@ -64,7 +64,7 @@ type CoreState struct {
 // SaveState captures the core's mutable state.
 func (c *Core) SaveState() CoreState {
 	st := CoreState{
-		Window:       make([]WinEntrySnapshot, len(c.window)),
+		Window:       make([]WinEntrySnapshot, c.n),
 		Occupancy:    c.occupancy,
 		Fetching:     c.fetching,
 		CurAccess:    c.curAccess,
@@ -85,66 +85,57 @@ func (c *Core) SaveState() CoreState {
 		IdleHasWork:  c.idleHasWork,
 		IdleMemStall: c.idleMemStall,
 	}
-	for i, e := range c.window {
+	for i := range st.Window {
+		e := &c.ring[c.slot(i)]
 		st.Window[i] = WinEntrySnapshot{
 			Compute: e.compute, HasMem: e.hasMem, MemDone: e.memDone,
 			L2Miss: e.l2Miss, Issued: e.issued, Addr: e.addr,
 			Chain: e.chain, Dep: e.dep, Seq: e.seq,
 		}
-		if e == c.tail {
-			st.TailIdx = i
-		}
 	}
-	for _, e := range c.unissued {
-		idx := -1
-		for i, w := range c.window {
-			if w == e {
-				idx = i
-				break
-			}
+	if c.tailOpen {
+		st.TailIdx = c.n - 1
+	}
+	for _, slot := range c.unissued {
+		pos := slot - c.head
+		if pos < 0 {
+			pos += len(c.ring)
 		}
-		if idx < 0 {
-			panic("cpu: unissued entry not in window") // structural invariant
-		}
-		st.Unissued = append(st.Unissued, idx)
+		st.Unissued = append(st.Unissued, pos)
 	}
 	return st
 }
 
 // RestoreState overwrites the core's mutable state with a snapshot.
-// In-flight loads (issued, not complete) are left without completion
-// callbacks; the caller must re-link each one via InFlightCallback
-// before the simulation resumes.
+// In-flight loads keep their issue sequence numbers, which is all their
+// memory port needs to complete them.
 func (c *Core) RestoreState(st CoreState) error {
-	if st.TailIdx < -1 || st.TailIdx >= len(st.Window) {
-		return fmt.Errorf("cpu: snapshot tail index %d out of range for window of %d", st.TailIdx, len(st.Window))
+	if len(st.Window) > len(c.ring) {
+		return fmt.Errorf("cpu: snapshot window of %d entries exceeds the %d-entry window", len(st.Window), len(c.ring))
 	}
-	window := make([]*winEntry, len(st.Window))
+	if st.TailIdx != -1 && st.TailIdx != len(st.Window)-1 {
+		return fmt.Errorf("cpu: snapshot tail index %d is not the newest entry of a window of %d", st.TailIdx, len(st.Window))
+	}
+	for _, idx := range st.Unissued {
+		if idx < 0 || idx >= len(st.Window) {
+			return fmt.Errorf("cpu: snapshot unissued index %d out of range for window of %d", idx, len(st.Window))
+		}
+	}
 	for i, e := range st.Window {
-		window[i] = &winEntry{
+		c.ring[i] = winEntry{
 			compute: e.Compute, hasMem: e.HasMem, memDone: e.MemDone,
 			l2Miss: e.L2Miss, issued: e.Issued, addr: e.Addr,
 			chain: e.Chain, dep: e.Dep, seq: e.Seq,
 		}
 	}
-	unissued := make([]*winEntry, 0, len(st.Unissued))
-	for _, idx := range st.Unissued {
-		if idx < 0 || idx >= len(window) {
-			return fmt.Errorf("cpu: snapshot unissued index %d out of range for window of %d", idx, len(window))
-		}
-		unissued = append(unissued, window[idx])
-	}
-	c.window = window
+	c.head, c.n = 0, len(st.Window)
 	c.occupancy = st.Occupancy
 	c.fetching = st.Fetching
 	c.curAccess = st.CurAccess
 	c.gapLeft = st.GapLeft
-	c.tail = nil
-	if st.TailIdx >= 0 {
-		c.tail = window[st.TailIdx]
-	}
+	c.tailOpen = st.TailIdx >= 0
 	c.streamDone = st.StreamDone
-	c.unissued = unissued
+	c.unissued = append(c.unissued[:0], st.Unissued...)
 	c.storeBlocked = st.StoreBlocked
 	c.fetchedMem = st.FetchedMem
 	c.chainBusy = append([]int(nil), st.ChainBusy...)
@@ -159,32 +150,4 @@ func (c *Core) RestoreState(st CoreState) error {
 	c.idleHasWork = st.IdleHasWork
 	c.idleMemStall = st.IdleMemStall
 	return nil
-}
-
-// InFlightSeqs returns the issue sequence numbers of the core's
-// in-flight loads (issued, not yet complete), in ascending order —
-// i.e. in the order the loads were accepted by the memory port.
-func (c *Core) InFlightSeqs() []int64 {
-	var seqs []int64
-	for _, e := range c.window {
-		if e.hasMem && e.issued && !e.memDone {
-			seqs = append(seqs, e.seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs
-}
-
-// InFlightCallback returns a fresh completion callback for the
-// in-flight load with the given issue sequence number, behaviorally
-// identical to the one issueLoads registered in the original run. It
-// errors when no such in-flight load exists — a checkpoint/component
-// mismatch the caller must surface.
-func (c *Core) InFlightCallback(seq int64) (func(at int64), error) {
-	for _, e := range c.window {
-		if e.hasMem && e.issued && !e.memDone && e.seq == seq {
-			return c.loadDone(e), nil
-		}
-	}
-	return nil, fmt.Errorf("cpu: core %d has no in-flight load with issue seq %d", c.id, seq)
 }

@@ -68,7 +68,10 @@ func (c *Controller) ServicedWrites() int64 {
 //   - request conservation: every accepted request is exactly one of
 //     serviced, queued, or in flight (so every enqueued read completes
 //     exactly once — it can neither be lost nor double-completed
-//     without breaking the identity).
+//     without breaking the identity);
+//   - request recycling: no request sits on the free list twice, and
+//     none on it is still live — in a bank queue, the in-flight list, a
+//     reservation slot, or a winner memo whose queue version is current.
 //
 // The identities hold at every instant between controller operations,
 // so the check may run at arbitrary points of a simulation. It returns
@@ -180,6 +183,9 @@ func (c *Controller) CheckInvariants() error {
 			return fmt.Errorf("memctrl: thread %d has negative in-service bank count %d", t, c.inServiceBanks[t])
 		}
 	}
+	if err := c.checkFreeList(); err != nil {
+		return err
+	}
 	fr, fw := c.InFlight()
 	if got := c.ServicedReads() + int64(c.queuedReads) + int64(fr); got != c.enqueuedReads {
 		return fmt.Errorf("memctrl: read conservation violated: %d enqueued, but serviced+queued+inflight = %d",
@@ -188,6 +194,44 @@ func (c *Controller) CheckInvariants() error {
 	if got := c.ServicedWrites() + int64(c.queuedWrites) + int64(fw); got != c.enqueuedWrites {
 		return fmt.Errorf("memctrl: write conservation violated: %d enqueued, but serviced+queued+inflight = %d",
 			c.enqueuedWrites, got)
+	}
+	return nil
+}
+
+// checkFreeList verifies that the recycled requests are disjoint from
+// every structure that holds live ones.
+func (c *Controller) checkFreeList() error {
+	free := make(map[*Request]bool, len(c.free))
+	for _, r := range c.free {
+		if free[r] {
+			return fmt.Errorf("memctrl: request %p is on the free list twice", r)
+		}
+		free[r] = true
+	}
+	for idx := range c.queues {
+		q := &c.queues[idx]
+		for _, list := range [2][]*Request{q.reads, q.writes} {
+			for _, r := range list {
+				if free[r] {
+					return fmt.Errorf("memctrl: request %d on the free list is queued in bank index %d", r.ID, idx)
+				}
+			}
+		}
+		if m := &c.memo[idx]; m.qver != 0 && m.qver == q.ver && free[m.winner] {
+			return fmt.Errorf("memctrl: bank index %d winner memo (qver %d) points at a request on the free list", idx, m.qver)
+		}
+	}
+	for _, r := range c.inFlight {
+		if free[r] {
+			return fmt.Errorf("memctrl: request %d on the free list is in flight", r.ID)
+		}
+	}
+	for ch := range c.reserved {
+		for b, r := range c.reserved[ch] {
+			if r != nil && free[r] {
+				return fmt.Errorf("memctrl: request %d on the free list holds the reservation of (ch %d, bank %d)", r.ID, ch, b)
+			}
+		}
 	}
 	return nil
 }

@@ -163,9 +163,17 @@ type Controller struct {
 	// completion time is pending, across all channels.
 	inFlight []*Request
 	// due is completeFinished's scratch for the requests completing on
-	// the current edge (fired in deterministic CompleteAt-then-ID
-	// order).
+	// the current edge (handed to their consumers in deterministic
+	// CompleteAt-then-ID order).
 	due []*Request
+	// free holds retired requests for newRequest to reuse, so the
+	// steady-state enqueue path allocates nothing. A request joins it
+	// only after completeFinished has handed it to its consumer; nothing
+	// else holds a *Request past completion (CheckInvariants verifies
+	// the free list is disjoint from every live structure).
+	free []*Request
+	// consumers[thread] receives the thread's finished reads.
+	consumers []ReadConsumer
 
 	nextID       uint64
 	queuedReads  int
@@ -193,19 +201,23 @@ type Controller struct {
 	inServiceBanks []int
 
 	threadStats []ThreadStats
-	// scratch is the per-channel candidate slice, materialized only
-	// when a command issues (for Policy.OnSchedule) or when a
-	// BatchPolicy needs the waiting set; bankCand holds each bank's
-	// level-1 winner, bankBest the per-bank winner pointers, and
-	// challenger is the stack-avoiding slot candidates are staged in
-	// before comparison (policies receive *Candidate, and a pointer
-	// into controller-owned memory keeps the edge path free of
-	// escape-analysis heap allocations). Channels are scheduled one at
-	// a time, so one set serves them all.
-	scratch    []Candidate
-	bankCand   []Candidate
-	bankBest   []*Candidate
-	challenger Candidate
+	// scratch backs the channel's waiting set, built on an issue edge
+	// only when the policy reads it (Waiting.Channel) or every edge when
+	// a BatchPolicy needs it; bankScratch backs one bank's set
+	// (Waiting.Bank), and waiting is the lazily built set handed to
+	// OnSchedule. bankCand holds each bank's level-1 winner, bankBest
+	// the per-bank winner pointers, and challenger is the
+	// stack-avoiding slot candidates are staged in before comparison
+	// (policies receive *Candidate, and a pointer into controller-owned
+	// memory keeps the edge path free of escape-analysis heap
+	// allocations). Channels are scheduled one at a time, so one set
+	// serves them all.
+	scratch     []Candidate
+	bankScratch []Candidate
+	waiting     Waiting
+	bankCand    []Candidate
+	bankBest    []*Candidate
+	challenger  Candidate
 	// reserved[ch][bank] is the request whose activate opened the
 	// bank's current row and whose column access has not issued yet.
 	// Until that column access issues, the bank is not re-arbitrated
@@ -216,7 +228,9 @@ type Controller struct {
 	reserved [][]*Request
 
 	// CommandTrace, if non-nil, receives every issued command (used by
-	// tests and the trace inspection tool).
+	// tests and the trace inspection tool). req is valid only during the
+	// call: the controller recycles a request once it completes, so the
+	// trace must copy what it needs rather than keep the pointer.
 	CommandTrace func(now int64, ch int, cmd dram.Command, req *Request)
 
 	// trace receives request lifecycle and command events when
@@ -266,7 +280,8 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 	banks := cfg.Geometry.BanksPerChannel
 	// Every live-queue container is sized for its worst case up front so
 	// the edge path never grows a slice: the whole per-edge scheduling
-	// loop is allocation-free (asserted by TestEdgePathZeroAllocs).
+	// loop is allocation-free (asserted by TestEdgePathZeroAllocs), and
+	// with the free list, so is the enqueue path once warm.
 	bufCap := cfg.ReadBufferCap + cfg.WriteBufferCap
 	c := &Controller{
 		cfg:            cfg,
@@ -278,6 +293,8 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		chHorizon:      make([]int64, cfg.Geometry.Channels),
 		inFlight:       make([]*Request, 0, bufCap),
 		due:            make([]*Request, 0, bufCap),
+		free:           make([]*Request, 0, bufCap),
+		consumers:      make([]ReadConsumer, cfg.NumThreads),
 		draining:       make([]bool, cfg.Geometry.Channels),
 		queuedPerThr:   make([]int, cfg.NumThreads),
 		queuedBank:     make([][]int16, cfg.NumThreads),
@@ -303,6 +320,7 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		c.channels = append(c.channels, dram.NewChannel(banks, cfg.Timing))
 		c.reserved = append(c.reserved, make([]*Request, banks))
 	}
+	c.waiting.c = c
 	return c, nil
 }
 
@@ -402,15 +420,33 @@ func (c *Controller) CanAcceptRead() bool { return c.queuedReads < c.cfg.ReadBuf
 // CanAcceptWrite reports whether the write buffer has space.
 func (c *Controller) CanAcceptWrite() bool { return c.queuedWrites < c.cfg.WriteBufferCap }
 
+// ReadConsumer receives a thread's finished reads: the direct DRAM
+// port in direct mode, the thread's cache.Hierarchy in cache mode.
+type ReadConsumer interface {
+	// ReadDone is called once per read when its full round trip
+	// finishes, at the completion cycle now, in the controller's
+	// deterministic completion order. r is valid only during the call:
+	// the controller recycles it for a later request once ReadDone
+	// returns, so the consumer must read r.Tag (or r.LineAddr) and not
+	// keep the pointer.
+	ReadDone(now int64, r *Request)
+}
+
+// SetReadConsumer installs the consumer of thread's finished reads.
+// It is installed once, before the thread's first read; reads of a
+// thread without a consumer retire silently.
+func (c *Controller) SetReadConsumer(thread int, rc ReadConsumer) { c.consumers[thread] = rc }
+
 // EnqueueRead adds a demand read for lineAddr from the given thread.
-// onComplete (may be nil) fires when the full round trip finishes. It
-// returns false, without side effects, if the request buffer is full.
-func (c *Controller) EnqueueRead(now int64, thread int, lineAddr uint64, onComplete func(now int64)) bool {
+// tag travels with the request and comes back to the thread's
+// ReadConsumer when the full round trip finishes. It returns false,
+// without side effects, if the request buffer is full.
+func (c *Controller) EnqueueRead(now int64, thread int, lineAddr uint64, tag int64) bool {
 	if !c.CanAcceptRead() {
 		return false
 	}
 	r := c.newRequest(now, thread, lineAddr, false)
-	r.OnComplete = onComplete
+	r.Tag = tag
 	idx := r.Loc.Channel*c.banksPer + r.Loc.Bank
 	q := &c.queues[idx]
 	q.reads = append(q.reads, r)
@@ -456,9 +492,20 @@ func (c *Controller) EnqueueWrite(now int64, thread int, lineAddr uint64) bool {
 	return true
 }
 
+// newRequest returns a fresh request, reusing a retired one from the
+// free list when there is one. Every field is overwritten, so a
+// recycled request carries nothing of its previous life (its timing
+// memo restarts invalid).
 func (c *Controller) newRequest(now int64, thread int, lineAddr uint64, isWrite bool) *Request {
 	c.nextID++
-	return &Request{
+	var r *Request
+	if n := len(c.free); n > 0 {
+		r = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		r = new(Request)
+	}
+	*r = Request{
 		ID:       c.nextID,
 		Thread:   thread,
 		LineAddr: lineAddr,
@@ -466,6 +513,7 @@ func (c *Controller) newRequest(now int64, thread int, lineAddr uint64, isWrite 
 		IsWrite:  isWrite,
 		Arrival:  now,
 	}
+	return r
 }
 
 // Tick advances the controller to CPU cycle now. The controller acts
@@ -576,13 +624,14 @@ func refreshMemo(channel *dram.Channel, r *Request, epoch uint64) {
 }
 
 // completeFinished retires every in-flight request whose completion
-// time has arrived, firing OnComplete callbacks in deterministic
-// (CompleteAt, then arrival ID) order. The in-flight buffer's internal
-// order is scrambled by past removals and mixes every channel's
-// requests, so sorting the due set is what keeps same-cycle completions
-// — and everything downstream of their callbacks (MSHR frees, dependent
-// wakeups, the IDs of requests enqueued from inside a callback) —
-// independent of both buffer layout and channel index.
+// time has arrived, handing finished reads to their thread's consumer
+// in deterministic (CompleteAt, then arrival ID) order. The in-flight
+// buffer's internal order is scrambled by past removals and mixes every
+// channel's requests, so sorting the due set is what keeps same-cycle
+// completions — and everything downstream of their consumers (MSHR
+// frees, dependent wakeups, the IDs of requests enqueued from inside a
+// consumer) — independent of both buffer layout and channel index. Each
+// retired request goes to the free list once its consumer has returned.
 func (c *Controller) completeFinished(now int64) {
 	due := c.due[:0]
 	kept := 0
@@ -628,9 +677,12 @@ func (c *Controller) completeFinished(now int64) {
 		if c.trace != nil {
 			c.traceLifecycle(telemetry.EvComplete, r.CompleteAt, r)
 		}
-		if r.OnComplete != nil {
-			r.OnComplete(r.CompleteAt)
+		if !r.IsWrite {
+			if rc := c.consumers[r.Thread]; rc != nil {
+				rc.ReadDone(r.CompleteAt, r)
+			}
 		}
+		c.free = append(c.free, r)
 	}
 }
 
@@ -652,7 +704,9 @@ func (c *Controller) completeFinished(now int64) {
 //
 // The steps are eligibility (the channel's read of the global
 // write-drain hysteresis), arbitrateChannel (the two-level tournament),
-// and — on an issue — materializeChannel plus the commit in issue.
+// and — on an issue — the commit in issue, which hands the policy a
+// lazily built waiting set (Waiting): a policy pays only for the part
+// of the channel's queues it reads.
 func (c *Controller) scheduleChannel(ch int, now int64) (issued bool, horizon int64) {
 	draining, useWrites, hasWork := c.eligibility(ch)
 	c.draining[ch] = draining
@@ -666,13 +720,10 @@ func (c *Controller) scheduleChannel(ch int, now int64) (issued bool, horizon in
 	if best == nil {
 		return false, h
 	}
-	// A command issues: materialize the channel's full waiting set for
-	// the policy's OnSchedule accounting (and the inversion tracer).
-	cands := c.materializeChannel(ch, now, useWrites)
 	if c.trace != nil {
 		c.traceInversion(now, ch, best, c.bankBest)
 	}
-	c.issue(ch, now, best, cands)
+	c.issue(ch, now, best, c.waiting.reset(ch, now, useWrites, best, nil))
 	return true, 0
 }
 
@@ -796,40 +847,6 @@ func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites boo
 		return nil, c.edgeCeil(max(now, minReady))
 	}
 	return best, 0
-}
-
-// materializeChannel builds the channel's full waiting candidate set
-// for the policy's OnSchedule accounting. Each request's timing memo is
-// revalidated first — on a memo-hit edge only the bank winners were
-// refreshed during arbitration — so the copied-out candidates are
-// exact. It runs only on issue edges (the far more frequent no-issue
-// edges skip it entirely); the returned slice is backed by scratch.
-func (c *Controller) materializeChannel(ch int, now int64, useWrites bool) []Candidate {
-	channel := c.channels[ch]
-	base := ch * c.banksPer
-	cands := c.scratch[:0]
-	for b := 0; b < c.banksPer; b++ {
-		q := &c.queues[base+b]
-		epoch := channel.BankEpoch(b)
-		for pass := 0; pass < 2; pass++ {
-			list := q.reads
-			if pass == 1 {
-				if !useWrites {
-					break
-				}
-				list = q.writes
-			}
-			for _, r := range list {
-				refreshMemo(channel, r, epoch)
-				cands = append(cands, Candidate{
-					Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
-					First: !r.Started, Ready: now >= r.cacheReadyAt,
-				})
-			}
-		}
-	}
-	c.scratch = cands[:0]
-	return cands
 }
 
 // scanBank runs one bank's level-1 tournament: it refreshes every
@@ -986,7 +1003,7 @@ func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites
 	if c.trace != nil {
 		c.traceInversion(now, ch, best, bankBest)
 	}
-	c.issue(ch, now, best, cands)
+	c.issue(ch, now, best, c.waiting.reset(ch, now, useWrites, best, cands))
 	return true, 0
 }
 
@@ -1005,7 +1022,17 @@ func (c *Controller) better(a, b *Candidate, draining bool) bool {
 	return c.policy.Less(a, b)
 }
 
-func (c *Controller) issue(ch int, now int64, chosen *Candidate, cands []Candidate) {
+// issue commits the chosen command. The policy's OnSchedule runs after
+// the first-command bookkeeping (so the request's FirstScheduledOutcome
+// and the thread's in-service count include it) and before the command
+// reaches the channel and the request leaves its queue, so the waiting
+// set the policy reads is the pre-issue one. Where OnSchedule sits
+// among the steps cannot change the outcome: it writes only policy
+// registers, and the rest of issue writes only controller and DRAM
+// state that OnSchedule does not read (removing the chosen request
+// changes only the chosen thread's waiting counts, and STFM reads those
+// of the other threads).
+func (c *Controller) issue(ch int, now int64, chosen *Candidate, waiting *Waiting) {
 	channel := c.channels[ch]
 	r := chosen.Req
 	if !r.Started {
@@ -1036,6 +1063,7 @@ func (c *Controller) issue(ch int, now int64, chosen *Candidate, cands []Candida
 			}
 		}
 	}
+	c.policy.OnSchedule(now, chosen, waiting)
 	burstDone := channel.Issue(chosen.Cmd, now)
 	switch {
 	case chosen.Cmd.Kind == dram.CmdActivate:
@@ -1058,7 +1086,6 @@ func (c *Controller) issue(ch int, now int64, chosen *Candidate, cands []Candida
 	if c.trace != nil {
 		c.traceIssue(now, ch, chosen)
 	}
-	c.policy.OnSchedule(now, chosen, cands)
 }
 
 // traceLifecycle records an enqueue/complete event for a request.

@@ -18,6 +18,21 @@ func newTestController(t *testing.T, threads int) *memctrl.Controller {
 	return c
 }
 
+// consumerFunc adapts a function to memctrl.ReadConsumer.
+type consumerFunc func(now int64, r *memctrl.Request)
+
+func (f consumerFunc) ReadDone(now int64, r *memctrl.Request) { f(now, r) }
+
+// onTag installs, as thread's read consumer, a dispatcher that runs
+// the callback registered under each finished read's tag.
+func onTag(c *memctrl.Controller, thread int, callbacks map[int64]func(at int64)) {
+	c.SetReadConsumer(thread, consumerFunc(func(now int64, r *memctrl.Request) {
+		if f := callbacks[r.Tag]; f != nil {
+			f(now)
+		}
+	}))
+}
+
 // addr builds a line address for a location in the default 1-channel
 // geometry.
 func addr(t *testing.T, c *memctrl.Controller, bank, row, col int) uint64 {
@@ -46,7 +61,8 @@ func TestSingleReadUncontendedLatency(t *testing.T) {
 	c := newTestController(t, 1)
 	tm := c.Config().Timing
 	var doneAt int64 = -1
-	if !c.EnqueueRead(0, 0, addr(t, c, 0, 1, 0), func(at int64) { doneAt = at }) {
+	onTag(c, 0, map[int64]func(int64){1: func(at int64) { doneAt = at }})
+	if !c.EnqueueRead(0, 0, addr(t, c, 0, 1, 0), 1) {
 		t.Fatal("enqueue failed")
 	}
 	c.Drain(0)
@@ -66,17 +82,20 @@ func TestSingleReadUncontendedLatency(t *testing.T) {
 func TestRowHitFasterThanConflict(t *testing.T) {
 	c := newTestController(t, 1)
 	var hitAt, confAt int64
-	c.EnqueueRead(0, 0, addr(t, c, 0, 1, 0), nil)
+	start, start2 := int64(1000), int64(10000)
+	onTag(c, 0, map[int64]func(int64){
+		1: func(at int64) { hitAt = at - start },
+		2: func(at int64) { confAt = at - start2 },
+	})
+	c.EnqueueRead(0, 0, addr(t, c, 0, 1, 0), 0)
 	c.Drain(0)
 
 	// Same row again: a hit.
-	start := int64(1000)
-	c.EnqueueRead(start, 0, addr(t, c, 0, 1, 1), func(at int64) { hitAt = at - start })
+	c.EnqueueRead(start, 0, addr(t, c, 0, 1, 1), 1)
 	c.Drain(start)
 
 	// Different row in the same bank: a conflict.
-	start2 := int64(10000)
-	c.EnqueueRead(start2, 0, addr(t, c, 0, 2, 0), func(at int64) { confAt = at - start2 })
+	c.EnqueueRead(start2, 0, addr(t, c, 0, 2, 0), 2)
 	c.Drain(start2)
 
 	if hitAt >= confAt {
@@ -96,11 +115,11 @@ func TestReadBufferCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if !c.EnqueueRead(0, 0, uint64(i), nil) {
+		if !c.EnqueueRead(0, 0, uint64(i), 0) {
 			t.Fatalf("enqueue %d refused below capacity", i)
 		}
 	}
-	if c.EnqueueRead(0, 0, 99, nil) {
+	if c.EnqueueRead(0, 0, 99, 0) {
 		t.Error("enqueue beyond ReadBufferCap accepted")
 	}
 	if !c.CanAcceptWrite() {
@@ -119,7 +138,8 @@ func TestWritesDoNotBlockReads(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		c.EnqueueWrite(0, 0, addr(t, c, i%8, 3, i))
 	}
-	c.EnqueueRead(0, 0, addr(t, c, 0, 1, 0), func(at int64) { readDone = at })
+	onTag(c, 0, map[int64]func(int64){1: func(at int64) { readDone = at }})
+	c.EnqueueRead(0, 0, addr(t, c, 0, 1, 0), 1)
 	end := c.Drain(0)
 	if readDone < 0 {
 		t.Fatal("read never completed")
@@ -153,7 +173,7 @@ func TestWriteBufferFullForcesDrain(t *testing.T) {
 	// Keep a steady stream of reads; the writes must still drain.
 	now := int64(0)
 	for c.QueuedWrites() > cfg.WriteDrainLow && now < 1_000_000 {
-		c.EnqueueRead(now, 0, addr(t, c, 1, 1, int(now)%256), nil)
+		c.EnqueueRead(now, 0, addr(t, c, 1, 1, int(now)%256), 0)
 		c.Tick(now)
 		now++
 	}
@@ -167,9 +187,9 @@ func TestPerThreadViewCounters(t *testing.T) {
 	if c.HasQueued(1) {
 		t.Error("no requests queued yet")
 	}
-	c.EnqueueRead(0, 1, addr(t, c, 0, 1, 0), nil)
-	c.EnqueueRead(0, 1, addr(t, c, 3, 1, 0), nil)
-	c.EnqueueRead(0, 2, addr(t, c, 3, 2, 0), nil)
+	c.EnqueueRead(0, 1, addr(t, c, 0, 1, 0), 0)
+	c.EnqueueRead(0, 1, addr(t, c, 3, 1, 0), 0)
+	c.EnqueueRead(0, 2, addr(t, c, 3, 2, 0), 0)
 	if !c.HasQueued(1) || !c.HasQueued(2) || c.HasQueued(0) {
 		t.Error("HasQueued mismatch")
 	}
@@ -227,12 +247,15 @@ func TestCommandSequenceLegality(t *testing.T) {
 		return int(rng % uint64(n))
 	}
 	completions := 0
+	for th := 0; th < 2; th++ {
+		c.SetReadConsumer(th, consumerFunc(func(int64, *memctrl.Request) { completions++ }))
+	}
 	enqueued := 0
 	now := int64(0)
 	for now < 400_000 {
 		if enqueued < 300 && now%70 == 0 && c.CanAcceptRead() {
 			a := addr(t, c, next(8), next(16), next(256))
-			if c.EnqueueRead(now, next(2), a, func(int64) { completions++ }) {
+			if c.EnqueueRead(now, next(2), a, 0) {
 				enqueued++
 			}
 		}
@@ -271,8 +294,8 @@ func TestRowReservation(t *testing.T) {
 	// after... it is younger, so FCFS keeps thread 0 first anyway;
 	// instead check the trace: ACT must be followed by a column access
 	// before any PRE.
-	c.EnqueueRead(0, 0, addr(t, c, 0, 1, 0), nil)
-	c.EnqueueRead(0, 1, addr(t, c, 0, 2, 0), nil)
+	c.EnqueueRead(0, 0, addr(t, c, 0, 1, 0), 0)
+	c.EnqueueRead(0, 1, addr(t, c, 0, 2, 0), 0)
 	c.Drain(0)
 	sawAct := false
 	for _, k := range sequence {

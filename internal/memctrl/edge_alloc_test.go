@@ -7,13 +7,19 @@ import (
 	"stfm/internal/dram"
 )
 
-// TestEdgePathZeroAllocs pins the tentpole property the controller's
+// consumerFunc adapts a function to ReadConsumer.
+type consumerFunc func(now int64, r *Request)
+
+func (f consumerFunc) ReadDone(now int64, r *Request) { f(now, r) }
+
+// TestEdgePathZeroAllocs pins the property the controller's
 // preallocated containers exist for: once the buffers are loaded, the
 // per-edge path — completion retirement, per-bank tournament (memoized
 // and full scans), issue, horizon computation — performs zero heap
-// allocations per tick. Allocation belongs to enqueue (one Request per
-// accepted access) and nowhere else; a regression here silently
-// reintroduces GC pressure proportional to simulated cycles.
+// allocations per tick. A regression here silently reintroduces GC
+// pressure proportional to simulated cycles. (Enqueue reuses retired
+// requests; TestSystemSteadyStateZeroAllocs in internal/sim pins the
+// whole step, enqueues included.)
 func TestEdgePathZeroAllocs(t *testing.T) {
 	c := newEdgeController(t, 8, 2)
 	fillQueues(c, 0, 8)
@@ -67,12 +73,12 @@ func TestEdgePathZeroAllocsBankGroups(t *testing.T) {
 
 // TestCompleteFinishedDeterministicOrder is the regression test for the
 // completion-order fix: the in-flight buffer's internal order is
-// scrambled by swap-removal, so same-cycle completions must fire their
-// OnComplete callbacks sorted by (CompleteAt, then arrival ID) — never
-// by buffer position or channel index. Anything downstream of the
-// callbacks (MSHR frees, the IDs assigned to requests enqueued from
-// inside a callback) depends on this order being a function of the
-// schedule, not of slice layout.
+// scrambled by swap-removal, so same-cycle completions must reach their
+// consumers sorted by (CompleteAt, then arrival ID) — never by buffer
+// position or channel index. Anything downstream of the consumers
+// (MSHR frees, the IDs assigned to requests enqueued from inside a
+// consumer) depends on this order being a function of the schedule,
+// not of slice layout.
 func TestCompleteFinishedDeterministicOrder(t *testing.T) {
 	type inFlight struct {
 		id uint64
@@ -108,17 +114,21 @@ func TestCompleteFinishedDeterministicOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newEdgeController(t, 4, tc.channels)
 			var fired []uint64
+			for th := 0; th < 4; th++ {
+				c.SetReadConsumer(th, consumerFunc(func(_ int64, r *Request) { fired = append(fired, r.ID) }))
+			}
 			c.inFlight = c.inFlight[:0]
 			for _, f := range tc.buf {
-				id := f.id
-				c.inFlight = append(c.inFlight, &Request{
-					ID:         id,
-					Thread:     int(id) % 4,
+				r := &Request{
+					ID:         f.id,
+					Thread:     int(f.id) % 4,
 					Loc:        dram.Location{Channel: f.ch},
-					IsWrite:    true, // writes skip read-side stats bookkeeping
+					Started:    true,
+					CASIssued:  true,
 					CompleteAt: f.at,
-					OnComplete: func(int64) { fired = append(fired, id) },
-				})
+				}
+				c.bankServiceInc(r)
+				c.inFlight = append(c.inFlight, r)
 			}
 			c.completeFinished(10)
 			if !reflect.DeepEqual(fired, tc.want) {

@@ -30,8 +30,8 @@ func (benchFRFCFS) Less(a, b *Candidate) bool {
 	}
 	return a.Req.Older(b.Req)
 }
-func (benchFRFCFS) OnSchedule(int64, *Candidate, []Candidate) {}
-func (benchFRFCFS) OrderEpoch() uint64                        { return 0 }
+func (benchFRFCFS) OnSchedule(int64, *Candidate, *Waiting) {}
+func (benchFRFCFS) OrderEpoch() uint64                     { return 0 }
 
 var _ OrderingPolicy = benchFRFCFS{}
 
@@ -56,7 +56,7 @@ func newEdgeController(tb testing.TB, threads, channels int) *Controller {
 // fillQueues tops the read and write buffers up to capacity with a
 // deterministic spread of threads, channels, banks and rows — a mix of
 // row hits, conflicts and bank parallelism, so the tournament sees
-// realistically contended queues. Completion callbacks are nil: the
+// realistically contended queues. No read consumer is installed: the
 // benchmarks measure the controller, not its callers.
 func fillQueues(c *Controller, now int64, threads int) {
 	g := c.cfg.Geometry
@@ -68,7 +68,7 @@ func fillQueues(c *Controller, now int64, threads int) {
 			Row:     1 + (i/3)%4,
 			Column:  i % 64,
 		}
-		c.EnqueueRead(now, i%threads, g.LineAddr(loc), nil)
+		c.EnqueueRead(now, i%threads, g.LineAddr(loc), 0)
 		i++
 	}
 	for c.CanAcceptWrite() {
@@ -157,7 +157,6 @@ func BenchmarkCompleteFinished(b *testing.B) {
 	for _, g := range edgeGrid {
 		b.Run(benchName(g.threads, g.channels), func(b *testing.B) {
 			c := newEdgeController(b, g.threads, g.channels)
-			done := func(int64) {}
 			const burst = 16
 			reqs := make([]*Request, burst)
 			for i := range reqs {
@@ -170,7 +169,6 @@ func BenchmarkCompleteFinished(b *testing.B) {
 					},
 					IsWrite:    i%4 == 3,
 					CompleteAt: int64(10 + i/4), // clusters of same-cycle completions
-					OnComplete: done,
 				}
 			}
 			b.ReportAllocs()
@@ -178,6 +176,7 @@ func BenchmarkCompleteFinished(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c.inFlight = append(c.inFlight[:0], reqs...)
 				c.completeFinished(1000)
+				c.free = c.free[:0] // reqs is reused, not recycled
 			}
 		})
 	}

@@ -42,7 +42,7 @@ func (c *Candidate) IsColumn() bool { return c.Cmd.Kind.IsColumn() }
 // DRAM cycle. Implementations are the five schedulers the paper
 // evaluates. The controller calls BeginCycle once per DRAM cycle, then
 // for each channel selects the maximum candidate under Less and calls
-// OnSchedule with the winner and the full ready set.
+// OnSchedule with the winner and the channel's waiting set.
 type Policy interface {
 	// Name returns the scheduler's short name (e.g. "FR-FCFS").
 	Name() string
@@ -55,11 +55,17 @@ type Policy interface {
 	// same channel.
 	Less(a, b *Candidate) bool
 	// OnSchedule is invoked when the controller issues chosen's
-	// command. waiting is the full candidate set for the channel this
-	// cycle (chosen included) — policies that account for inter-thread
-	// interference (STFM) or virtual time (NFQ) use it to see which
-	// threads had waiting requests that were delayed.
-	OnSchedule(now int64, chosen *Candidate, waiting []Candidate)
+	// command, before the command reaches the channel and before the
+	// request leaves its queue. waiting is the channel's pre-issue
+	// waiting set (chosen included), built only as far as the policy
+	// reads it: Bank(b) copies one bank's candidates and Channel() the
+	// whole channel's. Policies that account for inter-thread
+	// interference (STFM) or reordering (FR-FCFS+Cap, NFQ) use it to see
+	// which threads had waiting requests that were delayed; a policy
+	// that needs neither should read nothing. OnSchedule may write only
+	// the policy's own registers, and must not keep waiting, its slices
+	// or the candidates' request pointers past the call.
+	OnSchedule(now int64, chosen *Candidate, waiting *Waiting)
 }
 
 // BatchPolicy is an optional extension interface: policies that need

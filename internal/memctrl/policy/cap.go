@@ -58,8 +58,8 @@ func (p *FRFCFSCap) capped(c *memctrl.Candidate) bool {
 // OnSchedule implements memctrl.Policy: it counts each column access
 // serviced while a strictly older request was waiting on a row access
 // to the same bank, and resets the bank's budget whenever a row access
-// is serviced there.
-func (p *FRFCFSCap) OnSchedule(_ int64, chosen *memctrl.Candidate, ready []memctrl.Candidate) {
+// is serviced there. It reads only the chosen bank's waiting set.
+func (p *FRFCFSCap) OnSchedule(_ int64, chosen *memctrl.Candidate, waiting *memctrl.Waiting) {
 	bank := chosen.Cmd.Bank
 	if !chosen.IsColumn() {
 		if p.counts[chosen.Channel][bank] != 0 {
@@ -68,9 +68,10 @@ func (p *FRFCFSCap) OnSchedule(_ int64, chosen *memctrl.Candidate, ready []memct
 		}
 		return
 	}
+	ready := waiting.Bank(bank)
 	for i := range ready {
 		r := &ready[i]
-		if r.Channel == chosen.Channel && r.Cmd.Bank == bank && !r.IsColumn() && r.Req.Older(chosen.Req) {
+		if !r.IsColumn() && r.Req.Older(chosen.Req) {
 			p.counts[chosen.Channel][bank]++
 			p.epoch++
 			return

@@ -22,8 +22,8 @@ func (*FCFS) BeginCycle(int64) {}
 // commands.
 func (*FCFS) Less(a, b *memctrl.Candidate) bool { return a.Req.Older(b.Req) }
 
-// OnSchedule implements memctrl.Policy.
-func (*FCFS) OnSchedule(int64, *memctrl.Candidate, []memctrl.Candidate) {}
+// OnSchedule implements memctrl.Policy; it reads nothing.
+func (*FCFS) OnSchedule(int64, *memctrl.Candidate, *memctrl.Waiting) {}
 
 // OrderEpoch implements memctrl.OrderingPolicy: the comparator is
 // stateless, so the ordering never changes.

@@ -34,8 +34,8 @@ func (*FRFCFS) Less(a, b *memctrl.Candidate) bool {
 	return a.Req.Older(b.Req)
 }
 
-// OnSchedule implements memctrl.Policy.
-func (*FRFCFS) OnSchedule(int64, *memctrl.Candidate, []memctrl.Candidate) {}
+// OnSchedule implements memctrl.Policy; it reads nothing.
+func (*FRFCFS) OnSchedule(int64, *memctrl.Candidate, *memctrl.Waiting) {}
 
 // OrderEpoch implements memctrl.OrderingPolicy: the comparator is
 // stateless, so the ordering never changes.

@@ -139,8 +139,9 @@ func (p *NFQ) uncontendedLatency(outcome dram.RowBufferOutcome) float64 {
 
 // OnSchedule implements memctrl.Policy: advances the serviced thread's
 // virtual finish time on column accesses and maintains the
-// priority-inversion timers.
-func (p *NFQ) OnSchedule(now int64, chosen *memctrl.Candidate, ready []memctrl.Candidate) {
+// priority-inversion timers. It reads only the chosen bank's waiting
+// set.
+func (p *NFQ) OnSchedule(now int64, chosen *memctrl.Candidate, waiting *memctrl.Waiting) {
 	bank := p.bankIndex(chosen)
 	if !chosen.IsColumn() {
 		p.rowBlockedSince[bank] = -1
@@ -154,10 +155,10 @@ func (p *NFQ) OnSchedule(now int64, chosen *memctrl.Candidate, ready []memctrl.C
 	// If an older request is still waiting on a row access to this
 	// bank, it has just been bypassed: start its inversion timer.
 	if p.rowBlockedSince[bank] < 0 {
+		ready := waiting.Bank(chosen.Cmd.Bank)
 		for i := range ready {
 			r := &ready[i]
-			if r.Channel == chosen.Channel && r.Cmd.Bank == chosen.Cmd.Bank &&
-				!r.IsColumn() && r.Req.Older(chosen.Req) {
+			if !r.IsColumn() && r.Req.Older(chosen.Req) {
 				p.rowBlockedSince[bank] = now
 				break
 			}

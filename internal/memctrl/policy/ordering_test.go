@@ -50,7 +50,7 @@ func TestPolicyOrderingProperties(t *testing.T) {
 		if nfq, ok := p.(*NFQ); ok {
 			warm := cands[0]
 			warm.Req.FirstScheduledOutcome = dram.RowHit
-			nfq.OnSchedule(1000, &warm, cands)
+			nfq.OnSchedule(1000, &warm, memctrl.NewWaiting(cands))
 		}
 		for i := range cands {
 			a := &cands[i]

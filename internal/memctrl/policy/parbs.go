@@ -139,8 +139,8 @@ func (p *PARBS) Less(a, b *memctrl.Candidate) bool {
 }
 
 // OnSchedule implements memctrl.Policy: marked requests leave the
-// batch when their column access issues.
-func (p *PARBS) OnSchedule(_ int64, chosen *memctrl.Candidate, _ []memctrl.Candidate) {
+// batch when their column access issues. It reads no waiting set.
+func (p *PARBS) OnSchedule(_ int64, chosen *memctrl.Candidate, _ *memctrl.Waiting) {
 	if !chosen.Cmd.Kind.IsColumn() {
 		return
 	}

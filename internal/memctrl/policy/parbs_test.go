@@ -83,7 +83,7 @@ func TestPARBSBatchDrainsAndReforms(t *testing.T) {
 	if p.remaining[0] != 1 {
 		t.Fatalf("remaining = %d", p.remaining[0])
 	}
-	p.OnSchedule(0, &a, nil)
+	p.OnSchedule(0, &a, memctrl.NewWaiting(nil))
 	if p.remaining[0] != 0 {
 		t.Fatalf("batch should drain, remaining = %d", p.remaining[0])
 	}

@@ -61,7 +61,7 @@ func TestCapDegradesToFCFS(t *testing.T) {
 		if !p.Less(&young, &old) {
 			t.Fatalf("bypass %d should still be allowed", i)
 		}
-		p.OnSchedule(0, &young, append(ready, young))
+		p.OnSchedule(0, &young, memctrl.NewWaiting(append(ready, young)))
 	}
 	// Cap reached: FCFS applies in bank 3 — the old row access wins.
 	young := cand(20, 1, dram.CmdRead, 3, 100)
@@ -75,7 +75,7 @@ func TestCapDegradesToFCFS(t *testing.T) {
 		t.Error("cap in bank 3 must not affect bank 4")
 	}
 	// Servicing a row access resets the bank's budget.
-	p.OnSchedule(0, &old, ready)
+	p.OnSchedule(0, &old, memctrl.NewWaiting(ready))
 	young2 := cand(22, 1, dram.CmdRead, 3, 100)
 	if !p.Less(&young2, &old) {
 		t.Error("budget should reset after a row access is serviced")
@@ -90,7 +90,7 @@ func TestCapDefaultValue(t *testing.T) {
 		if !p.Less(&young, &old) {
 			t.Fatalf("bypass %d refused below default cap", i)
 		}
-		p.OnSchedule(0, &young, []memctrl.Candidate{old, young})
+		p.OnSchedule(0, &young, memctrl.NewWaiting([]memctrl.Candidate{old, young}))
 	}
 	young := cand(30, 1, dram.CmdRead, 0, 50)
 	if p.Less(&young, &old) {
@@ -108,7 +108,7 @@ func TestNFQVirtualFinishTimeOrdering(t *testing.T) {
 	for i := uint64(0); i < 5; i++ {
 		c := cand(i+1, 0, dram.CmdRead, 0, int64(i)*10)
 		c.Req.FirstScheduledOutcome = dram.RowHit
-		p.OnSchedule(int64(i)*10, &c, nil)
+		p.OnSchedule(int64(i)*10, &c, memctrl.NewWaiting(nil))
 	}
 	// Thread 1 arrives late with a small arrival time vs thread 0's
 	// inflated VFT: thread 1 must win.
@@ -133,7 +133,7 @@ func TestNFQIdlenessProblem(t *testing.T) {
 		c := cand(i+1, 0, dram.CmdRead, 0, now)
 		c.Req.FirstScheduledOutcome = dram.RowHit
 		p.BeginCycle(now)
-		p.OnSchedule(now, &c, nil)
+		p.OnSchedule(now, &c, memctrl.NewWaiting(nil))
 		now += 100
 	}
 	// Thread 1's burst arrives at wall clock `now`.
@@ -157,7 +157,7 @@ func TestNFQSharesScaleCharges(t *testing.T) {
 		c := cand(1, 1, dram.CmdRead, 0, 0)
 		c.Req.FirstScheduledOutcome = dram.RowHit
 		p.BeginCycle(0)
-		p.OnSchedule(0, &c, nil)
+		p.OnSchedule(0, &c, memctrl.NewWaiting(nil))
 	}
 	// After one identical request, the weighted thread's VFT must be
 	// smaller (charged 1/0.9 instead of 1/0.5 of latency).
@@ -201,7 +201,7 @@ func TestNFQPriorityInversionPrevention(t *testing.T) {
 	}
 	// Scheduling the young column access while the older row access
 	// waits starts the inversion timer.
-	p.OnSchedule(0, &young, []memctrl.Candidate{old, young})
+	p.OnSchedule(0, &young, memctrl.NewWaiting([]memctrl.Candidate{old, young}))
 	p.BeginCycle(tm.RAS - 1)
 	if !p.Less(&young, &old) {
 		t.Error("inversion should still be allowed before tRAS")
@@ -211,7 +211,7 @@ func TestNFQPriorityInversionPrevention(t *testing.T) {
 		t.Error("after tRAS of bypassing, the row access must win")
 	}
 	// Servicing the row access clears the timer.
-	p.OnSchedule(tm.RAS+1, &old, []memctrl.Candidate{old})
+	p.OnSchedule(tm.RAS+1, &old, memctrl.NewWaiting([]memctrl.Candidate{old}))
 	p.BeginCycle(tm.RAS + 2)
 	young2 := cand(3, 1, dram.CmdRead, 0, 10)
 	if !p.Less(&young2, &old) {

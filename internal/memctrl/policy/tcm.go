@@ -166,8 +166,9 @@ func (t *TCM) Less(a, b *memctrl.Candidate) bool {
 	return a.Req.Older(b.Req)
 }
 
-// OnSchedule implements memctrl.Policy: meter per-thread service.
-func (t *TCM) OnSchedule(_ int64, chosen *memctrl.Candidate, _ []memctrl.Candidate) {
+// OnSchedule implements memctrl.Policy: meter per-thread service. It
+// reads no waiting set.
+func (t *TCM) OnSchedule(_ int64, chosen *memctrl.Candidate, _ *memctrl.Waiting) {
 	if chosen.Cmd.Kind.IsColumn() && !chosen.Req.IsWrite {
 		t.served[chosen.Req.Thread]++
 	}

@@ -27,9 +27,10 @@ type Request struct {
 	IsWrite bool
 	// Arrival is the CPU cycle the request entered the controller.
 	Arrival int64
-	// OnComplete, if non-nil, is invoked once when the request's data
-	// transfer (and round trip, for reads) finishes.
-	OnComplete func(now int64)
+	// Tag is the consumer's handle for a read, set by EnqueueRead and
+	// handed back with the finished request (ReadConsumer): the issuing
+	// load's sequence number in direct mode. Writes carry 0.
+	Tag int64
 
 	// Started is set when the first DRAM command for this request is
 	// issued; the request then occupies a bank (it counts toward the

@@ -96,8 +96,11 @@ type RequestState struct {
 	Thread int `json:"thread"`
 	// LineAddr is the cache-line address; Loc is recomputed from it.
 	LineAddr uint64 `json:"lineAddr"`
-	// IsWrite marks writebacks (no completion callback).
+	// IsWrite marks writebacks (no consumer sees their completion).
 	IsWrite bool `json:"isWrite"`
+	// Tag is the consumer's handle for a read (Request.Tag); it is what
+	// lets a restored read reach its consumer with nothing re-linked.
+	Tag int64 `json:"tag"`
 	// Arrival is the CPU cycle the request entered the buffer.
 	Arrival int64 `json:"arrival"`
 	// Started marks requests whose first DRAM command has issued.
@@ -114,7 +117,7 @@ type RequestState struct {
 
 func snapshotRequest(r *Request) RequestState {
 	return RequestState{
-		ID: r.ID, Thread: r.Thread, LineAddr: r.LineAddr, IsWrite: r.IsWrite,
+		ID: r.ID, Thread: r.Thread, LineAddr: r.LineAddr, IsWrite: r.IsWrite, Tag: r.Tag,
 		Arrival: r.Arrival, Started: r.Started, CASIssued: r.CASIssued,
 		FirstOutcome: uint8(r.FirstScheduledOutcome), CompleteAt: r.CompleteAt,
 	}
@@ -193,12 +196,12 @@ func (c *Controller) SaveState() ControllerState {
 
 // RestoreState overwrites a freshly constructed controller's mutable
 // state with a snapshot taken on a controller of the same
-// configuration. resolve supplies the OnComplete callback for each
-// restored read request (writes never carry one); it may return a nil
-// callback. Every incremental accounting structure (queue counts,
+// configuration. Restored reads carry their consumer tags, so they
+// reach the thread's ReadConsumer like any other read; nothing is
+// re-linked. Every incremental accounting structure (queue counts,
 // per-thread bank-parallelism registers, write-drain occupancy) is
 // rebuilt during re-insertion; scheduling memos start invalid.
-func (c *Controller) RestoreState(st ControllerState, resolve func(r RequestState) (func(now int64), error)) error {
+func (c *Controller) RestoreState(st ControllerState) error {
 	if len(st.Draining) != len(c.draining) {
 		return fmt.Errorf("memctrl: snapshot has %d drain flags, controller has %d channels", len(st.Draining), len(c.draining))
 	}
@@ -250,18 +253,12 @@ func (c *Controller) RestoreState(st ControllerState, resolve func(r RequestStat
 			LineAddr:              rs.LineAddr,
 			Loc:                   c.cfg.Geometry.Map(rs.LineAddr),
 			IsWrite:               rs.IsWrite,
+			Tag:                   rs.Tag,
 			Arrival:               rs.Arrival,
 			Started:               rs.Started,
 			CASIssued:             rs.CASIssued,
 			FirstScheduledOutcome: dram.RowBufferOutcome(rs.FirstOutcome),
 			CompleteAt:            rs.CompleteAt,
-		}
-		if !r.IsWrite {
-			done, err := resolve(rs)
-			if err != nil {
-				return fmt.Errorf("memctrl: request %d: %w", rs.ID, err)
-			}
-			r.OnComplete = done
 		}
 		byID[r.ID] = r
 		idx := r.Loc.Channel*c.banksPer + r.Loc.Bank
@@ -332,33 +329,4 @@ func (c *Controller) RestoreState(st ControllerState, resolve func(r RequestStat
 		}
 	}
 	return nil
-}
-
-// LiveReadsByThread returns, for each thread, the snapshots of the
-// thread's live (queued or in-flight) read requests in ascending ID
-// order. Per-thread read IDs are allocated in EnqueueRead call order,
-// so for a direct-port system this order equals the core's load issue
-// order — the property checkpoint restore uses to re-pair requests
-// with window entries.
-func (st ControllerState) LiveReadsByThread(numThreads int) [][]RequestState {
-	out := make([][]RequestState, numThreads)
-	for _, rs := range st.Requests {
-		if rs.IsWrite || rs.Thread < 0 || rs.Thread >= numThreads {
-			continue
-		}
-		out[rs.Thread] = append(out[rs.Thread], rs)
-	}
-	return out
-}
-
-// InFlightByThread counts live read requests per thread (the direct
-// port's outstanding counter).
-func (st ControllerState) InFlightByThread(numThreads int) []int {
-	counts := make([]int, numThreads)
-	for _, rs := range st.Requests {
-		if !rs.IsWrite && rs.Thread >= 0 && rs.Thread < numThreads {
-			counts[rs.Thread]++
-		}
-	}
-	return counts
 }

@@ -30,14 +30,20 @@ import (
 // continues bit-identically (TestCheckpointRestoreEquivalence).
 //
 // What is deliberately NOT checkpointed: scheduling memos and cache
-// epochs (recomputed, schedule-neutral by construction), telemetry
-// buffers (observers), and completion callbacks (closures; re-created
-// by pairing restored controller/cache state back to window entries
-// via issue sequence numbers).
+// epochs (recomputed, schedule-neutral by construction) and telemetry
+// buffers (observers). Nothing needs re-linking on restore: a read
+// request carries its consumer's tag (the load's issue sequence number
+// in direct mode) and every MSHR waiter and cache-hit completion is an
+// issue sequence number, so the restored components reach each other
+// through the same tags the original run used.
+//
+// Version 2 added the request tag; a version-1 checkpoint is rejected
+// at the envelope, which the service treats like any unreadable
+// checkpoint: the job reruns from scratch.
 
 const (
 	checkpointMagic   = "STFMCKPT"
-	checkpointVersion = 1
+	checkpointVersion = 2
 	// envelope layout offsets
 	ckptHeaderLen = len(checkpointMagic) + 4 + 8
 )
@@ -127,14 +133,18 @@ func (s *System) Checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, &CheckpointError{Stage: "save", Err: err}
 	}
+	return sealCheckpoint(payload), nil
+}
+
+// sealCheckpoint wraps a JSON payload in the checkpoint envelope.
+func sealCheckpoint(payload []byte) []byte {
 	buf := make([]byte, 0, ckptHeaderLen+len(payload)+sha256.Size)
 	buf = append(buf, checkpointMagic...)
 	buf = binary.BigEndian.AppendUint32(buf, checkpointVersion)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
 	sum := sha256.Sum256(payload)
-	buf = append(buf, sum[:]...)
-	return buf, nil
+	return append(buf, sum[:]...)
 }
 
 // decodeCheckpoint verifies the envelope and unmarshals the payload.
@@ -192,7 +202,7 @@ type RestoreOptions struct {
 // Restore rebuilds a System from a Checkpoint blob. The returned
 // system continues bit-identically to the run that took the snapshot.
 // All failures — corrupt envelopes, truncated payloads, shape
-// mismatches, unresolvable in-flight requests — surface as a
+// mismatches, completions naming no in-flight load — surface as a
 // *CheckpointError.
 func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 	defer func() {
@@ -262,23 +272,16 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 			return nil, &CheckpointError{Stage: "restore", Err: err}
 		}
 	}
-	// Hierarchies restore before the controller: the controller's
-	// read-completion resolver asks each hierarchy for its fill
-	// callback, which requires the outstanding-miss map to be in place.
 	for i, h := range s.hier {
-		core := s.cores[i]
-		if err := h.RestoreState(p.Hierarchies[i], func(tag int64) (func(now int64), error) {
-			return core.InFlightCallback(tag)
-		}); err != nil {
+		if err := h.RestoreState(p.Hierarchies[i]); err != nil {
 			return nil, &CheckpointError{Stage: "restore", Err: err}
 		}
 	}
-	resolve, err := s.completionResolver(&p.Controller)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.ctrl.RestoreState(p.Controller, resolve); err != nil {
+	if err := s.ctrl.RestoreState(p.Controller); err != nil {
 		return nil, &CheckpointError{Stage: "restore", Err: err}
+	}
+	if err := s.checkTags(p); err != nil {
+		return nil, err
 	}
 	if p.Policy != nil && !forked {
 		sp, ok := s.policy.(memctrl.StatefulPolicy)
@@ -313,52 +316,71 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 	return s, nil
 }
 
-// completionResolver builds the memctrl restore callback that re-links
-// each live read request to its consumer. In cache mode the consumer
-// is the owning hierarchy's fill path, keyed by line address. In
-// direct mode it is the issuing core's window entry: per-thread
-// request IDs are allocated in EnqueueRead order, which equals the
-// core's load acceptance order, so zipping the thread's live reads
-// (ascending ID) with the core's in-flight loads (ascending issue seq)
-// reproduces the original pairing; the callback is re-wrapped with the
-// direct port's MSHR bookkeeping exactly as directPort.Load does.
-func (s *System) completionResolver(st *memctrl.ControllerState) (func(rs memctrl.RequestState) (func(now int64), error), error) {
-	if s.hier != nil {
-		return func(rs memctrl.RequestState) (func(now int64), error) {
-			if rs.Thread < 0 || rs.Thread >= len(s.hier) {
-				return nil, fmt.Errorf("thread %d out of range", rs.Thread)
+// checkTags verifies that every pending completion in the payload
+// names a live consumer, so a restored run cannot strand a load or
+// complete one that is not waiting: in direct mode each live DRAM read
+// must carry the issue seq of a distinct in-flight load of its core, one
+// read per load; in cache mode each live DRAM read must have its line's
+// MSHR, and every MSHR waiter and cache-hit completion must name an
+// in-flight load. It also rebuilds each direct port's outstanding count
+// from the thread's live reads.
+func (s *System) checkTags(p *checkpointPayload) error {
+	inFlight := make([]map[int64]bool, len(s.cores))
+	for i, cs := range p.Cores {
+		inFlight[i] = make(map[int64]bool)
+		for _, e := range cs.Window {
+			if e.HasMem && e.Issued && !e.MemDone {
+				inFlight[i][e.Seq] = true
 			}
-			return s.hier[rs.Thread].FillCallback(rs.LineAddr)
-		}, nil
+		}
 	}
-	n := len(s.cores)
-	live := st.LiveReadsByThread(n)
-	seqByID := make(map[uint64]int64)
-	for t, reads := range live {
-		seqs := s.cores[t].InFlightSeqs()
-		if len(seqs) != len(reads) {
-			return nil, ckptErr("restore", "thread %d has %d live DRAM reads but %d in-flight loads", t, len(reads), len(seqs))
+	live := make([]int, len(s.cores))
+	for _, rs := range p.Controller.Requests {
+		if rs.IsWrite {
+			continue
 		}
-		for i, rs := range reads {
-			seqByID[rs.ID] = seqs[i]
+		t := rs.Thread
+		live[t]++
+		if s.hier != nil {
+			if !hasMSHR(p.Hierarchies[t], rs.LineAddr) {
+				return ckptErr("restore", "request %d: thread %d has no outstanding miss for line %#x", rs.ID, t, rs.LineAddr)
+			}
+		} else if !inFlight[t][rs.Tag] {
+			return ckptErr("restore", "request %d: core %d has no in-flight load with issue seq %d, or another read claims it", rs.ID, t, rs.Tag)
+		} else {
+			delete(inFlight[t], rs.Tag)
 		}
-		s.ports[t].outstanding = len(reads)
 	}
-	return func(rs memctrl.RequestState) (func(now int64), error) {
-		seq, ok := seqByID[rs.ID]
-		if !ok {
-			return nil, fmt.Errorf("request %d has no paired in-flight load", rs.ID)
+	for i, hs := range p.Hierarchies {
+		for _, ms := range hs.Outstanding {
+			for _, seq := range ms.WaiterTags {
+				if !inFlight[i][seq] {
+					return ckptErr("restore", "MSHR waiter for line %#x: core %d has no in-flight load with issue seq %d", ms.LineAddr, i, seq)
+				}
+			}
 		}
-		done, err := s.cores[rs.Thread].InFlightCallback(seq)
-		if err != nil {
-			return nil, err
+		for _, cs := range hs.Completions {
+			if !inFlight[i][cs.Tag] {
+				return ckptErr("restore", "pending completion: core %d has no in-flight load with issue seq %d", i, cs.Tag)
+			}
 		}
-		port := s.ports[rs.Thread]
-		return func(at int64) {
-			port.outstanding--
-			done(at)
-		}, nil
-	}, nil
+	}
+	for t, port := range s.ports {
+		if n := len(inFlight[t]); n > 0 {
+			return ckptErr("restore", "core %d has %d in-flight loads with no live DRAM read", t, n)
+		}
+		port.outstanding = live[t]
+	}
+	return nil
+}
+
+func hasMSHR(hs cache.HierarchyState, lineAddr uint64) bool {
+	for _, ms := range hs.Outstanding {
+		if ms.LineAddr == lineAddr {
+			return true
+		}
+	}
+	return false
 }
 
 // CheckpointSink receives periodic snapshots from RunCheckpointed.

@@ -2,12 +2,15 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"stfm/internal/dram"
+	"stfm/internal/memctrl"
 	"stfm/internal/trace"
 )
 
@@ -205,6 +208,103 @@ func TestRestoreRejectsCorruptEnvelope(t *testing.T) {
 	// The pristine blob restores.
 	if _, err := Restore(good, nil); err != nil {
 		t.Errorf("pristine checkpoint failed to restore: %v", err)
+	}
+}
+
+// TestRestoreRejectsDanglingTags corrupts the completion tags of a
+// well-formed checkpoint, re-sealed with a valid checksum so that only
+// Restore's tag check stands between the corruption and a system that
+// strands or double-completes a load, and requires a *CheckpointError
+// for each.
+func TestRestoreRejectsDanglingTags(t *testing.T) {
+	cases := []struct {
+		name   string
+		caches bool
+		// corrupt edits the payload and reports whether it found
+		// something to corrupt.
+		corrupt func(p *checkpointPayload) bool
+		want    string // in the error
+	}{
+		{"read tag names no load", false, func(p *checkpointPayload) bool {
+			for i := range p.Controller.Requests {
+				if rs := &p.Controller.Requests[i]; !rs.IsWrite {
+					rs.Tag = -1
+					return true
+				}
+			}
+			return false
+		}, "no in-flight load with issue seq -1"},
+		{"two reads claim one load", false, func(p *checkpointPayload) bool {
+			var first *memctrl.RequestState
+			for i := range p.Controller.Requests {
+				rs := &p.Controller.Requests[i]
+				if rs.IsWrite {
+					continue
+				}
+				if first != nil && rs.Thread == first.Thread {
+					rs.Tag = first.Tag
+					return true
+				}
+				if first == nil {
+					first = rs
+				}
+			}
+			return false
+		}, "another read claims it"},
+		{"read without an MSHR", true, func(p *checkpointPayload) bool {
+			for i := range p.Controller.Requests {
+				if rs := &p.Controller.Requests[i]; !rs.IsWrite {
+					rs.LineAddr += 1 << 20
+					return true
+				}
+			}
+			return false
+		}, "no outstanding miss"},
+		{"MSHR waiter names no load", true, func(p *checkpointPayload) bool {
+			for _, hs := range p.Hierarchies {
+				for _, ms := range hs.Outstanding {
+					if len(ms.WaiterTags) > 0 {
+						ms.WaiterTags[0] = -1
+						return true
+					}
+				}
+			}
+			return false
+		}, "MSHR waiter"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(PolicyFRFCFS, 2)
+			cfg.InstrTarget = 50_000
+			cfg.UseCaches = tc.caches
+			s, err := NewSystem(cfg, profilesByName(t, "mcf", "libquantum"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, err := s.CheckpointAt(context.Background(), 40_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := decodeCheckpoint(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.corrupt(p) {
+				t.Fatal("the checkpoint has nothing this case can corrupt")
+			}
+			payload, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cerr *CheckpointError
+			if _, err := Restore(sealCheckpoint(payload), nil); !errors.As(err, &cerr) || cerr.Stage != "restore" ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore = %v, want a restore-stage *CheckpointError mentioning %q", err, tc.want)
+			}
+			if _, err := Restore(good, nil); err != nil {
+				t.Fatalf("pristine checkpoint failed to restore: %v", err)
+			}
+		})
 	}
 }
 

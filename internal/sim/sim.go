@@ -376,20 +376,25 @@ func NewSystem(cfg Config, profiles []trace.Profile) (*System, error) {
 			s.gens = append(s.gens, gen)
 			stream = gen
 		}
-		var mem cpu.Memory
+		// Each core's memory port completes its loads by issue sequence
+		// number (cpu.Core.LoadDone), so the port is wired to the core
+		// once, here; the controller hands the port its finished reads.
 		if cfg.UseCaches {
 			h, err := cache.NewHierarchy(i, cache.L1Config(), cache.L2Config(), cfg.MSHRs, ctrl)
 			if err != nil {
 				return nil, err
 			}
+			c := cpu.New(i, cfg.CoreCfg, h, stream)
+			h.SetLoadSink(c)
 			s.hier = append(s.hier, h)
-			mem = h
+			s.cores = append(s.cores, c)
 		} else {
 			port := &directPort{ctrl: ctrl, thread: i, mshrs: cfg.MSHRs}
+			port.core = cpu.New(i, cfg.CoreCfg, port, stream)
+			ctrl.SetReadConsumer(i, port)
 			s.ports = append(s.ports, port)
-			mem = port
+			s.cores = append(s.cores, port.core)
 		}
-		s.cores = append(s.cores, cpu.New(i, cfg.CoreCfg, mem, stream))
 	}
 	s.nextSampleAt = horizon
 	if cfg.Telemetry != nil {
@@ -553,9 +558,9 @@ func (s *System) Tick() { s.step() }
 // step advances the system one CPU cycle and returns the earliest
 // future cycle at which any component can act — the event horizon Run
 // jumps to when it exceeds the new current cycle. Order matters for
-// exactness: the controller fires completions first (done callbacks
-// update window entries before cores commit), hierarchies deliver
-// cache-hit completions next, cores run last; the controller's and
+// exactness: the controller retires reads first (their loads complete
+// in the window before cores commit), hierarchies deliver cache-hit
+// completions next, cores run last; the controller's and
 // hierarchies' horizons are re-read after the cores run because core
 // activity (enqueues, cache hits) schedules new events for them.
 func (s *System) step() int64 {
@@ -579,8 +584,8 @@ func (s *System) step() int64 {
 		// bookkeeping its Tick would have performed is applied lazily
 		// (cpu.Core.FlushIdle) when the core next runs or its counters
 		// are read. NextAt is re-read here, after the controller and
-		// hierarchy acted, because their completion callbacks pull it
-		// to the current cycle. Dense runs tick unconditionally — they
+		// hierarchy acted, because the loads they complete pull it to
+		// the current cycle. Dense runs tick unconditionally — they
 		// are the oracle the gating is checked against.
 		if s.cfg.DenseTick || c.NextAt() <= now {
 			if n := c.Tick(now); n < next {
@@ -983,28 +988,30 @@ func RunContext(ctx context.Context, cfg Config, profiles []trace.Profile) (*Res
 }
 
 // directPort adapts the memory controller as a core's Memory port for
-// miss-stream mode: every load is by construction an L2 miss.
+// miss-stream mode: every load is by construction an L2 miss. Each read
+// carries its load's issue sequence number as the request tag, and the
+// port, as the thread's ReadConsumer, completes the load by it.
 type directPort struct {
 	ctrl        *memctrl.Controller
+	core        *cpu.Core
 	thread      int
 	mshrs       int
 	outstanding int
 }
 
 // Load implements cpu.Memory.
-func (p *directPort) Load(now int64, lineAddr uint64, done func(int64)) (accepted, l2Miss bool) {
-	if p.outstanding >= p.mshrs {
-		return false, true
-	}
-	ok := p.ctrl.EnqueueRead(now, p.thread, lineAddr, func(at int64) {
-		p.outstanding--
-		done(at)
-	})
-	if !ok {
+func (p *directPort) Load(now int64, lineAddr uint64, seq int64) (accepted, l2Miss bool) {
+	if p.outstanding >= p.mshrs || !p.ctrl.EnqueueRead(now, p.thread, lineAddr, seq) {
 		return false, true
 	}
 	p.outstanding++
 	return true, true
+}
+
+// ReadDone implements memctrl.ReadConsumer.
+func (p *directPort) ReadDone(now int64, r *memctrl.Request) {
+	p.outstanding--
+	p.core.LoadDone(now, r.Tag)
 }
 
 // Store implements cpu.Memory.
