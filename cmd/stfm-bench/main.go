@@ -13,9 +13,11 @@
 // 8- and 16-core STFM mixes that keep the controller busy every DRAM
 // edge (plus the same 16-core mix on the HBM pack's 8 channels), timed
 // event-driven and written to BENCH_sched.json with the host's
-// GOMAXPROCS alongside. Wall clocks are comparable only between runs on
-// one host, so the report carries no ratio against another host's
-// numbers: compare two commits by running the suite on both.
+// GOMAXPROCS and each mix's controller work counters (memctrl.Work)
+// alongside. Wall clocks are comparable only between runs on one host,
+// so the report carries no ratio against another host's numbers:
+// compare two commits by running the suite on both. The work counters
+// are deterministic and compare exactly across hosts.
 //
 // A third mode, -suite matrix, benchmarks the checkpoint-fork matrix
 // engine and the persistent alone-baseline store (DESIGN.md §18): the
@@ -53,6 +55,7 @@ import (
 
 	"stfm/internal/dram"
 	"stfm/internal/experiments"
+	"stfm/internal/memctrl"
 	"stfm/internal/sim"
 	"stfm/internal/telemetry"
 	"stfm/internal/trace"
@@ -249,6 +252,10 @@ type schedMix struct {
 	EventNs           int64          `json:"event_ns"`
 	EventCyclesPerSec float64        `json:"event_cycles_per_sec"`
 	ResultsIdentical  bool           `json:"results_identical"`
+	// Work is the controller's work counters for the event-driven run:
+	// deterministic, so unlike the wall clocks they compare exactly
+	// across hosts.
+	Work memctrl.Work `json:"work"`
 }
 
 type schedReport struct {
@@ -294,14 +301,19 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out
 			channels = sim.ProtocolChannels(tc.protocol, len(tc.profiles))
 			cfg.Channels = channels
 		}
-		timed := func(dense bool) (*sim.Result, time.Duration) {
+		timed := func(dense bool) (*sim.Result, time.Duration, memctrl.Work) {
 			best := time.Duration(1<<63 - 1)
 			var res *sim.Result
+			var work memctrl.Work
 			for i := 0; i < repeat; i++ {
 				c := cfg
 				c.DenseTick = dense
 				start := time.Now()
-				r, err := sim.RunContext(ctx, c, tc.profiles)
+				sys, err := sim.NewSystem(c, tc.profiles)
+				if err != nil {
+					fatal(err)
+				}
+				r, err := sys.RunContext(ctx)
 				if err != nil {
 					if errors.Is(err, sim.ErrCanceled) || errors.Is(err, sim.ErrDeadline) {
 						fmt.Fprintln(os.Stderr, "stfm-bench: interrupted, no report written:", err)
@@ -313,12 +325,12 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out
 				if d := time.Since(start); d < best {
 					best = d
 				}
-				res = r
+				res, work = r, sys.Controller().Work()
 			}
-			return res, best
+			return res, best, work
 		}
-		denseRes, denseT := timed(true)
-		eventRes, eventT := timed(false)
+		denseRes, denseT, _ := timed(true)
+		eventRes, eventT, work := timed(false)
 		names := make([]string, len(tc.profiles))
 		for i, p := range tc.profiles {
 			names[i] = p.Name
@@ -335,10 +347,11 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out
 			EventNs:           eventT.Nanoseconds(),
 			EventCyclesPerSec: float64(eventRes.TotalCycles) / eventT.Seconds(),
 			ResultsIdentical:  reflect.DeepEqual(denseRes, eventRes),
+			Work:              work,
 		}
 		rep.Mixes = append(rep.Mixes, m)
-		fmt.Printf("%s: event %v, dense %v, %d cycles, identical=%v\n",
-			m.Name, eventT, denseT, m.Cycles, m.ResultsIdentical)
+		fmt.Printf("%s: event %v, dense %v, %d cycles, identical=%v\n  work %+v\n",
+			m.Name, eventT, denseT, m.Cycles, m.ResultsIdentical, m.Work)
 		if !m.ResultsIdentical {
 			fatal(fmt.Errorf("%s: dense and event-driven results diverged", m.Name))
 		}

@@ -17,7 +17,8 @@ type Geometry struct {
 	// 2, 4, 8, 16 cores.
 	Channels int
 	// BanksPerChannel is the number of banks in each channel (8 for
-	// DDR2 in the baseline; Table 5 sweeps 4/8/16).
+	// DDR2 in the baseline; Table 5 sweeps 4/8/16), at most
+	// MaxBanksPerChannel.
 	BanksPerChannel int
 	// RowsPerBank is the number of DRAM rows per bank (2^14 in the
 	// paper's Table 1 sizing).
@@ -35,6 +36,11 @@ type Geometry struct {
 	XORBankMapping bool
 }
 
+// MaxBanksPerChannel bounds Geometry.BanksPerChannel: the memory
+// controller keeps a channel's bank sets (occupied banks, ready bank
+// winners, PAR-BS reservation locks) in 64-bit masks.
+const MaxBanksPerChannel = 64
+
 // DefaultGeometry returns the paper's baseline organization for the
 // given number of channels.
 func DefaultGeometry(channels int) Geometry {
@@ -49,13 +55,16 @@ func DefaultGeometry(channels int) Geometry {
 }
 
 // Validate reports an error if the geometry is not usable (non-positive
-// or non-power-of-two fields where the address mapping requires them).
+// or non-power-of-two fields where the address mapping requires them,
+// or more than MaxBanksPerChannel banks).
 func (g Geometry) Validate() error {
 	switch {
 	case g.Channels <= 0:
 		return fmt.Errorf("dram: Channels must be positive, got %d", g.Channels)
 	case g.BanksPerChannel <= 0 || !isPow2(g.BanksPerChannel):
 		return fmt.Errorf("dram: BanksPerChannel must be a positive power of two, got %d", g.BanksPerChannel)
+	case g.BanksPerChannel > MaxBanksPerChannel:
+		return fmt.Errorf("dram: BanksPerChannel must be at most %d, got %d", MaxBanksPerChannel, g.BanksPerChannel)
 	case g.RowsPerBank <= 0 || !isPow2(g.RowsPerBank):
 		return fmt.Errorf("dram: RowsPerBank must be a positive power of two, got %d", g.RowsPerBank)
 	case g.LineBytes <= 0 || !isPow2(g.LineBytes):

@@ -31,6 +31,7 @@ func TestGeometryValidateErrors(t *testing.T) {
 		{"zero channels", func(g *Geometry) { g.Channels = 0 }},
 		{"non-pow2 banks", func(g *Geometry) { g.BanksPerChannel = 6 }},
 		{"zero banks", func(g *Geometry) { g.BanksPerChannel = 0 }},
+		{"128 banks", func(g *Geometry) { g.BanksPerChannel = 128 }},
 		{"non-pow2 rows", func(g *Geometry) { g.RowsPerBank = 1000 }},
 		{"zero lines", func(g *Geometry) { g.LineBytes = 0 }},
 		{"row buffer < line", func(g *Geometry) { g.RowBufferBytes = 32 }},
@@ -42,6 +43,16 @@ func TestGeometryValidateErrors(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
 		}
+	}
+}
+
+// TestGeometryAcceptsMaxBanks: 64 banks, the controller's mask width,
+// is the largest accepted bank count.
+func TestGeometryAcceptsMaxBanks(t *testing.T) {
+	g := DefaultGeometry(1)
+	g.BanksPerChannel = MaxBanksPerChannel
+	if err := g.Validate(); err != nil {
+		t.Errorf("%d banks rejected: %v", MaxBanksPerChannel, err)
 	}
 }
 

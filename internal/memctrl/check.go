@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"stfm/internal/dram"
@@ -53,11 +54,40 @@ func (c *Controller) ServicedWrites() int64 {
 	return n
 }
 
-// CheckInvariants verifies the controller's internal accounting:
+// Work counts the controller's scheduling work since construction (a
+// restored controller starts from zero). The counts are deterministic:
+// one configuration gives the same counts on every host, which makes
+// them comparable across commits where wall clocks are not.
+type Work struct {
+	// EdgesTicked counts the DRAM clock edges Tick processed.
+	EdgesTicked int64 `json:"edges_ticked"`
+	// ChannelScans counts channel arbitrations (scheduleChannel calls).
+	ChannelScans int64 `json:"channel_scans"`
+	// HorizonSkips counts channels passed over on a processed edge
+	// because their cached horizon was still in the future.
+	HorizonSkips int64 `json:"horizon_skips"`
+	// CommandsIssued counts the DRAM commands the scans issued.
+	CommandsIssued int64 `json:"commands_issued"`
+	// MemoHits counts level-1 winners replayed from a bank's memo.
+	MemoHits int64 `json:"memo_hits"`
+	// MemoMisses counts full level-1 tournaments under a non-batch
+	// policy.
+	MemoMisses int64 `json:"memo_misses"`
+	// EnqueueFolds counts reads folded into their bank's memo and the
+	// channel's horizon at enqueue instead of invalidating the horizon.
+	EnqueueFolds int64 `json:"enqueue_folds"`
+}
+
+// Work returns the controller's scheduling work counters.
+func (c *Controller) Work() Work { return c.work }
+
+// CheckInvariants verifies the controller's internal accounting and its
+// scheduling caches as of cycle now, the next cycle the caller will
+// simulate (every cycle before it has been processed):
 //
-//   - the queued-read/-write counters (global and per-channel) match
-//     the bank-queue contents, every request sits in the bank queue its
-//     address maps to, and per-thread queued counts match the queues;
+//   - the queued-read/-write counters match the bank-queue contents,
+//     every request sits in the bank queue its address maps to, and
+//     per-thread queued counts match the queues;
 //   - the incremental per-thread per-bank waiting index (queuedBank /
 //     queuedBanks, backing the O(1) View.QueuedBanks query) matches a
 //     from-scratch recount;
@@ -71,16 +101,17 @@ func (c *Controller) ServicedWrites() int64 {
 //     without breaking the identity);
 //   - request recycling: no request sits on the free list twice, and
 //     none on it is still live — in a bank queue, the in-flight list, a
-//     reservation slot, or a winner memo whose queue version is current.
+//     reservation slot, or a winner memo whose queue version is current;
+//   - the scheduling caches (checkCaches): the occupied-bank masks, the
+//     winner memos a scan would reuse, and the channel horizons agree
+//     with a from-scratch recomputation.
 //
 // The identities hold at every instant between controller operations,
 // so the check may run at arbitrary points of a simulation. It returns
 // nil when all invariants hold.
-func (c *Controller) CheckInvariants() error {
+func (c *Controller) CheckInvariants(now int64) error {
 	reads, writes := 0, 0
 	perThr := make([]int, len(c.queuedPerThr))
-	chReads := make([]int, len(c.chReads))
-	chWrites := make([]int, len(c.chWrites))
 	qBank := make([][]int16, len(c.queuedBank))
 	for t := range qBank {
 		qBank[t] = make([]int16, len(c.queuedBank[t]))
@@ -89,7 +120,6 @@ func (c *Controller) CheckInvariants() error {
 		ch, bank := idx/c.banksPer, idx%c.banksPer
 		q := &c.queues[idx]
 		reads += len(q.reads)
-		chReads[ch] += len(q.reads)
 		for _, r := range q.reads {
 			if r.Loc.Channel != ch || r.Loc.Bank != bank {
 				return fmt.Errorf("memctrl: read %d for (ch %d, bank %d) filed under (ch %d, bank %d)",
@@ -99,7 +129,6 @@ func (c *Controller) CheckInvariants() error {
 			qBank[r.Thread][idx]++
 		}
 		writes += len(q.writes)
-		chWrites[ch] += len(q.writes)
 		for _, r := range q.writes {
 			if r.Loc.Channel != ch || r.Loc.Bank != bank {
 				return fmt.Errorf("memctrl: write %d for (ch %d, bank %d) filed under (ch %d, bank %d)",
@@ -112,14 +141,6 @@ func (c *Controller) CheckInvariants() error {
 	}
 	if writes != c.queuedWrites {
 		return fmt.Errorf("memctrl: queuedWrites counter %d, but %d writes queued", c.queuedWrites, writes)
-	}
-	for ch := range chReads {
-		if chReads[ch] != c.chReads[ch] {
-			return fmt.Errorf("memctrl: channel %d chReads counter %d, but %d reads queued", ch, c.chReads[ch], chReads[ch])
-		}
-		if chWrites[ch] != c.chWrites[ch] {
-			return fmt.Errorf("memctrl: channel %d chWrites counter %d, but %d writes queued", ch, c.chWrites[ch], chWrites[ch])
-		}
 	}
 	for t, n := range perThr {
 		if n != c.queuedPerThr[t] {
@@ -186,6 +207,9 @@ func (c *Controller) CheckInvariants() error {
 	if err := c.checkFreeList(); err != nil {
 		return err
 	}
+	if err := c.checkCaches(now); err != nil {
+		return err
+	}
 	fr, fw := c.InFlight()
 	if got := c.ServicedReads() + int64(c.queuedReads) + int64(fr); got != c.enqueuedReads {
 		return fmt.Errorf("memctrl: read conservation violated: %d enqueued, but serviced+queued+inflight = %d",
@@ -234,6 +258,83 @@ func (c *Controller) checkFreeList() error {
 		}
 	}
 	return nil
+}
+
+// checkCaches verifies the scheduling caches against a from-scratch
+// recomputation that reads no memo and writes no request memo
+// (freshWinner), with now as in CheckInvariants:
+//
+//   - each channel's occupied-bank masks match its non-empty bank
+//     queues;
+//   - every winner memo the next scan would reuse (valid under the
+//     current order epoch and eligibility) names the winner of a fresh
+//     level-1 tournament;
+//   - no channel whose horizon the next edge would use skips an edge at
+//     which a fresh winner is ready.
+func (c *Controller) checkCaches(now int64) error {
+	orderEp := c.orderEpoch()
+	nextEdge := c.edgeCeil(now)
+	for ch, channel := range c.channels {
+		base := ch * c.banksPer
+		var reads, writes uint64
+		for b := 0; b < c.banksPer; b++ {
+			if q := &c.queues[base+b]; len(q.reads) > 0 {
+				reads |= 1 << uint(b)
+			}
+			if q := &c.queues[base+b]; len(q.writes) > 0 {
+				writes |= 1 << uint(b)
+			}
+		}
+		if reads != c.readMask[ch] || writes != c.writeMask[ch] {
+			return fmt.Errorf("memctrl: channel %d bank masks are reads %#x, writes %#x, but the queues hold reads %#x, writes %#x",
+				ch, c.readMask[ch], c.writeMask[ch], reads, writes)
+		}
+		draining, useWrites, _ := c.eligibility(ch)
+		h := c.chHorizon[ch]
+		horizonUsed := nextEdge < h.at && h.orderEp == orderEp
+		for banks := c.occupied(ch, useWrites); banks != 0; banks &= banks - 1 {
+			b := bits.TrailingZeros64(banks)
+			w, readyAt := c.freshWinner(ch, b, draining, useWrites)
+			q, m := &c.queues[base+b], &c.memo[base+b]
+			if c.batch == nil && m.qver == q.ver && m.bankEp == channel.Bank(b).Epoch() && m.orderEp == orderEp &&
+				m.draining == draining && m.useWrites == useWrites && m.winner != w {
+				return fmt.Errorf("memctrl: (ch %d, bank %d) winner memo names request %d, a fresh tournament picks %d",
+					ch, b, m.winner.ID, w.ID)
+			}
+			if at := c.edgeCeil(max(readyAt, now)); horizonUsed && at < h.at {
+				return fmt.Errorf("memctrl: channel %d horizon %d skips edge %d, at which bank %d's winner (request %d) is ready",
+					ch, h.at, at, b, w.ID)
+			}
+		}
+	}
+	return nil
+}
+
+// freshWinner runs bank b's level-1 tournament from scratch — every
+// candidate's command and readiness straight from the DRAM channel, no
+// memo read or written — and returns the winner and the cycle its next
+// command becomes ready.
+func (c *Controller) freshWinner(ch, b int, draining, useWrites bool) (*Request, int64) {
+	channel := c.channels[ch]
+	fresh := func(r *Request) (Candidate, int64) {
+		cmd := channel.NextCommand(r.Loc.Bank, r.Loc.Row, r.IsWrite)
+		return Candidate{Req: r, Cmd: cmd, Outcome: outcomeFor(cmd.Kind), Channel: ch, First: !r.Started},
+			channel.CommandReadyAt(cmd)
+	}
+	var best Candidate
+	var bestAt int64
+	for _, list := range c.queues[ch*c.banksPer+b].eligible(useWrites) {
+		for _, r := range list {
+			cand, at := fresh(r)
+			if r == c.reserved[ch][b] {
+				return r, at // the reservation lock
+			}
+			if best.Req == nil || c.better(&cand, &best, draining) {
+				best, bestAt = cand, at
+			}
+		}
+	}
+	return best.Req, bestAt
 }
 
 // RequestSnapshot is one queued or in-flight request in a Snapshot.

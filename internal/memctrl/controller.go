@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stfm/internal/dram"
 	"stfm/internal/telemetry"
@@ -96,6 +97,15 @@ type bankQueue struct {
 	ver uint64
 }
 
+// eligible returns the queue's requests eligible for arbitration: its
+// reads, and its writes when writes are eligible.
+func (q *bankQueue) eligible(useWrites bool) [2][]*Request {
+	if useWrites {
+		return [2][]*Request{q.reads, q.writes}
+	}
+	return [2][]*Request{q.reads}
+}
+
 // bankMemo caches one bank's level-1 arbitration outcome. The winner is
 // reusable while (a) the queue membership is unchanged (qver), (b) the
 // bank's own state is unchanged (bankEp — the bank-local epoch, not the
@@ -104,20 +114,25 @@ type bankQueue struct {
 // NextCommand depends only on bank row state), (c) the policy's ordering
 // is unchanged (orderEp), and (d) the read/write eligibility inputs are
 // unchanged (draining, useWrites — they depend on channel- and
-// global-level occupancy the bank-local keys don't see). minReady is the
-// minimum CommandReadyAt over the bank's eligible requests as of the
-// last full scan; every constraint timestamp is monotonically
-// non-decreasing while the bank state holds, so it stays a sound lower
-// bound for the no-issue horizon (conservative: may wake early, never
-// late) and is re-tightened in place when it falls due.
+// global-level occupancy the bank-local keys don't see). A read enqueued
+// while the memo and its channel's horizon are both valid is folded in
+// (foldRead) rather than invalidating them.
 type bankMemo struct {
 	winner    *Request
 	qver      uint64
 	bankEp    uint64
 	orderEp   uint64
-	minReady  int64
 	draining  bool
 	useWrites bool
+}
+
+// channelHorizon is a channel's cached no-issue horizon: the first DRAM
+// edge at which one of its banks' level-1 winners can issue (at == 0:
+// none cached), valid while the policy's order epoch still equals
+// orderEp.
+type channelHorizon struct {
+	at      int64
+	orderEp uint64
 }
 
 // Controller is the DRAM memory controller: it buffers requests from
@@ -137,28 +152,30 @@ type Controller struct {
 
 	// banksPer caches Geometry.BanksPerChannel; queues is the request
 	// index, addressed queues[ch*banksPer+bank], and memo the per-bank
-	// winner cache with the same addressing (consulted only when the
-	// policy implements OrderingPolicy).
+	// winner cache with the same addressing (unused under a
+	// BatchPolicy).
 	banksPer int
 	queues   []bankQueue
 	memo     []bankMemo
-	// chReads/chWrites count queued requests per channel (sums of the
-	// channel's bank queues), so empty channels are skipped in O(1).
-	chReads  []int
-	chWrites []int
+	// readMask/writeMask hold one bit per bank of the channel whose read
+	// (write) queue is non-empty, so arbitration visits only occupied
+	// banks and an empty channel is recognized in O(1)
+	// (Geometry.Validate caps BanksPerChannel at 64).
+	readMask  []uint64
+	writeMask []uint64
 	// chHorizon memoizes a channel's no-issue scheduling horizon: when
-	// scheduleChannel finds no ready candidate, nothing on the channel
-	// can issue before the horizon regardless of policy (a ready
-	// candidate would have made *some* winner issue), so the per-edge
-	// rescan is skipped until then. The cache is invalidated (set to 0)
-	// by every event that can change the channel's candidate set or
-	// timing: an enqueue to the channel, a command issue on it, a
-	// refresh, and any change to the global write-buffer occupancy
-	// (which feeds every channel's drain hysteresis and write
-	// eligibility). Between invalidations the channel's queues, bank
-	// state, and eligibility are provably constant, so skipped edges
-	// compute nothing a scan would.
-	chHorizon []int64
+	// scheduleChannel finds no bank's level-1 winner ready, nothing on
+	// the channel can issue before the earliest winner's ready edge, so
+	// the per-edge rescan is skipped until then. Level-1 arbitration
+	// ignores readiness, so the winners can change only through a queue
+	// change, a bank-state change, an eligibility change or an order
+	// epoch bump. The first three clear the cache: a command issue on
+	// the channel, a refresh, a write enqueue or removal (the global
+	// write-buffer occupancy feeds every channel's drain hysteresis),
+	// and a read enqueue that cannot be folded (foldRead); the fourth
+	// makes Tick ignore a horizon stored under an older epoch. Between
+	// invalidations skipped edges compute nothing a scan would.
+	chHorizon []channelHorizon
 	// inFlight holds requests whose column access has issued and whose
 	// completion time is pending, across all channels.
 	inFlight []*Request
@@ -201,22 +218,23 @@ type Controller struct {
 	inServiceBanks []int
 
 	threadStats []ThreadStats
+	// work counts scheduling work since construction (Work).
+	work Work
 	// scratch backs the channel's waiting set, built on an issue edge
 	// only when the policy reads it (Waiting.Channel) or every edge when
 	// a BatchPolicy needs it; bankScratch backs one bank's set
 	// (Waiting.Bank), and waiting is the lazily built set handed to
-	// OnSchedule. bankCand holds each bank's level-1 winner, bankBest
-	// the per-bank winner pointers, and challenger is the
-	// stack-avoiding slot candidates are staged in before comparison
-	// (policies receive *Candidate, and a pointer into controller-owned
-	// memory keeps the edge path free of escape-analysis heap
-	// allocations). Channels are scheduled one at a time, so one set
-	// serves them all.
+	// OnSchedule. bankCand[b] holds bank b's level-1 winner once it is
+	// ready (arbitration tracks which entries are current in a ready
+	// mask), and challenger is the stack-avoiding slot candidates are
+	// staged in before comparison (policies receive *Candidate, and a
+	// pointer into controller-owned memory keeps the edge path free of
+	// escape-analysis heap allocations). Channels are scheduled one at a
+	// time, so one set serves them all.
 	scratch     []Candidate
 	bankScratch []Candidate
 	waiting     Waiting
 	bankCand    []Candidate
-	bankBest    []*Candidate
 	challenger  Candidate
 	// reserved[ch][bank] is the request whose activate opened the
 	// bank's current row and whose column access has not issued yet.
@@ -247,9 +265,11 @@ type Controller struct {
 	// nextWake is the earliest CPU cycle at which the controller can do
 	// observable work: always a DRAM clock edge (or dram.Horizon when
 	// fully idle). Tick recomputes it on every edge it processes;
-	// EnqueueRead/EnqueueWrite pull it forward to the next edge so new
-	// arrivals are scheduled exactly when a dense-ticked controller
-	// would first see them.
+	// EnqueueRead/EnqueueWrite pull it forward to the next edge
+	// (enqueues happen mid-cycle, after this cycle's edge work ran) so
+	// new arrivals are scheduled exactly when a dense-ticked controller
+	// would first see them — a folded read only as far as its channel's
+	// horizon, before which nothing it changed can issue.
 	nextWake int64
 }
 
@@ -288,9 +308,9 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		banksPer:       banks,
 		queues:         make([]bankQueue, cfg.Geometry.Channels*banks),
 		memo:           make([]bankMemo, cfg.Geometry.Channels*banks),
-		chReads:        make([]int, cfg.Geometry.Channels),
-		chWrites:       make([]int, cfg.Geometry.Channels),
-		chHorizon:      make([]int64, cfg.Geometry.Channels),
+		readMask:       make([]uint64, cfg.Geometry.Channels),
+		writeMask:      make([]uint64, cfg.Geometry.Channels),
+		chHorizon:      make([]channelHorizon, cfg.Geometry.Channels),
 		inFlight:       make([]*Request, 0, bufCap),
 		due:            make([]*Request, 0, bufCap),
 		free:           make([]*Request, 0, bufCap),
@@ -304,7 +324,6 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		threadStats:    make([]ThreadStats, cfg.NumThreads),
 		scratch:        make([]Candidate, 0, bufCap),
 		bankCand:       make([]Candidate, banks),
-		bankBest:       make([]*Candidate, banks),
 	}
 	c.setPolicy(policy)
 	for i := range c.inServiceBank {
@@ -328,14 +347,32 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 func (c *Controller) Config() Config { return c.cfg }
 
 // SetPolicy installs the scheduling policy. It must be called before
-// the first Tick when the controller was constructed without one.
+// the first Tick when the controller was constructed without one. It
+// panics on a policy that is neither a BatchPolicy nor an
+// OrderingPolicy.
 func (c *Controller) SetPolicy(p Policy) { c.setPolicy(p) }
 
+// setPolicy installs p and caches its optional interfaces. It panics
+// on a policy that is neither a BatchPolicy nor an OrderingPolicy: the
+// winner memo and the channel horizons are keyed on the order epoch,
+// so a policy without one cannot be scheduled correctly.
 func (c *Controller) setPolicy(p Policy) {
 	c.policy = p
 	c.batch, _ = p.(BatchPolicy)
 	c.eventPol, _ = p.(EventPolicy)
 	c.ordering, _ = p.(OrderingPolicy)
+	if p != nil && c.batch == nil && c.ordering == nil {
+		panic(fmt.Sprintf("memctrl: policy %s implements neither BatchPolicy nor OrderingPolicy", p.Name()))
+	}
+}
+
+// orderEpoch returns the policy's order epoch, or 0 under a
+// BatchPolicy, whose order is rebuilt by every scan.
+func (c *Controller) orderEpoch() uint64 {
+	if c.ordering == nil {
+		return 0
+	}
+	return c.ordering.OrderEpoch()
 }
 
 // SwitchPolicy replaces the scheduling policy mid-run and normalizes
@@ -364,9 +401,7 @@ func (c *Controller) SwitchPolicy(now int64, p Policy) {
 	for i := range c.memo {
 		c.memo[i] = bankMemo{}
 	}
-	for i := range c.chHorizon {
-		c.chHorizon[i] = 0
-	}
+	c.clearHorizons()
 	if e := c.edgeCeil(now); e < c.nextWake {
 		c.nextWake = e
 	}
@@ -447,12 +482,18 @@ func (c *Controller) EnqueueRead(now int64, thread int, lineAddr uint64, tag int
 	}
 	r := c.newRequest(now, thread, lineAddr, false)
 	r.Tag = tag
-	idx := r.Loc.Channel*c.banksPer + r.Loc.Bank
+	ch := r.Loc.Channel
+	idx := ch*c.banksPer + r.Loc.Bank
 	q := &c.queues[idx]
 	q.reads = append(q.reads, r)
 	q.ver++
-	c.chReads[r.Loc.Channel]++
-	c.chHorizon[r.Loc.Channel] = 0
+	wake := c.nextEdge(now)
+	if c.foldRead(now, r, q) {
+		wake = max(wake, c.chHorizon[ch].at)
+	} else {
+		c.chHorizon[ch] = channelHorizon{}
+	}
+	c.readMask[ch] |= 1 << uint(r.Loc.Bank)
 	c.queuedReads++
 	c.enqueuedReads++
 	c.queuedPerThr[thread]++
@@ -463,7 +504,7 @@ func (c *Controller) EnqueueRead(now int64, thread int, lineAddr uint64, tag int
 	if c.trace != nil {
 		c.traceLifecycle(telemetry.EvEnqueue, now, r)
 	}
-	c.wakeAtNextEdge(now)
+	c.nextWake = min(c.nextWake, wake)
 	return true
 }
 
@@ -477,19 +518,66 @@ func (c *Controller) EnqueueWrite(now int64, thread int, lineAddr uint64) bool {
 	q := &c.queues[r.Loc.Channel*c.banksPer+r.Loc.Bank]
 	q.writes = append(q.writes, r)
 	q.ver++
-	c.chWrites[r.Loc.Channel]++
+	c.writeMask[r.Loc.Channel] |= 1 << uint(r.Loc.Bank)
 	c.queuedWrites++
 	c.enqueuedWrites++
 	// The write-buffer occupancy feeds every channel's drain
 	// hysteresis, so a change invalidates all cached horizons.
-	for i := range c.chHorizon {
-		c.chHorizon[i] = 0
-	}
+	c.clearHorizons()
 	if c.trace != nil {
 		c.traceLifecycle(telemetry.EvEnqueue, now, r)
 	}
-	c.wakeAtNextEdge(now)
+	c.nextWake = min(c.nextWake, c.nextEdge(now))
 	return true
+}
+
+// foldRead folds read r, just appended to bank queue q, into the bank's
+// winner memo and the channel's horizon instead of invalidating them,
+// and reports whether it did. That needs the channel to hold a horizon
+// under the current order epoch (so nothing about the channel changed
+// since its last scan) and the bank's memo to be valid under the same
+// keys a scan would check. The bank's fresh winner is then the better
+// of the memoized one and r, since a tournament is a maximum under a
+// total order; a reserved winner keeps the bank outright. If r wins,
+// the horizon is lowered to r's ready edge (the other winners are
+// unchanged, so the horizon stays a lower bound).
+//
+// A read to a channel with no reads flips its write eligibility, and
+// a BatchPolicy rebuilds its order on every scan: neither folds.
+func (c *Controller) foldRead(now int64, r *Request, q *bankQueue) bool {
+	ch, b := r.Loc.Channel, r.Loc.Bank
+	h := &c.chHorizon[ch]
+	if c.readMask[ch] == 0 || c.batch != nil || h.at == 0 || h.orderEp != c.ordering.OrderEpoch() {
+		return false
+	}
+	channel := c.channels[ch]
+	draining, useWrites, _ := c.eligibility(ch)
+	m := &c.memo[ch*c.banksPer+b]
+	if m.qver != q.ver-1 || m.bankEp != channel.Bank(b).Epoch() || m.orderEp != h.orderEp ||
+		m.draining != draining || m.useWrites != useWrites {
+		return false
+	}
+	if w := m.winner; w != c.reserved[ch][b] {
+		epoch := channel.BankEpoch(b)
+		refreshMemo(channel, r, epoch)
+		refreshMemo(channel, w, epoch)
+		c.challenger = candidateFor(r, ch, now)
+		c.bankCand[b] = candidateFor(w, ch, now)
+		if c.better(&c.challenger, &c.bankCand[b], draining) {
+			m.winner = r
+			h.at = min(h.at, c.edgeCeil(max(now, r.cacheReadyAt)))
+		}
+	}
+	m.qver = q.ver
+	c.work.EnqueueFolds++
+	return true
+}
+
+// clearHorizons drops every channel's cached horizon.
+func (c *Controller) clearHorizons() {
+	for i := range c.chHorizon {
+		c.chHorizon[i] = channelHorizon{}
+	}
 }
 
 // newRequest returns a fresh request, reusing a retired one from the
@@ -526,49 +614,53 @@ func (c *Controller) Tick(now int64) int64 {
 	if now%c.cfg.Timing.CPUCyclesPerDRAMCycle != 0 {
 		return c.nextWake
 	}
+	c.work.EdgesTicked++
 	c.completeFinished(now)
 	c.policy.BeginCycle(now)
 	next := int64(dram.Horizon)
 	for ch := range c.channels {
 		if c.channels[ch].MaybeRefresh(now) {
-			c.chHorizon[ch] = 0
+			c.chHorizon[ch] = channelHorizon{}
 		}
-		// A cached no-issue horizon still in the future means the
-		// channel's state has not changed since the last scan and no
-		// candidate can become ready yet: skip the rescan outright.
-		if h := c.chHorizon[ch]; now < h {
-			if h < next {
-				next = h
-			}
+		// A cached horizon still in the future, stored under the current
+		// order epoch, means the channel's state has not changed since
+		// the last scan and no bank's winner can issue yet: skip the
+		// rescan outright. The epoch is re-read per channel because an
+		// issue on an earlier channel may have bumped it.
+		orderEp := c.orderEpoch()
+		if h := c.chHorizon[ch]; now < h.at && h.orderEp == orderEp {
+			c.work.HorizonSkips++
+			next = min(next, h.at)
 			continue
 		}
-		issued, h := c.scheduleChannel(ch, now)
+		c.work.ChannelScans++
+		issued, h := c.scheduleChannel(ch, now, orderEp)
 		if issued {
 			// One command per channel per DRAM cycle: having issued,
 			// the channel may have more ready work next edge.
-			c.chHorizon[ch] = 0
+			c.work.CommandsIssued++
+			c.chHorizon[ch] = channelHorizon{}
 			next = min(next, c.nextEdge(now))
 		} else {
-			c.chHorizon[ch] = h
-			if h < next {
-				next = h
-			}
+			c.chHorizon[ch] = channelHorizon{at: h, orderEp: orderEp}
+			next = min(next, h)
 		}
 	}
 	// Wake for the earliest in-flight completion, pending refresh
-	// deadline, and any time-driven policy work.
+	// deadline, and any time-driven policy work. edgeCeil is monotone,
+	// so rounding the earliest event up to an edge suffices.
+	event := int64(dram.Horizon)
 	for _, r := range c.inFlight {
-		next = min(next, c.edgeCeil(r.CompleteAt))
+		event = min(event, r.CompleteAt)
 	}
 	for _, ch := range c.channels {
-		if at := ch.NextRefresh(); at < dram.Horizon {
-			next = min(next, c.edgeCeil(at))
-		}
+		event = min(event, ch.NextRefresh())
 	}
 	if c.eventPol != nil {
-		if at := c.eventPol.NextPolicyEvent(now); at < dram.Horizon {
-			next = min(next, c.edgeCeil(at))
-		}
+		event = min(event, c.eventPol.NextPolicyEvent(now))
+	}
+	if event < dram.Horizon {
+		next = min(next, c.edgeCeil(event))
 	}
 	// The controller already acted on this edge; nothing further can
 	// become observable before the next one.
@@ -583,14 +675,6 @@ func (c *Controller) Tick(now int64) int64 {
 // have an effect. It must be re-read after any Enqueue call: arrivals
 // pull the wake-up forward.
 func (c *Controller) NextTickAt() int64 { return c.nextWake }
-
-// wakeAtNextEdge pulls nextWake forward to the first DRAM edge after
-// now (enqueues happen mid-cycle, after this cycle's edge work ran).
-func (c *Controller) wakeAtNextEdge(now int64) {
-	if e := c.nextEdge(now); e < c.nextWake {
-		c.nextWake = e
-	}
-}
 
 // nextEdge returns the first DRAM clock edge strictly after now.
 func (c *Controller) nextEdge(now int64) int64 {
@@ -694,36 +778,42 @@ func (c *Controller) completeFinished(now int64) {
 // winner's command must wait a few cycles), and the across-bank channel
 // scheduler then picks the highest-priority ready command among the
 // per-bank winners. It reports whether a command was issued and — when
-// none was — the channel's event horizon: the earliest DRAM edge at
-// which any candidate's command could become ready, computed in the
-// same pass so the former separate channelHorizon rescan is gone.
-//
-// The horizon deliberately ignores arbitration (a lower-priority
-// candidate becoming ready wakes the controller even if it then
-// loses): conservative, and therefore exact.
+// none was — the channel's event horizon: the first DRAM edge at which
+// some bank's winner becomes ready. Only a winner can issue, and the
+// winners hold until the channel's horizon is invalidated (see
+// chHorizon), so the horizon is exact.
 //
 // The steps are eligibility (the channel's read of the global
-// write-drain hysteresis), arbitrateChannel (the two-level tournament),
-// and — on an issue — the commit in issue, which hands the policy a
-// lazily built waiting set (Waiting): a policy pays only for the part
-// of the channel's queues it reads.
-func (c *Controller) scheduleChannel(ch int, now int64) (issued bool, horizon int64) {
+// write-drain hysteresis), level 1 (arbitrateChannel, or
+// arbitrateBatch under a BatchPolicy), level 2 (pickReady), and — on an
+// issue — the commit in issue, which hands the policy a lazily built
+// waiting set (Waiting): a policy pays only for the part of the
+// channel's queues it reads.
+func (c *Controller) scheduleChannel(ch int, now int64, orderEp uint64) (issued bool, horizon int64) {
 	draining, useWrites, hasWork := c.eligibility(ch)
 	c.draining[ch] = draining
 	if !hasWork {
 		return false, dram.Horizon
 	}
+	var ready uint64
+	var minReady int64
+	var prebuilt []Candidate
 	if c.batch != nil {
-		return c.scheduleChannelBatch(ch, now, draining, useWrites)
+		prebuilt, ready, minReady = c.arbitrateBatch(ch, now, draining, useWrites)
+	} else {
+		ready, minReady = c.arbitrateChannel(ch, now, orderEp, draining, useWrites)
 	}
-	best, h := c.arbitrateChannel(ch, now, draining, useWrites)
+	best := c.pickReady(ready, draining)
 	if best == nil {
-		return false, h
+		if minReady >= dram.Horizon {
+			return false, dram.Horizon
+		}
+		return false, c.edgeCeil(max(now, minReady))
 	}
 	if c.trace != nil {
-		c.traceInversion(now, ch, best, c.bankBest)
+		c.traceInversion(now, ch, best, ready)
 	}
-	c.issue(ch, now, best, c.waiting.reset(ch, now, useWrites, best, nil))
+	c.issue(ch, now, best, c.waiting.reset(ch, now, useWrites, best, prebuilt))
 	return true, 0
 }
 
@@ -745,266 +835,163 @@ func (c *Controller) eligibility(ch int) (draining, useWrites, hasWork bool) {
 	} else if c.queuedWrites <= c.cfg.WriteDrainLow {
 		draining = false
 	}
-	useWrites = (draining || c.chReads[ch] == 0) && c.chWrites[ch] > 0
-	hasWork = c.chReads[ch] > 0 || useWrites
+	useWrites = (draining || c.readMask[ch] == 0) && c.writeMask[ch] != 0
+	hasWork = c.readMask[ch] != 0 || useWrites
 	return draining, useWrites, hasWork
 }
 
-// arbitrateChannel runs the paper's two-level tournament for one
-// channel and returns the winning ready candidate, or (nil, horizon)
-// when nothing can issue. The winner points into bankCand, and
-// bankBest holds every bank's level-1 winner until the next channel is
-// arbitrated.
-func (c *Controller) arbitrateChannel(ch int, now int64, draining, useWrites bool) (*Candidate, int64) {
-	channel := c.channels[ch]
-	base := ch * c.banksPer
-	minReady := int64(dram.Horizon)
-	chal := &c.challenger
-	memoize := c.ordering != nil
-	var orderEp uint64
-	if memoize {
-		orderEp = c.ordering.OrderEpoch()
+// occupied returns the mask of the channel's banks holding eligible
+// requests: every bank with reads, plus those with writes when writes
+// are eligible.
+func (c *Controller) occupied(ch int, useWrites bool) uint64 {
+	if useWrites {
+		return c.readMask[ch] | c.writeMask[ch]
 	}
-
-	// Level 1: per-bank request arbitration over the bank's own queue.
-	// A bank whose open row was activated for a request that has not
-	// yet used it stays with that request (the reservation lock) —
-	// but only while that request is among the eligible candidates;
-	// a reserved write outside a drain episode does not lock the bank.
-	// Under an OrderingPolicy each bank's tournament outcome is memoized
-	// and replayed while the bank's queue, its state, and the policy's
-	// ordering are all unchanged (the reservation lock is covered too:
-	// reserved[ch][b] changes only when a command issues to the bank,
-	// which bumps its epoch).
-	bankBest := c.bankBest
-	for b := 0; b < c.banksPer; b++ {
-		bankBest[b] = nil
-		q := &c.queues[base+b]
-		if len(q.reads) == 0 && (!useWrites || len(q.writes) == 0) {
-			continue
-		}
-		epoch := channel.BankEpoch(b)
-		slot := &c.bankCand[b]
-		if memoize {
-			m := &c.memo[base+b]
-			bankEp := channel.Bank(b).Epoch()
-			if m.qver == q.ver && m.bankEp == bankEp && m.orderEp == orderEp &&
-				m.draining == draining && m.useWrites == useWrites {
-				// Memo hit: rebuild only the winner's candidate from its
-				// (revalidated) timing memo.
-				r := m.winner
-				refreshMemo(channel, r, epoch)
-				*slot = Candidate{
-					Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
-					First: !r.Started, Ready: now >= r.cacheReadyAt,
-				}
-				bankBest[b] = slot
-				if !slot.Ready && m.minReady <= now {
-					// The stored lower bound has fallen due while the
-					// winner is still blocked: re-tighten it with a
-					// readiness-only rescan (no Less tournament) so a
-					// no-issue edge does not degrade to dense polling.
-					m.minReady = c.bankMinReady(q, channel, epoch, useWrites)
-				}
-				if m.minReady < minReady {
-					minReady = m.minReady
-				}
-				continue
-			}
-			// Memo miss: run the full tournament below, then store.
-			bankMin := c.scanBank(ch, b, q, channel, epoch, now, draining, useWrites, chal, slot)
-			if bankMin < minReady {
-				minReady = bankMin
-			}
-			*m = bankMemo{
-				winner: slot.Req, qver: q.ver, bankEp: bankEp, orderEp: orderEp,
-				minReady: bankMin, draining: draining, useWrites: useWrites,
-			}
-			bankBest[b] = slot
-			continue
-		}
-		bankMin := c.scanBank(ch, b, q, channel, epoch, now, draining, useWrites, chal, slot)
-		if bankMin < minReady {
-			minReady = bankMin
-		}
-		bankBest[b] = slot
-	}
-
-	// Level 2: across-bank selection among ready winners.
-	var best *Candidate
-	for _, cand := range bankBest {
-		if cand == nil || !cand.Ready {
-			continue
-		}
-		if best == nil || c.better(cand, best, draining) {
-			best = cand
-		}
-	}
-	if best == nil {
-		if minReady >= dram.Horizon {
-			return nil, dram.Horizon
-		}
-		return nil, c.edgeCeil(max(now, minReady))
-	}
-	return best, 0
+	return c.readMask[ch]
 }
 
-// scanBank runs one bank's level-1 tournament: it refreshes every
-// eligible request's timing memo, tracks the bank's minimum
-// CommandReadyAt (returned, for the no-issue horizon and the winner
-// memo), and writes the winning candidate into slot. The caller
-// guarantees at least one eligible request, so slot always holds a
-// winner on return.
-func (c *Controller) scanBank(ch, b int, q *bankQueue, channel *dram.Channel, epoch uint64, now int64, draining, useWrites bool, chal, slot *Candidate) int64 {
-	minReady := int64(dram.Horizon)
-	res := c.reserved[ch][b]
-	have, locked := false, false
-	for pass := 0; pass < 2; pass++ {
-		list := q.reads
-		if pass == 1 {
-			if !useWrites {
-				break
+// arbitrateChannel runs level 1 of the tournament for one channel: it
+// finds every occupied bank's winner, replaying the bank's memo when it
+// is still valid (see bankMemo; the reservation lock is covered too:
+// reserved[ch][b] changes only when a command issues to the bank, which
+// bumps its epoch). It returns the mask of banks whose winner is ready,
+// with their candidates in bankCand, and the earliest ready time among
+// the winners that are not.
+func (c *Controller) arbitrateChannel(ch int, now int64, orderEp uint64, draining, useWrites bool) (ready uint64, minReady int64) {
+	channel := c.channels[ch]
+	base := ch * c.banksPer
+	minReady = dram.Horizon
+	for banks := c.occupied(ch, useWrites); banks != 0; banks &= banks - 1 {
+		b := bits.TrailingZeros64(banks)
+		q := &c.queues[base+b]
+		m := &c.memo[base+b]
+		epoch := channel.BankEpoch(b)
+		bankEp := channel.Bank(b).Epoch()
+		var r *Request
+		if m.qver == q.ver && m.bankEp == bankEp && m.orderEp == orderEp &&
+			m.draining == draining && m.useWrites == useWrites {
+			c.work.MemoHits++
+			r = m.winner
+			refreshMemo(channel, r, epoch)
+			if now >= r.cacheReadyAt {
+				c.bankCand[b] = candidateFor(r, ch, now)
 			}
-			list = q.writes
+		} else {
+			c.work.MemoMisses++
+			c.scanBank(ch, b, q, channel, epoch, now, draining, useWrites)
+			r = c.bankCand[b].Req
+			*m = bankMemo{
+				winner: r, qver: q.ver, bankEp: bankEp, orderEp: orderEp,
+				draining: draining, useWrites: useWrites,
+			}
 		}
+		if now >= r.cacheReadyAt {
+			ready |= 1 << uint(b)
+		} else if r.cacheReadyAt < minReady {
+			minReady = r.cacheReadyAt
+		}
+	}
+	return ready, minReady
+}
+
+// scanBank runs one bank's level-1 tournament and writes the winning
+// candidate into bankCand[b]. A bank whose open row was activated for a
+// request that has not yet used it stays with that request (the
+// reservation lock) — but only while that request is among the eligible
+// candidates; a reserved write outside a drain episode does not lock
+// the bank. The caller guarantees at least one eligible request.
+func (c *Controller) scanBank(ch, b int, q *bankQueue, channel *dram.Channel, epoch uint64, now int64, draining, useWrites bool) {
+	slot := &c.bankCand[b]
+	if res := c.reserved[ch][b]; res != nil && (!res.IsWrite || useWrites) {
+		refreshMemo(channel, res, epoch)
+		*slot = candidateFor(res, ch, now)
+		return
+	}
+	chal := &c.challenger
+	have := false
+	for _, list := range q.eligible(useWrites) {
 		for _, r := range list {
 			refreshMemo(channel, r, epoch)
-			if r.cacheReadyAt < minReady {
-				minReady = r.cacheReadyAt
-			}
-			if locked {
-				continue
-			}
-			if r == res {
-				*slot = Candidate{
-					Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
-					First: !r.Started, Ready: now >= r.cacheReadyAt,
-				}
-				have, locked = true, true
-				continue
-			}
-			*chal = Candidate{
-				Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
-				First: !r.Started, Ready: now >= r.cacheReadyAt,
-			}
+			*chal = candidateFor(r, ch, now)
 			if !have || c.better(chal, slot, draining) {
 				*slot = *chal
 				have = true
 			}
 		}
 	}
-	return minReady
 }
 
-// bankMinReady recomputes the bank's minimum CommandReadyAt over its
-// eligible requests — the readiness half of scanBank without the Less
-// tournament, used to re-tighten a memoized bank's horizon bound.
-func (c *Controller) bankMinReady(q *bankQueue, channel *dram.Channel, epoch uint64, useWrites bool) int64 {
-	minReady := int64(dram.Horizon)
-	for pass := 0; pass < 2; pass++ {
-		list := q.reads
-		if pass == 1 {
-			if !useWrites {
-				break
-			}
-			list = q.writes
-		}
-		for _, r := range list {
-			refreshMemo(channel, r, epoch)
-			if r.cacheReadyAt < minReady {
-				minReady = r.cacheReadyAt
-			}
-		}
-	}
-	return minReady
-}
-
-// scheduleChannelBatch is the BatchPolicy (PAR-BS) variant: the policy
+// arbitrateBatch is level 1 under a BatchPolicy (PAR-BS): the policy
 // needs the channel's full waiting set before arbitration (batch
-// formation), so the candidate slice is materialized up front every
-// edge and arbitration runs over it, with the horizon folded into the
-// same pass exactly like the fast path.
-func (c *Controller) scheduleChannelBatch(ch int, now int64, draining, useWrites bool) (issued bool, horizon int64) {
+// formation), so the candidate set is built up front every scan and
+// each bank's winner is picked from it, honoring the reservation lock
+// exactly like scanBank. It returns the set (the waiting set OnSchedule
+// reads) along with arbitrateChannel's results.
+func (c *Controller) arbitrateBatch(ch int, now int64, draining, useWrites bool) (cands []Candidate, ready uint64, minReady int64) {
 	channel := c.channels[ch]
 	base := ch * c.banksPer
-	minReady := int64(dram.Horizon)
-	cands := c.scratch[:0]
-	for b := 0; b < c.banksPer; b++ {
+	cands = c.scratch[:0]
+	for banks := c.occupied(ch, useWrites); banks != 0; banks &= banks - 1 {
+		b := bits.TrailingZeros64(banks)
 		q := &c.queues[base+b]
-		if len(q.reads) == 0 && (!useWrites || len(q.writes) == 0) {
-			continue
-		}
 		epoch := channel.BankEpoch(b)
-		for pass := 0; pass < 2; pass++ {
-			list := q.reads
-			if pass == 1 {
-				if !useWrites {
-					break
-				}
-				list = q.writes
-			}
+		for _, list := range q.eligible(useWrites) {
 			for _, r := range list {
 				refreshMemo(channel, r, epoch)
-				if r.cacheReadyAt < minReady {
-					minReady = r.cacheReadyAt
-				}
-				cands = append(cands, Candidate{
-					Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
-					First: !r.Started, Ready: now >= r.cacheReadyAt,
-				})
+				cands = append(cands, candidateFor(r, ch, now))
 			}
 		}
 	}
 	c.scratch = cands[:0]
-	if len(cands) == 0 {
-		return false, dram.Horizon
-	}
 	c.batch.PrepareCycle(ch, now, cands)
 
-	// Level 1: per-bank winner over the materialized set, honoring the
-	// reservation lock exactly like the fast path.
-	bankBest := c.bankBest
-	for b := range bankBest {
-		bankBest[b] = nil
-	}
-	var lockedBanks uint64
+	var have, locked uint64
 	for i := range cands {
 		cand := &cands[i]
 		b := cand.Cmd.Bank
-		if lockedBanks&(1<<uint(b)) != 0 {
-			continue
-		}
-		if c.reserved[ch][b] == cand.Req {
-			bankBest[b] = cand
-			lockedBanks |= 1 << uint(b)
-			continue
-		}
-		if bankBest[b] == nil || c.better(cand, bankBest[b], draining) {
-			bankBest[b] = cand
+		bit := uint64(1) << uint(b)
+		switch {
+		case locked&bit != 0:
+		case c.reserved[ch][b] == cand.Req:
+			c.bankCand[b] = *cand
+			have |= bit
+			locked |= bit
+		case have&bit == 0 || c.better(cand, &c.bankCand[b], draining):
+			c.bankCand[b] = *cand
+			have |= bit
 		}
 	}
-
-	// Level 2: across-bank selection among ready winners.
-	var best *Candidate
-	for _, cand := range bankBest {
-		if cand == nil || !cand.Ready {
-			continue
+	minReady = dram.Horizon
+	for ; have != 0; have &= have - 1 {
+		b := bits.TrailingZeros64(have)
+		if w := &c.bankCand[b]; w.Ready {
+			ready |= 1 << uint(b)
+		} else if w.Req.cacheReadyAt < minReady {
+			minReady = w.Req.cacheReadyAt
 		}
+	}
+	return cands, ready, minReady
+}
+
+// pickReady is level 2: the across-bank choice among the ready bank
+// winners in bankCand, or nil when none is ready.
+func (c *Controller) pickReady(ready uint64, draining bool) *Candidate {
+	var best *Candidate
+	for ; ready != 0; ready &= ready - 1 {
+		cand := &c.bankCand[bits.TrailingZeros64(ready)]
 		if best == nil || c.better(cand, best, draining) {
 			best = cand
 		}
 	}
-	if best == nil {
-		if minReady >= dram.Horizon {
-			return false, dram.Horizon
-		}
-		return false, c.edgeCeil(max(now, minReady))
+	return best
+}
+
+// candidateFor builds r's candidate from its (current) timing memo.
+func candidateFor(r *Request, ch int, now int64) Candidate {
+	return Candidate{
+		Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
+		First: !r.Started, Ready: now >= r.cacheReadyAt,
 	}
-	if c.trace != nil {
-		c.traceInversion(now, ch, best, bankBest)
-	}
-	c.issue(ch, now, best, c.waiting.reset(ch, now, useWrites, best, cands))
-	return true, 0
 }
 
 // better implements the read-over-write rule of Table 2 ("reads
@@ -1123,10 +1110,11 @@ func (c *Controller) traceIssue(now int64, ch int, chosen *Candidate) {
 // under STFM, inversions are exactly the fairness-rule interventions of
 // the paper's Section 3.2.1, and under NFQ/TCM they mark virtual-time /
 // cluster prioritization.
-func (c *Controller) traceInversion(now int64, ch int, chosen *Candidate, bankBest []*Candidate) {
+func (c *Controller) traceInversion(now int64, ch int, chosen *Candidate, ready uint64) {
 	r := chosen.Req
-	for _, o := range bankBest {
-		if o == nil || o.Req == r || !o.Ready || o.Req.IsWrite != r.IsWrite {
+	for ; ready != 0; ready &= ready - 1 {
+		o := &c.bankCand[bits.TrailingZeros64(ready)]
+		if o.Req == r || o.Req.IsWrite != r.IsWrite {
 			continue
 		}
 		inverted := false
@@ -1165,18 +1153,22 @@ func (c *Controller) removeQueued(r *Request) {
 			break
 		}
 	}
+	empty := len(list) == 0
+	bit := uint64(1) << uint(r.Loc.Bank)
 	if r.IsWrite {
 		q.writes = list
-		c.chWrites[r.Loc.Channel]--
+		if empty {
+			c.writeMask[r.Loc.Channel] &^= bit
+		}
 		c.queuedWrites--
 		// See EnqueueWrite: occupancy changes touch every channel's
 		// drain hysteresis.
-		for i := range c.chHorizon {
-			c.chHorizon[i] = 0
-		}
+		c.clearHorizons()
 	} else {
 		q.reads = list
-		c.chReads[r.Loc.Channel]--
+		if empty {
+			c.readMask[r.Loc.Channel] &^= bit
+		}
 		c.queuedReads--
 		c.queuedPerThr[r.Thread]--
 		c.queuedBank[r.Thread][idx]--

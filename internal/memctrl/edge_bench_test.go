@@ -131,7 +131,7 @@ func BenchmarkChannelHorizon(b *testing.B) {
 				c.Tick(now)
 				cached := true
 				for ch := range c.chHorizon {
-					if c.chHorizon[ch] <= now {
+					if c.chHorizon[ch].at <= now {
 						cached = false
 						break
 					}

@@ -78,22 +78,26 @@ type BatchPolicy interface {
 	PrepareCycle(channel int, now int64, waiting []Candidate)
 }
 
-// OrderingPolicy is an optional extension interface that licenses the
-// controller's per-bank winner memoization. OrderEpoch returns a
-// counter that the policy bumps whenever internal state consulted by
-// Less changes — i.e. whenever Less(a, b) could return a different
-// answer than it did on an earlier cycle for the same two candidates.
-// While the epoch (together with the bank's state epoch and the bank
-// queue's membership version) is unchanged, the controller reuses the
-// previously selected per-bank winner instead of re-running the Less
-// tournament over the bank's queue.
+// OrderingPolicy is the extension interface that licenses the
+// controller's scheduling caches; every policy that is not a
+// BatchPolicy must implement it (SetPolicy panics otherwise).
+// OrderEpoch returns a counter that the policy bumps whenever internal
+// state consulted by Less changes — i.e. whenever Less(a, b) could
+// return a different answer than it did on an earlier cycle for the
+// same two candidates. While the epoch (together with the bank's state
+// epoch and the bank queue's membership version) is unchanged, the
+// controller reuses the previously selected per-bank winner instead of
+// re-running the Less tournament over the bank's queue, and it keeps a
+// channel's cached no-issue horizon, which is the earliest ready edge
+// among those winners.
 //
 // The contract covers only policy-internal state: candidate-derived
 // inputs (command kind, row-buffer outcome, arrival ID) are tracked by
-// the controller's own epochs. Policies whose ordering depends on the
-// current cycle itself (NFQ's inversion-expiry timeout) must not
-// implement the interface — there is no sound epoch for wall-clock
-// time. Stateless orders (FR-FCFS, FCFS) return a constant.
+// the controller's own epochs. An order that depends on time must bump
+// the epoch when time changes an answer: NFQ's inversion expiry bumps
+// it in BeginCycle on the edge the expiry falls due, and NFQ reports
+// the expiry as its EventPolicy event so the controller ticks that
+// edge. Stateless orders (FR-FCFS, FCFS) return a constant.
 type OrderingPolicy interface {
 	// OrderEpoch returns the current ordering-state counter; see the
 	// interface comment for the exact bumping contract.
@@ -102,12 +106,13 @@ type OrderingPolicy interface {
 
 // EventPolicy is an optional extension interface for policies whose
 // BeginCycle does time-driven work of its own — per-cycle fairness
-// accounting (STFM), quantum-boundary reclustering (TCM) — rather than
-// reacting only to enqueue/issue/complete events. NextPolicyEvent
-// returns the next CPU cycle at which the policy must observe a DRAM
-// clock edge; the controller folds it (rounded up to an edge) into the
-// horizon it reports, so event-driven stepping never skips an edge the
-// policy needed. It is called after BeginCycle on a ticked edge, so
+// accounting (STFM), quantum-boundary reclustering (TCM), an inversion
+// expiry that changes the order (NFQ) — rather than reacting only to
+// enqueue/issue/complete events. NextPolicyEvent returns the next CPU
+// cycle at which the policy must observe a DRAM clock edge; the
+// controller folds it (rounded up to an edge) into the horizon it
+// reports, so event-driven stepping never skips an edge the policy
+// needed. It is called after BeginCycle on a ticked edge, so
 // implementations report from up-to-date state. Policies that react
 // purely to scheduling events need not implement it.
 type EventPolicy interface {

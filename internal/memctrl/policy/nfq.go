@@ -27,6 +27,13 @@ import (
 //     prevention optimization of [22] Section 3.3 with the same
 //     threshold the paper uses.
 //   - Ties break oldest-first.
+//
+// Less depends on time only through each bank's inversion expiry at
+// rowBlockedSince + tRAS, so NFQ is an OrderingPolicy: its order epoch
+// bumps in OnSchedule when a VFT or an inversion timer changes, and in
+// BeginCycle when an expiry falls due. It is also an EventPolicy whose
+// event is the earliest pending expiry, so an event-driven controller
+// wakes when one can change a bank's winner.
 type NFQ struct {
 	timing dram.Timing
 	shares []float64
@@ -39,6 +46,12 @@ type NFQ struct {
 	// access; -1 means none is being bypassed.
 	rowBlockedSince []int64
 	now             int64
+	// epoch is the order epoch (OrderEpoch); nextExpiry is the earliest
+	// inversion expiry after now, or dram.Horizon when no timer runs.
+	// Neither is checkpointed: a restored controller starts with no
+	// memo to key, and RestoreState recomputes nextExpiry.
+	epoch      uint64
+	nextExpiry int64
 }
 
 // NewNFQ creates an NFQ policy for numThreads threads with equal
@@ -50,6 +63,7 @@ func NewNFQ(numThreads, channels, banksPerChannel int, timing dram.Timing) *NFQ 
 		vft:             make([][]float64, numThreads),
 		banks:           banksPerChannel,
 		rowBlockedSince: make([]int64, channels*banksPerChannel),
+		nextExpiry:      dram.Horizon,
 	}
 	for i := range p.shares {
 		p.shares[i] = 1 / float64(numThreads)
@@ -88,8 +102,36 @@ func (p *NFQ) SetShares(weights []float64) error {
 // Name implements memctrl.Policy.
 func (*NFQ) Name() string { return "NFQ" }
 
-// BeginCycle implements memctrl.Policy.
-func (p *NFQ) BeginCycle(now int64) { p.now = now }
+// BeginCycle implements memctrl.Policy: it advances NFQ's clock and
+// bumps the order epoch when an inversion expiry falls due.
+func (p *NFQ) BeginCycle(now int64) {
+	p.now = now
+	if now >= p.nextExpiry {
+		p.epoch++
+		p.nextExpiry = p.pendingExpiry()
+	}
+}
+
+// pendingExpiry returns the earliest inversion expiry after now, or
+// dram.Horizon when none is pending.
+func (p *NFQ) pendingExpiry() int64 {
+	next := dram.Horizon
+	for _, since := range p.rowBlockedSince {
+		if at := since + p.timing.RAS; since >= 0 && at > p.now && at < next {
+			next = at
+		}
+	}
+	return next
+}
+
+// OrderEpoch implements memctrl.OrderingPolicy.
+func (p *NFQ) OrderEpoch() uint64 { return p.epoch }
+
+// NextPolicyEvent implements memctrl.EventPolicy: the earliest pending
+// inversion expiry. (A timer cleared before it expires leaves a stale,
+// earlier event; it costs one wake and one epoch bump, never a missed
+// expiry.)
+func (p *NFQ) NextPolicyEvent(int64) int64 { return p.nextExpiry }
 
 func (p *NFQ) bankIndex(c *memctrl.Candidate) int { return c.Channel*p.banks + c.Cmd.Bank }
 
@@ -139,18 +181,22 @@ func (p *NFQ) uncontendedLatency(outcome dram.RowBufferOutcome) float64 {
 
 // OnSchedule implements memctrl.Policy: advances the serviced thread's
 // virtual finish time on column accesses and maintains the
-// priority-inversion timers. It reads only the chosen bank's waiting
-// set.
+// priority-inversion timers, bumping the order epoch on either change.
+// It reads only the chosen bank's waiting set.
 func (p *NFQ) OnSchedule(now int64, chosen *memctrl.Candidate, waiting *memctrl.Waiting) {
 	bank := p.bankIndex(chosen)
 	if !chosen.IsColumn() {
-		p.rowBlockedSince[bank] = -1
+		if p.rowBlockedSince[bank] >= 0 {
+			p.rowBlockedSince[bank] = -1
+			p.epoch++
+		}
 		return
 	}
 	// Charge the serviced request to the thread's virtual clock.
 	thr := chosen.Req.Thread
 	start := p.virtualStart(chosen)
 	p.vft[thr][bank] = start + p.uncontendedLatency(chosen.Req.FirstScheduledOutcome)/p.shares[thr]
+	p.epoch++
 
 	// If an older request is still waiting on a row access to this
 	// bank, it has just been bypassed: start its inversion timer.
@@ -160,10 +206,15 @@ func (p *NFQ) OnSchedule(now int64, chosen *memctrl.Candidate, waiting *memctrl.
 			r := &ready[i]
 			if !r.IsColumn() && r.Req.Older(chosen.Req) {
 				p.rowBlockedSince[bank] = now
+				p.nextExpiry = min(p.nextExpiry, now+p.timing.RAS)
 				break
 			}
 		}
 	}
 }
 
-var _ memctrl.Policy = (*NFQ)(nil)
+var (
+	_ memctrl.Policy         = (*NFQ)(nil)
+	_ memctrl.OrderingPolicy = (*NFQ)(nil)
+	_ memctrl.EventPolicy    = (*NFQ)(nil)
+)

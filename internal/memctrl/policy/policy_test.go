@@ -219,6 +219,60 @@ func TestNFQPriorityInversionPrevention(t *testing.T) {
 	}
 }
 
+// TestNFQOrderEpochTracksInversionExpiry: every change to what NFQ's
+// Less answers bumps its order epoch — a charged virtual finish time,
+// an inversion timer started or cleared, an expiry falling due — and
+// the pending expiry is its policy event, recomputed by RestoreState.
+func TestNFQOrderEpochTracksInversionExpiry(t *testing.T) {
+	tm := dram.DefaultTiming()
+	p := NewNFQ(2, 1, 8, tm)
+	old := cand(1, 0, dram.CmdPrecharge, 0, 0)
+	young := cand(2, 1, dram.CmdRead, 0, 10)
+	young.Req.FirstScheduledOutcome = dram.RowHit
+
+	p.BeginCycle(0)
+	if at := p.NextPolicyEvent(0); at != dram.Horizon {
+		t.Errorf("policy event %d with no inversion timer running, want none", at)
+	}
+	ep := p.OrderEpoch()
+	p.OnSchedule(0, &young, memctrl.NewWaiting([]memctrl.Candidate{old, young}))
+	if p.OrderEpoch() == ep {
+		t.Error("charging a VFT and starting a timer left the epoch unchanged")
+	}
+	if at := p.NextPolicyEvent(0); at != tm.RAS {
+		t.Errorf("policy event %d, want the expiry at tRAS = %d", at, tm.RAS)
+	}
+	state, err := p.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewNFQ(2, 1, 8, tm)
+	if err := restored.RestoreState(state); err != nil {
+		t.Fatal(err)
+	}
+	if at := restored.NextPolicyEvent(0); at != tm.RAS {
+		t.Errorf("restored policy event %d, want the expiry at tRAS = %d", at, tm.RAS)
+	}
+
+	ep = p.OrderEpoch()
+	p.BeginCycle(tm.RAS - 1)
+	if p.OrderEpoch() != ep {
+		t.Error("epoch bumped before the expiry fell due")
+	}
+	p.BeginCycle(tm.RAS)
+	if p.OrderEpoch() == ep {
+		t.Error("the expiry fell due without an epoch bump")
+	}
+	if at := p.NextPolicyEvent(tm.RAS); at != dram.Horizon {
+		t.Errorf("policy event %d after the only expiry, want none", at)
+	}
+	ep = p.OrderEpoch()
+	p.OnSchedule(tm.RAS, &old, memctrl.NewWaiting([]memctrl.Candidate{old}))
+	if p.OrderEpoch() == ep {
+		t.Error("clearing the inversion timer left the epoch unchanged")
+	}
+}
+
 func TestPolicyNames(t *testing.T) {
 	tm := dram.DefaultTiming()
 	for _, tc := range []struct {

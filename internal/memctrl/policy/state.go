@@ -54,6 +54,7 @@ func (p *NFQ) RestoreState(data []byte) error {
 	}
 	copy(p.rowBlockedSince, st.RowBlockedSince)
 	p.now = st.Now
+	p.nextExpiry = p.pendingExpiry()
 	return nil
 }
 

@@ -199,8 +199,9 @@ func (c *Controller) SaveState() ControllerState {
 // configuration. Restored reads carry their consumer tags, so they
 // reach the thread's ReadConsumer like any other read; nothing is
 // re-linked. Every incremental accounting structure (queue counts,
-// per-thread bank-parallelism registers, write-drain occupancy) is
-// rebuilt during re-insertion; scheduling memos start invalid.
+// occupied-bank masks, per-thread bank-parallelism registers,
+// write-drain occupancy) is rebuilt during re-insertion; scheduling
+// memos start invalid and the work counters at zero.
 func (c *Controller) RestoreState(st ControllerState) error {
 	if len(st.Draining) != len(c.draining) {
 		return fmt.Errorf("memctrl: snapshot has %d drain flags, controller has %d channels", len(st.Draining), len(c.draining))
@@ -268,11 +269,11 @@ func (c *Controller) RestoreState(st ControllerState) error {
 			q := &c.queues[idx]
 			if r.IsWrite {
 				q.writes = append(q.writes, r)
-				c.chWrites[r.Loc.Channel]++
+				c.writeMask[r.Loc.Channel] |= 1 << uint(r.Loc.Bank)
 				c.queuedWrites++
 			} else {
 				q.reads = append(q.reads, r)
-				c.chReads[r.Loc.Channel]++
+				c.readMask[r.Loc.Channel] |= 1 << uint(r.Loc.Bank)
 				c.queuedReads++
 				c.queuedPerThr[r.Thread]++
 				if c.queuedBank[r.Thread][idx] == 0 {

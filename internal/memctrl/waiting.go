@@ -94,24 +94,14 @@ func (w *Waiting) appendBank(dst []Candidate, b int) []Candidate {
 	channel := c.channels[w.ch]
 	q := &c.queues[w.ch*c.banksPer+b]
 	epoch := channel.BankEpoch(b)
-	for pass := 0; pass < 2; pass++ {
-		list := q.reads
-		if pass == 1 {
-			if !w.useWrites {
-				break
-			}
-			list = q.writes
-		}
+	for _, list := range q.eligible(w.useWrites) {
 		for _, r := range list {
 			if r == w.chosen.Req {
 				dst = append(dst, *w.chosen)
 				continue
 			}
 			refreshMemo(channel, r, epoch)
-			dst = append(dst, Candidate{
-				Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: w.ch,
-				First: !r.Started, Ready: w.now >= r.cacheReadyAt,
-			})
+			dst = append(dst, candidateFor(r, w.ch, w.now))
 		}
 	}
 	return dst

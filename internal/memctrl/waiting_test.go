@@ -131,7 +131,7 @@ func TestLazyWaitingSetIsExact(t *testing.T) {
 				}
 				c.CommandTrace = func(_ int64, _ int, _ dram.Command, r *Request) { chk.started[r.ID] = true }
 				driveRandom(c, trace.NewRand(seed+100), 60_000)
-				if err := c.CheckInvariants(); err != nil {
+				if err := c.CheckInvariants(60_000); err != nil {
 					t.Fatal(err)
 				}
 				if chk.bankReads < 100 || chk.channelReads < 100 || chk.withWrites == 0 ||
@@ -188,7 +188,7 @@ func TestCheckInvariantsCatchesLiveRequestOnFreeList(t *testing.T) {
 	if len(c.inFlight) == 0 || reservedRequest(c) == nil {
 		t.Fatal("controller never had a request in flight and a reservation at once")
 	}
-	if err := c.CheckInvariants(); err != nil {
+	if err := c.CheckInvariants(now); err != nil {
 		t.Fatalf("healthy controller fails its invariants: %v", err)
 	}
 	for _, tc := range []struct {
@@ -201,7 +201,7 @@ func TestCheckInvariantsCatchesLiveRequestOnFreeList(t *testing.T) {
 	} {
 		saved := c.free
 		c.free = append(append([]*Request(nil), saved...), tc.live)
-		err := c.CheckInvariants()
+		err := c.CheckInvariants(now)
 		c.free = saved
 		if err == nil || !strings.Contains(err.Error(), "free list") {
 			t.Errorf("%s request on the free list: CheckInvariants = %v, want a free-list error", tc.name, err)
@@ -210,7 +210,7 @@ func TestCheckInvariantsCatchesLiveRequestOnFreeList(t *testing.T) {
 	if len(c.free) > 0 {
 		saved := c.free
 		c.free = append(append([]*Request(nil), saved...), saved[0])
-		if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "twice") {
+		if err := c.CheckInvariants(now); err == nil || !strings.Contains(err.Error(), "twice") {
 			t.Errorf("request on the free list twice: CheckInvariants = %v, want an error", err)
 		}
 		c.free = saved

@@ -1,0 +1,112 @@
+package sim
+
+import (
+	"testing"
+
+	"stfm/internal/dram"
+	"stfm/internal/memctrl"
+	"stfm/internal/trace"
+)
+
+// TestSchedulingCacheOracle is the oracle for the controller's
+// scheduling caches: the per-bank winner memos, the enqueue folds, the
+// occupied-bank masks and the channel horizons. A dense-ticked run is
+// no oracle for them, since it calls the same Controller.Tick, which
+// reads the same caches. Instead every scheduler steps whole systems
+// one cycle at a time with System.Tick, and after every cycle
+// Controller.CheckInvariants recomputes each bank's level-1 winner
+// from scratch and requires every reusable memo to name it and no used
+// horizon to skip an edge at which it is ready. The runs must also
+// exercise what they check: horizon skips everywhere, and memo hits
+// and folds under the memoizing (non-batch) schedulers.
+func TestSchedulingCacheOracle(t *testing.T) {
+	refresh := dram.DefaultTiming().WithRefresh()
+	hbm, err := dram.PresetTiming(dram.HBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hbm = hbm.WithRefresh()
+	four := profilesByName(t, "mcf", "libquantum", "GemsFDTD", "astar")
+	eight := profilesByName(t, "mcf", "h264ref", "bzip2", "gromacs", "gobmk", "dealII", "wrf", "namd")
+	cases := []struct {
+		name   string
+		instrs int64
+		profs  []trace.Profile
+		setup  func(*Config)
+	}{
+		{"4core-2ch-refresh", 2_500, four, func(c *Config) {
+			c.Channels = 2
+			c.Timing = &refresh
+		}},
+		{"4core-HBM-refresh", 2_500, four, func(c *Config) {
+			c.Protocol = dram.HBM
+			c.Timing = &hbm
+		}},
+		{"8core-cache", 2_000, eight, func(c *Config) { c.UseCaches = true }},
+	}
+	for _, tc := range cases {
+		for _, pol := range ExtendedPolicies() {
+			t.Run(tc.name+"/"+string(pol), func(t *testing.T) {
+				cfg := DefaultConfig(pol, len(tc.profs))
+				cfg.InstrTarget = tc.instrs
+				tc.setup(&cfg)
+				s, err := NewSystem(cfg, tc.profs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for !s.allFrozen() {
+					if s.now >= 2_000_000 {
+						t.Fatalf("threads still running after %d cycles", s.now)
+					}
+					s.Tick()
+					if err := s.ctrl.CheckInvariants(s.now); err != nil {
+						t.Fatalf("after cycle %d: %v", s.now-1, err)
+					}
+				}
+				w := s.ctrl.Work()
+				t.Logf("%d cycles: %+v", s.now, w)
+				if w.HorizonSkips == 0 {
+					t.Error("no horizon skip was exercised")
+				}
+				if pol != PolicyPARBS && (w.MemoHits == 0 || w.EnqueueFolds == 0) {
+					t.Errorf("memo hits (%d) and enqueue folds (%d) were not both exercised", w.MemoHits, w.EnqueueFolds)
+				}
+			})
+		}
+	}
+}
+
+// TestControllerWorkDeterministic: the controller's work counters are a
+// function of the configuration alone — two runs give identical counts
+// — and every command they count as issued is one a DRAM channel
+// recorded.
+func TestControllerWorkDeterministic(t *testing.T) {
+	profs := profilesByName(t, "mcf", "libquantum", "GemsFDTD", "astar")
+	for _, pol := range ExtendedPolicies() {
+		cfg := DefaultConfig(pol, len(profs))
+		cfg.Channels = 2
+		cfg.InstrTarget = 5_000
+		run := func() memctrl.Work {
+			s, err := NewSystem(cfg, profs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			w := s.Controller().Work()
+			var cmds int64
+			for ch := 0; ch < cfg.Channels; ch++ {
+				st := s.Controller().Channel(ch).Stats()
+				cmds += st.Activates + st.Precharges + st.Reads + st.Writes
+			}
+			if w.CommandsIssued != cmds {
+				t.Errorf("%s: %d commands counted as issued, the channels recorded %d", pol, w.CommandsIssued, cmds)
+			}
+			return w
+		}
+		if a, b := run(), run(); a != b {
+			t.Errorf("%s: work counters differ between identical runs:\n%+v\n%+v", pol, a, b)
+		}
+	}
+}

@@ -923,7 +923,7 @@ func (s *System) stallError(window int64) *StallError {
 // and request conservation, MSHR occupancy bounds, and STFM register
 // finiteness. All checks are read-only.
 func (s *System) checkInvariants() error {
-	if err := s.ctrl.CheckInvariants(); err != nil {
+	if err := s.ctrl.CheckInvariants(s.now); err != nil {
 		return &SimError{Cycle: s.now, Check: "memctrl", Err: err}
 	}
 	for i, p := range s.ports {

@@ -58,6 +58,11 @@ func TestValidateRejections(t *testing.T) {
 			g.BanksPerChannel = -8
 			c.Geometry = &g
 		}), "Geometry"},
+		{"128 banks", mut(func(c *Config) {
+			g := dram.DefaultGeometry(1)
+			g.BanksPerChannel = 128
+			c.Geometry = &g
+		}), "Geometry"},
 		{"broken timing", mut(func(c *Config) {
 			tm := dram.DefaultTiming()
 			tm.CL = 0
