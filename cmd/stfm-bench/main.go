@@ -57,6 +57,7 @@ import (
 	"stfm/internal/experiments"
 	"stfm/internal/memctrl"
 	"stfm/internal/sim"
+	"stfm/internal/store"
 	"stfm/internal/telemetry"
 	"stfm/internal/trace"
 	"stfm/internal/workloads"
@@ -459,6 +460,12 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 		}
 		baselineDir = dir
 	}
+	// The store the alone fleet is primed into; opening it here fails
+	// the tool at start-up on an unusable directory.
+	primed, err := store.Open(baselineDir)
+	if err != nil {
+		fatal(err)
+	}
 
 	interruptible := func(err error) {
 		if errors.Is(err, sim.ErrCanceled) || errors.Is(err, sim.ErrDeadline) {
@@ -497,12 +504,12 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 		}
 
 		// One full pass over every protocol plane of the grid. Every
-		// pass's runners share one fresh BaselineStore on dir (""
-		// = memory-only), so its Stats describe exactly that pass. Mixes
-		// run one RunMatrix call each because the fork planner takes its
+		// pass's runners share one fresh store on dir ("" = memory-only),
+		// so its Stats describe exactly that pass. Mixes run one
+		// RunMatrix call each because the fork planner takes its
 		// (per-mix) warm-up cycle from Options.
-		runPass := func(dir string, mode matrixPassMode) (planes [][]map[sim.PolicyKind]*experiments.WorkloadResult, d time.Duration, stats experiments.BaselineStats) {
-			store, err := experiments.NewBaselineStore(dir)
+		runPass := func(dir string, mode matrixPassMode) (planes [][]map[sim.PolicyKind]*experiments.WorkloadResult, d time.Duration, stats store.Stats) {
+			baselines, err := store.Open(dir)
 			if err != nil {
 				fatal(err)
 			}
@@ -513,7 +520,7 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 					w := warmups[pi][mi]
 					opts := experiments.Options{
 						InstrTarget: matrixSuiteInstrs, MinMisses: 150, Seed: 1,
-						Protocol: proto, Baseline: store,
+						Protocol: proto, Baseline: baselines,
 					}
 					var mutate func(*sim.Config)
 					switch mode {
@@ -534,7 +541,7 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 				}
 				planes = append(planes, plane)
 			}
-			return planes, time.Since(start), store.Stats()
+			return planes, time.Since(start), baselines.Stats()
 		}
 
 		// Prime the shared store with the alone fleet (untimed): the
@@ -544,7 +551,7 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 		for _, proto := range protocols {
 			r := experiments.NewRunnerContext(ctx, experiments.Options{
 				InstrTarget: matrixSuiteInstrs, MinMisses: 150, Seed: 1,
-				Protocol: proto, BaselineDir: baselineDir,
+				Protocol: proto, Baseline: primed,
 			})
 			channels := sim.ProtocolChannels(proto, len(spec.Mixes[0].Profiles))
 			for _, p := range distinctProfiles(spec.Mixes) {
@@ -565,7 +572,7 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 		// the full alone fleet every repetition (memory-only store per
 		// pass); cached and fork read the primed shared store.
 		var forkPlanes [][]map[sim.PolicyKind]*experiments.WorkloadResult
-		var forkStats experiments.BaselineStats
+		var forkStats store.Stats
 		coldT := time.Duration(1<<63 - 1)
 		cachedT := coldT
 		forkT := coldT

@@ -31,6 +31,7 @@ import (
 
 	"stfm/internal/experiments"
 	"stfm/internal/sim"
+	"stfm/internal/store"
 	"stfm/internal/telemetry"
 )
 
@@ -60,6 +61,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	baseline, err := store.Open(*baselineDir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stfm-experiments:", err)
+		os.Exit(1)
+	}
 	if *pprof != "" {
 		stop, err := telemetry.ServeProfiling(*pprof, 10*time.Second, log.New(os.Stderr, "stfm-experiments: ", 0).Printf)
 		if err != nil {
@@ -75,7 +81,7 @@ func main() {
 	opts := experiments.DefaultOptions()
 	opts.InstrTarget = *instrs
 	opts.Seed = *seed
-	opts.BaselineDir = *baselineDir
+	opts.Baseline = baseline
 	opts.ForkWarmup = *forkWarmup
 	if *useTel {
 		opts.Telemetry = telemetry.Options{SampleEvery: *sampleEvery, TraceCap: telemetry.DefaultTraceCap}

@@ -52,7 +52,7 @@ func main() {
 		queueSize    = flag.Int("queue", 64, "job queue capacity (submissions beyond it get 429)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the result cache's disk spill (empty = memory only)")
 		sampleEvery  = flag.Int64("sample-every", 5000, "progress sampling interval in DRAM cycles")
-		baselineDir  = flag.String("baseline-dir", "", "directory for the shared alone-baseline store: completed 1-core FR-FCFS jobs spill here and matching submissions are served from it; share with stfm-experiments/-sweep/-bench (empty = disabled)")
+		baselineDir  = flag.String("baseline-dir", "", "directory for the shared alone-baseline store: alone-shaped jobs (one benchmark, FR-FCFS, no fork) keep their results here instead of in -cache-dir; share with stfm-experiments/-sweep/-bench (empty = disabled)")
 		journalDir   = flag.String("journal-dir", "", "directory for the durable job journal and checkpoints; restarts re-enqueue pending jobs and resume from checkpoints (empty = no journal)")
 		ckptEvery    = flag.Int64("checkpoint-every", 0, "checkpoint period for journaled jobs in CPU cycles (0 = 250000, negative = journal without checkpoints)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")

@@ -29,6 +29,7 @@ import (
 	"stfm/internal/dram"
 	"stfm/internal/experiments"
 	"stfm/internal/sim"
+	"stfm/internal/store"
 	"stfm/internal/telemetry"
 	"stfm/internal/trace"
 )
@@ -53,7 +54,11 @@ func main() {
 	defer stop()
 	runCtx = ctx
 	protoPack = dram.Protocol(*protocol)
-	baselineDir = *baseline
+	var err error
+	if baselines, err = store.Open(*baseline); err != nil {
+		fmt.Fprintln(os.Stderr, "stfm-sweep:", err)
+		os.Exit(1)
+	}
 	if protoPack != "" && !protoPack.Known() {
 		fmt.Fprintf(os.Stderr, "stfm-sweep: unknown protocol %q (known: %v)\n", protoPack, dram.Protocols())
 		os.Exit(1)
@@ -78,7 +83,6 @@ func main() {
 		}
 	}
 
-	var err error
 	switch *knob {
 	case "alpha":
 		err = sweepAlpha(names, *instrs, *seed)
@@ -114,17 +118,17 @@ func main() {
 var (
 	runCtx    = context.Background()
 	protoPack dram.Protocol
-	// baselineDir is the -baseline-dir flag: every sweep runner spills
-	// its alone-run baselines there, so repeated sweeps (and other
-	// tools) skip recomputing the Talone denominators.
-	baselineDir string
+	// baselines is the store on the -baseline-dir flag, shared by every
+	// sweep runner, so repeated sweeps (and other tools on the same
+	// directory) skip recomputing the Talone denominators.
+	baselines *store.Store
 )
 
 func runner(instrs int64, seed uint64, geom *dram.Geometry, channels int) *experiments.Runner {
 	return experiments.NewRunnerContext(runCtx, experiments.Options{
 		InstrTarget: instrs, MinMisses: 150, Seed: seed,
 		Protocol: protoPack, Geometry: geom, Channels: channels,
-		BaselineDir: baselineDir,
+		Baseline: baselines,
 	})
 }
 
@@ -141,7 +145,7 @@ func sweepProtocol(names []string, instrs int64, seed uint64, pols []sim.PolicyK
 	for _, p := range dram.Protocols() {
 		r := experiments.NewRunnerContext(runCtx, experiments.Options{
 			InstrTarget: instrs, MinMisses: 150, Seed: seed, Protocol: p,
-			BaselineDir: baselineDir,
+			Baseline: baselines,
 		})
 		for _, pol := range pols {
 			wr, err := r.RunWorkload(pol, profs, nil)

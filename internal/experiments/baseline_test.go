@@ -8,88 +8,88 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"stfm/internal/sim"
+	"stfm/internal/store"
 	"stfm/internal/workloads"
 )
 
-// TestBaselineSingleflight pins the store's per-key deduplication:
+// TestBaselineSingleflight pins the runner's per-key deduplication:
 // many goroutines asking for the same baseline must trigger exactly one
-// compute, and all of them must receive that one result.
+// alone run, and all of them must receive its result.
 func TestBaselineSingleflight(t *testing.T) {
 	r := NewRunner(Options{InstrTarget: 15_000, Seed: 1})
 	profs, err := Profiles("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := r.aloneConfig(1)
-	key := BaselineKey(cfg, profs[0].Name)
-	var computes atomic.Int64
 	const callers = 16
-	results := make([]*sim.Result, callers)
+	results := make([]sim.ThreadResult, callers)
 	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		i := i
+	for i := range results {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := r.baseline.Do(context.Background(), key, func() (*sim.Result, error) {
-				computes.Add(1)
-				return sim.Run(cfg, profs)
-			})
+			a, err := r.Alone(profs[0], 1)
 			if err != nil {
 				t.Error(err)
-				return
 			}
-			results[i] = res
+			results[i] = a
 		}()
 	}
 	wg.Wait()
-	if got := computes.Load(); got != 1 {
-		t.Errorf("compute ran %d times, want exactly 1", got)
-	}
-	for i := 1; i < callers; i++ {
+	for i := range results {
 		if results[i] != results[0] {
-			t.Errorf("caller %d got a different Result pointer", i)
+			t.Errorf("caller %d got a different baseline", i)
 		}
 	}
-	st := r.baseline.Stats()
-	if st.Misses != 1 || st.Hits != callers-1 {
+	if st := r.Baseline().Stats(); st.Misses != 1 || st.Hits != callers-1 {
 		t.Errorf("stats = %+v, want 1 miss and %d hits", st, callers-1)
 	}
 }
 
-// TestBaselineComputeFailureDoesNotPoison pins the retry semantics: a
-// failed compute surfaces its error to the caller that ran it, and the
-// next caller for the same key computes again instead of inheriting the
-// failure.
+// TestBaselineComputeFailureDoesNotPoison pins the retry semantics
+// across runners sharing a store: an alone run that fails (here, on a
+// canceled runner) surfaces its error, and the next runner asking for
+// the same baseline computes it instead of inheriting the failure.
 func TestBaselineComputeFailureDoesNotPoison(t *testing.T) {
-	s := newMemBaselineStore()
-	boom := errors.New("boom")
-	if _, err := s.Do(context.Background(), "k", func() (*sim.Result, error) {
-		return nil, boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("computing caller got %v, want boom", err)
+	shared := new(store.Store)
+	opts := Options{InstrTarget: 15_000, Seed: 1, Baseline: shared}
+	profs, err := Profiles("mcf")
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := &sim.Result{Threads: []sim.ThreadResult{{}}}
-	got, err := s.Do(context.Background(), "k", func() (*sim.Result, error) {
-		return want, nil
-	})
-	if err != nil || got != want {
-		t.Fatalf("retry after failure got (%v, %v), want the fresh result", got, err)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := NewRunnerContext(canceled, opts).Alone(profs[0], 1); !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("canceled runner's alone run returned %v, want ErrCanceled", err)
+	}
+	got, err := NewRunner(opts).Alone(profs[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewRunner(Options{InstrTarget: 15_000, Seed: 1}).Alone(profs[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Error("baseline computed after a failure differs from a fresh one")
+	}
+	if st := shared.Stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 2 computes and 1 stored baseline", st)
 	}
 }
 
-// TestBaselineDiskSharing pins the cross-process contract: a second
-// store (standing in for a second process) pointed at the same
-// directory serves the first store's spilled baselines as hits, and the
+// TestBaselineDiskSharing pins the cross-process contract: a runner on
+// a second store (standing in for a second process) opened on the same
+// directory serves the first runner's baselines as hits, and the
 // loaded Results are bit-identical to the computed ones.
 func TestBaselineDiskSharing(t *testing.T) {
 	dir := t.TempDir()
-	r1 := NewRunner(Options{InstrTarget: 15_000, Seed: 1, BaselineDir: dir})
+	r1 := NewRunner(Options{InstrTarget: 15_000, Seed: 1, Baseline: openStore(t, dir)})
 	profs, err := Profiles("mcf", "libquantum")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestBaselineDiskSharing(t *testing.T) {
 		t.Fatalf("first runner stats = %+v, want %d misses", st, len(profs))
 	}
 
-	r2 := NewRunner(Options{InstrTarget: 15_000, Seed: 1, BaselineDir: dir})
+	r2 := NewRunner(Options{InstrTarget: 15_000, Seed: 1, Baseline: openStore(t, dir)})
 	for i, p := range profs {
 		a, err := r2.Alone(p, 1)
 		if err != nil {
@@ -122,13 +122,13 @@ func TestBaselineDiskSharing(t *testing.T) {
 	}
 }
 
-// TestBaselineCorruptionQuarantine pins quarantine-as-miss: damaged
-// spill files — truncated, bit-flipped, wrong version, checksum
-// mismatch, wrong thread count — are renamed to .corrupt and recomputed,
-// never served.
+// TestBaselineCorruptionQuarantine pins quarantine-as-miss at the
+// runner: damaged spill files (truncated, bit-flipped, wrong version,
+// checksum mismatch) are renamed to .corrupt and recomputed, never
+// served.
 func TestBaselineCorruptionQuarantine(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRunner(Options{InstrTarget: 15_000, Seed: 1, BaselineDir: dir})
+	r := NewRunner(Options{InstrTarget: 15_000, Seed: 1, Baseline: openStore(t, dir)})
 	profs, err := Profiles("mcf")
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestBaselineCorruptionQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := BaselineKey(r.aloneConfig(1), profs[0].Name)
+	key := store.Key(r.aloneConfig(1), []string{profs[0].Name})
 	path := filepath.Join(dir, key+".json")
 	pristine, err := os.ReadFile(path)
 	if err != nil {
@@ -148,10 +148,8 @@ func TestBaselineCorruptionQuarantine(t *testing.T) {
 		"truncated":  func(b []byte) []byte { return b[:len(b)/2] },
 		"bitflip":    func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)/2] ^= 0x40; return c },
 		"garbage":    func([]byte) []byte { return []byte("not json at all") },
-		"badversion": func(b []byte) []byte { return reenvelope(t, b, func(e *baselineEnvelope) { e.V = 99 }) },
-		"badsum": func(b []byte) []byte {
-			return reenvelope(t, b, func(e *baselineEnvelope) { e.Sum = "00" + e.Sum[2:] })
-		},
+		"badversion": func(b []byte) []byte { return reenvelope(t, b, "v", 99) },
+		"badsum":     func(b []byte) []byte { return reenvelope(t, b, "sum", strings.Repeat("0", 64)) },
 	}
 	for name, mangle := range damage {
 		t.Run(name, func(t *testing.T) {
@@ -160,7 +158,7 @@ func TestBaselineCorruptionQuarantine(t *testing.T) {
 			}
 			// A fresh store (cold memory) must refuse the damaged entry,
 			// quarantine it, and recompute an identical baseline.
-			r2 := NewRunner(Options{InstrTarget: 15_000, Seed: 1, BaselineDir: dir})
+			r2 := NewRunner(Options{InstrTarget: 15_000, Seed: 1, Baseline: openStore(t, dir)})
 			a, err := r2.Alone(profs[0], 1)
 			if err != nil {
 				t.Fatal(err)
@@ -168,8 +166,8 @@ func TestBaselineCorruptionQuarantine(t *testing.T) {
 			if !reflect.DeepEqual(a, good) {
 				t.Error("recomputed baseline differs from the original")
 			}
-			if st := r2.Baseline().Stats(); st.Misses != 1 || st.Hits != 0 {
-				t.Errorf("stats = %+v, want the damaged entry to count as a miss", st)
+			if st := r2.Baseline().Stats(); st.Misses != 1 || st.Hits != 0 || st.Quarantined != 1 {
+				t.Errorf("stats = %+v, want the damaged entry to count as a quarantined miss", st)
 			}
 			if _, err := os.Stat(path + ".corrupt"); err != nil {
 				t.Errorf("damaged entry not quarantined: %v", err)
@@ -179,14 +177,15 @@ func TestBaselineCorruptionQuarantine(t *testing.T) {
 	}
 }
 
-// reenvelope decodes, mutates, and re-encodes a spilled envelope.
-func reenvelope(t *testing.T, data []byte, mutate func(*baselineEnvelope)) []byte {
+// reenvelope decodes a spilled envelope, sets one field, and re-encodes
+// it.
+func reenvelope(t *testing.T, data []byte, field string, value any) []byte {
 	t.Helper()
-	var env baselineEnvelope
+	env := map[string]any{}
 	if err := json.Unmarshal(data, &env); err != nil {
 		t.Fatal(err)
 	}
-	mutate(&env)
+	env[field] = value
 	out, err := json.Marshal(env)
 	if err != nil {
 		t.Fatal(err)
@@ -194,31 +193,13 @@ func reenvelope(t *testing.T, data []byte, mutate func(*baselineEnvelope)) []byt
 	return out
 }
 
-// FuzzBaselineDecode fuzzes the envelope decoder: arbitrary bytes must
-// produce an error or a well-formed single-thread Result, never a panic
-// and never a Result that violates the alone-run shape.
-func FuzzBaselineDecode(f *testing.F) {
-	res := &sim.Result{Threads: []sim.ThreadResult{{Instructions: 1000, Cycles: 2000}}}
-	s := newMemBaselineStore()
-	s.dir = f.TempDir()
-	if err := s.spill("seed", res); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(s.path("seed"))
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	s, err := store.Open(dir)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	f.Add(valid)
-	f.Add([]byte(`{"v":1,"sum":"","result":null}`))
-	f.Add([]byte(`{"v":2}`))
-	f.Add([]byte(``))
-	f.Add(valid[:len(valid)/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := decodeBaselineEntry("fuzz", data)
-		if err == nil && len(res.Threads) != 1 {
-			t.Errorf("decoder accepted a Result with %d threads", len(res.Threads))
-		}
-	})
+	return s
 }
 
 // TestForkMatrixEquivalence is the fork planner's oracle: a

@@ -13,6 +13,7 @@ import (
 	"stfm/internal/dram"
 	"stfm/internal/metrics"
 	"stfm/internal/sim"
+	"stfm/internal/store"
 	"stfm/internal/telemetry"
 	"stfm/internal/trace"
 )
@@ -39,17 +40,13 @@ type Options struct {
 	// Geometry / Timing override the DRAM organization (Table 5).
 	Geometry *dram.Geometry
 	Timing   *dram.Timing
-	// BaselineDir spills alone-run baselines to a persistent
-	// content-addressed store (DESIGN.md §18): runners and processes
-	// pointed at the same directory share one alone-run fleet instead of
-	// each recomputing the Talone denominators. Empty keeps baselines
-	// in memory only. A directory that cannot be created degrades to
-	// memory-only — the store is an accelerator, never a correctness
-	// dependency.
-	BaselineDir string
-	// Baseline, if non-nil, is an existing store to share (e.g. the
-	// stfm-server's), overriding BaselineDir.
-	Baseline *BaselineStore
+	// Baseline holds the alone-run baselines (the Talone denominators),
+	// keyed by store.Key over each alone config and its one benchmark
+	// (DESIGN.md §18). Runners sharing a store share its alone runs; a
+	// store opened on a directory shares them with other processes, the
+	// stfm-server included. Nil gives the runner a fresh memory-only
+	// store.
+	Baseline *store.Store
 	// ForkWarmup, when positive, plans matrix executions (RunMatrix) as
 	// checkpoint-fork groups: each (mix, protocol) runs once under
 	// FR-FCFS to a checkpoint at this CPU cycle and every policy cell
@@ -82,10 +79,9 @@ type Runner struct {
 	// canceled, in-progress runs abort with partial results and
 	// sim.ErrCanceled / sim.ErrDeadline.
 	ctx context.Context
-	// baseline holds the alone-run baselines: per-key singleflight for
-	// concurrent matrix cells, optionally disk-backed (Options.
-	// BaselineDir) or shared with other components (Options.Baseline).
-	baseline *BaselineStore
+	// baseline holds the alone-run baselines, with per-key singleflight
+	// for concurrent matrix cells (Options.Baseline).
+	baseline *store.Store
 
 	mu   sync.Mutex
 	runs []RunTelemetry
@@ -115,17 +111,11 @@ func NewRunnerContext(ctx context.Context, opts Options) *Runner {
 	if opts.InstrTarget <= 0 {
 		opts.InstrTarget = DefaultOptions().InstrTarget
 	}
-	store := opts.Baseline
-	if store == nil {
-		var err error
-		store, err = NewBaselineStore(opts.BaselineDir)
-		if err != nil {
-			// An unusable spill directory costs persistence, not
-			// correctness: fall back to a memory-only store.
-			store = newMemBaselineStore()
-		}
+	baseline := opts.Baseline
+	if baseline == nil {
+		baseline = new(store.Store)
 	}
-	return &Runner{opts: opts, ctx: ctx, baseline: store}
+	return &Runner{opts: opts, ctx: ctx, baseline: baseline}
 }
 
 // Options returns the runner's options.
@@ -133,7 +123,7 @@ func (r *Runner) Options() Options { return r.opts }
 
 // Baseline returns the runner's alone-baseline store (never nil), so
 // callers can read its hit/miss counters or share it across runners.
-func (r *Runner) Baseline() *BaselineStore { return r.baseline }
+func (r *Runner) Baseline() *store.Store { return r.baseline }
 
 func (r *Runner) baseConfig(policy sim.PolicyKind, cores int) sim.Config {
 	cfg := sim.DefaultConfig(policy, cores)
@@ -150,7 +140,7 @@ func (r *Runner) baseConfig(policy sim.PolicyKind, cores int) sim.Config {
 // aloneConfig is the configuration of one alone-run baseline: the
 // benchmark running alone in the same memory system under FR-FCFS
 // (Section 6.2). Everything that changes the baseline is captured by
-// this config's Fingerprint, which is what BaselineKey hashes.
+// this config's Fingerprint, which is what store.Key hashes.
 func (r *Runner) aloneConfig(channels int) sim.Config {
 	cfg := r.baseConfig(sim.PolicyFRFCFS, 1)
 	cfg.Channels = channels
@@ -163,7 +153,7 @@ func (r *Runner) aloneConfig(channels int) sim.Config {
 // changes the machine (cache mode, refresh timing) changes the Talone
 // denominator with it. Scheduler fields (STFM, CapValue, NFQWeights,
 // the fork knobs) stay at the alone run's FR-FCFS defaults, so a nil or
-// policy-only mutate keeps the BaselineKey that Alone computes.
+// policy-only mutate keeps the key that Alone computes.
 func (r *Runner) aloneConfigFor(shared sim.Config, channels int) sim.Config {
 	cfg := r.aloneConfig(channels)
 	cfg.UseCaches = shared.UseCaches
@@ -178,16 +168,17 @@ func (r *Runner) aloneConfigFor(shared sim.Config, channels int) sim.Config {
 // Alone returns the benchmark's alone-run result in a memory system
 // with the given channel count, computing it on first use. Safe for
 // concurrent use: callers racing on the same baseline block on one
-// compute (BaselineStore.Do), and distinct baselines compute in
+// compute (store.Store.Do), and distinct baselines compute in
 // parallel.
 func (r *Runner) Alone(p trace.Profile, channels int) (sim.ThreadResult, error) {
 	return r.alone(r.aloneConfig(channels), p)
 }
 
 // alone returns p's alone-run result under cfg, through the baseline
-// store.
+// store. The key is the one-benchmark job key, so an alone-shaped
+// stfm-server job and this run share one store entry.
 func (r *Runner) alone(cfg sim.Config, p trace.Profile) (sim.ThreadResult, error) {
-	res, err := r.baseline.Do(r.ctx, BaselineKey(cfg, p.Name), func() (*sim.Result, error) {
+	res, err := r.baseline.Do(r.ctx, store.Key(cfg, []string{p.Name}), func() (*sim.Result, error) {
 		res, err := sim.RunContext(r.ctx, cfg, []trace.Profile{p})
 		if err != nil {
 			return nil, fmt.Errorf("alone run of %s: %w", p.Name, err)

@@ -6,6 +6,7 @@ import (
 
 	"stfm/internal/core"
 	"stfm/internal/sim"
+	"stfm/internal/store"
 	"stfm/internal/trace"
 	"stfm/internal/workloads"
 )
@@ -89,9 +90,10 @@ func TestRunWorkloadCacheModeAlone(t *testing.T) {
 func TestAloneKeyIgnoresPolicyMutate(t *testing.T) {
 	r := NewRunner(Options{InstrTarget: 20_000, MinMisses: 150, Seed: 1})
 	golden := map[int]string{
-		1: "0c262bc21b93f76e0fc6645a914603032984423220f720a5f526877aab79f3ab",
-		2: "96f6f1ceae9dccba4bba17789ad54d1dd59d229504625723568c1ff01a3bcdde",
+		1: "ba8faa3556227e4a20e28866a4a0db9a2a0ff0f67298b080dffc2f8359958823",
+		2: "d97ee248b458779f18ba2c59c805a946c2b877857e00946be932bb71f3c89112",
 	}
+	aloneKey := func(cfg sim.Config) string { return store.Key(cfg, []string{"mcf"}) }
 	mutates := map[string]func(*sim.Config){
 		"nil": nil,
 		"STFM alpha": func(c *sim.Config) {
@@ -101,7 +103,7 @@ func TestAloneKeyIgnoresPolicyMutate(t *testing.T) {
 		"NFQWeights": func(c *sim.Config) { c.NFQWeights = []float64{1, 4} },
 	}
 	for ch, want := range golden {
-		if got := BaselineKey(r.aloneConfig(ch), "mcf"); got != want {
+		if got := aloneKey(r.aloneConfig(ch)); got != want {
 			t.Errorf("Alone key (%d channels) = %s, want %s", ch, got, want)
 		}
 		for name, mutate := range mutates {
@@ -109,13 +111,13 @@ func TestAloneKeyIgnoresPolicyMutate(t *testing.T) {
 			if mutate != nil {
 				mutate(&shared)
 			}
-			if got := BaselineKey(r.aloneConfigFor(shared, ch), "mcf"); got != want {
+			if got := aloneKey(r.aloneConfigFor(shared, ch)); got != want {
 				t.Errorf("%s mutate: alone key (%d channels) = %s, want %s", name, ch, got, want)
 			}
 		}
 		shared := r.baseConfig(sim.PolicySTFM, 2)
 		shared.UseCaches = true
-		if BaselineKey(r.aloneConfigFor(shared, ch), "mcf") == want {
+		if aloneKey(r.aloneConfigFor(shared, ch)) == want {
 			t.Errorf("UseCaches mutate kept the direct-mode alone key (%d channels)", ch)
 		}
 	}

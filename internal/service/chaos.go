@@ -18,8 +18,8 @@ import (
 //
 //	wal.append       one journal record append (before the write)
 //	checkpoint.write one checkpoint snapshot persist
-//	cache.put        one result-cache disk spill
-//	cache.get        one result-cache disk load
+//	cache.put        one Result spill (result cache or baseline store)
+//	cache.get        one Result spill load; crash rules are inert here
 type Chaos struct {
 	mu     sync.Mutex
 	visits map[string]int

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"stfm/internal/experiments"
 	"stfm/internal/sim"
@@ -97,7 +96,7 @@ func (g *forkGroup) compute(ctx context.Context, s *Server) ([]byte, error) {
 }
 
 // Fork expands a fork request against a parent job into child jobs,
-// deduplicating against the result cache exactly like Submit. The
+// deduplicating against the result store exactly like Submit. The
 // parent only contributes its configuration and workload, so it may be
 // in any state — forking a still-queued parent simply runs the warm-up
 // once in the group instead of reusing anything from the parent's run.
@@ -139,49 +138,8 @@ func (s *Server) Fork(parentID string, req ForkRequest) (*SubmitResponse, error)
 			return nil, err
 		}
 		j.forkOf = parentID
+		j.fork = group
 		cells = append(cells, j)
 	}
-
-	var fresh []*job
-	for _, j := range cells {
-		if res, ok := s.cache.Get(j.fp); ok {
-			j.status = StatusDone
-			j.cached = true
-			j.result = res
-			j.finishedAt = time.Now()
-		} else {
-			j.fork = group
-			fresh = append(fresh, j)
-		}
-	}
-	if len(fresh) > 0 {
-		for _, j := range fresh {
-			cfg := j.cfg
-			rec := walRecord{
-				Type:        walSubmit,
-				Job:         j.id,
-				Config:      &cfg,
-				Workload:    j.workload,
-				TimeoutMS:   j.timeout.Milliseconds(),
-				Fingerprint: j.fp,
-			}
-			if err := s.wal.append(rec); err != nil {
-				s.logf("job %s: %v", j.id, err)
-			}
-		}
-		if err := s.queue.TryEnqueue(fresh...); err != nil {
-			return nil, err
-		}
-	}
-	resp := &SubmitResponse{}
-	s.mu.Lock()
-	for _, j := range cells {
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-	}
-	s.mu.Unlock()
-	for _, j := range cells {
-		resp.Jobs = append(resp.Jobs, j.info())
-	}
-	return resp, nil
+	return s.admit(cells, "")
 }

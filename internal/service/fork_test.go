@@ -10,6 +10,7 @@ import (
 
 	"stfm/internal/experiments"
 	"stfm/internal/sim"
+	"stfm/internal/store"
 )
 
 // TestForkEndpoint drives POST /v1/jobs/{id}/fork over real HTTP: fork
@@ -179,7 +180,11 @@ func TestServerBaselineStore(t *testing.T) {
 
 	// The batch side of the contract: a Runner on the same directory
 	// serves Alone() from the server's spill without computing.
-	r := experiments.NewRunner(experiments.Options{InstrTarget: 10_000, Seed: 1, BaselineDir: dir})
+	baselines, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := experiments.NewRunner(experiments.Options{InstrTarget: 10_000, Seed: 1, Baseline: baselines})
 	profs, err := experiments.Profiles("mcf")
 	if err != nil {
 		t.Fatal(err)

@@ -74,10 +74,10 @@ type JobInfo struct {
 	Status   JobStatus      `json:"status"`
 	Policy   sim.PolicyKind `json:"policy"`
 	Workload []string       `json:"workload"`
-	// Fingerprint is the job's content-address: the canonical hash of
-	// (Config, workload) that keys the result cache.
+	// Fingerprint is the job's content address, store.Key(Config,
+	// workload): the key its Result is stored under.
 	Fingerprint string `json:"fingerprint"`
-	// Cached marks jobs served from the result cache without a run.
+	// Cached marks jobs served from a result store without a run.
 	Cached bool `json:"cached"`
 	// Error carries the failure or cancellation cause for terminal
 	// non-done jobs.
@@ -135,12 +135,12 @@ type job struct {
 	timeout     time.Duration
 	submittedAt time.Time
 
-	// recovered / resumeFrom are set during journal replay, before the
-	// job is published: recovered marks the job as reconstructed from
-	// the WAL, resumeFrom points at its last persisted checkpoint ("" to
-	// run from scratch).
-	recovered  bool
-	resumeFrom string
+	// recovered / resume are set during journal replay, before the job
+	// is published: recovered marks the job as reconstructed from the
+	// WAL, resume that a checkpoint was journaled for it (at
+	// Server.checkpointPath).
+	recovered bool
+	resume    bool
 
 	// forkOf / fork are set on fork children before publication: forkOf
 	// names the parent job, fork points at the request's shared warm-up

@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +13,7 @@ import (
 
 	"stfm/internal/experiments"
 	"stfm/internal/sim"
+	"stfm/internal/store"
 )
 
 // The recovery suite: crash the server at injected fault points mid-job
@@ -361,5 +365,254 @@ func TestRecoveryJobIDsDoNotCollide(t *testing.T) {
 	}
 	if parseJobSeq(id2) <= parseJobSeq(id1) {
 		t.Errorf("job sequence went backwards: %s after %s", id2, id1)
+	}
+}
+
+// writeJournal writes records as journal lines with valid checksums, as
+// a damaged or foreign writer could; raw JSON objects let a record
+// carry fields this server does not write.
+func writeJournal(t *testing.T, dir string, records ...map[string]any) {
+	t.Helper()
+	var buf []byte
+	for i, r := range records {
+		r["seq"] = i + 1
+		payload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(payload)
+		buf = append(buf, hex.EncodeToString(sum[:])...)
+		buf = append(buf, ' ')
+		buf = append(buf, payload...)
+		buf = append(buf, '\n')
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walName), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func submitRecord(id string, cfg sim.Config) map[string]any {
+	return map[string]any{"type": walSubmit, "job": id, "config": cfg, "workload": cacheWorkload}
+}
+
+// requireUntouched fails unless path still holds "keep me" and was not
+// quarantined.
+func requireUntouched(t *testing.T, path string) {
+	t.Helper()
+	if data, err := os.ReadFile(path); err != nil || string(data) != "keep me" {
+		t.Errorf("%s was touched: %q, %v", path, data, err)
+	}
+	if _, err := os.Stat(path + ".corrupt"); !os.IsNotExist(err) {
+		t.Errorf("%s was quarantined", path)
+	}
+}
+
+func writeVictim(t *testing.T, path string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte("keep me"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryIgnoresJournaledFingerprint: a done job whose submit
+// record carries a path-like fingerprint is looked up under the key
+// recomputed from its config and workload; the named file is never
+// read or quarantined.
+func TestRecoveryIgnoresJournaledFingerprint(t *testing.T) {
+	root := t.TempDir()
+	victim := filepath.Join(root, "victim.json")
+	writeVictim(t, victim)
+	cfg := quickConfig(31)
+	const id = "j1-0123abcd"
+	submit := submitRecord(id, cfg)
+	submit["fingerprint"] = "../victim"
+	writeJournal(t, filepath.Join(root, "journal"), submit,
+		map[string]any{"type": walComplete, "job": id, "status": StatusDone})
+
+	srv := mustNew(t, Options{Workers: 1, JournalDir: filepath.Join(root, "journal"), CacheDir: filepath.Join(root, "cache")})
+	info := waitServerDone(t, srv, id)
+	drainServer(t, srv)
+	requireUntouched(t, victim)
+	if info.Status != StatusDone || info.Fingerprint != store.Key(cfg, cacheWorkload) {
+		t.Errorf("recovered job = %s under key %s, want done under its recomputed key", info.Status, info.Fingerprint)
+	}
+}
+
+// TestRecoveryDropsForeignJobIDs: a submit record whose ID the server
+// could not have issued is dropped at boot, so the ID never names a
+// checkpoint file to write or delete.
+func TestRecoveryDropsForeignJobIDs(t *testing.T) {
+	root := t.TempDir()
+	victim := filepath.Join(root, "victim.ckpt")
+	writeVictim(t, victim)
+	journal := filepath.Join(root, "journal")
+	writeJournal(t, journal, submitRecord("../../victim", quickConfig(32)))
+
+	srv := mustNew(t, Options{Workers: 1, JournalDir: journal, CheckpointEvery: 40_000})
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Errorf("recovered %d jobs from a foreign ID, want none", len(jobs))
+	}
+	drainServer(t, srv) // a recovered job would run to completion here
+	requireUntouched(t, victim)
+}
+
+// TestRecoveryIgnoresJournaledCheckpointPath: recovery reads a job's
+// checkpoint only at the path derived from its ID; a path journaled in
+// a checkpoint record is never read or quarantined.
+func TestRecoveryIgnoresJournaledCheckpointPath(t *testing.T) {
+	root := t.TempDir()
+	victim := filepath.Join(root, "victim.dat")
+	writeVictim(t, victim)
+	cfg := quickConfig(33)
+	want := referenceResult(t, cfg, cacheWorkload)
+	const id = "j1-0123abcd"
+	journal := filepath.Join(root, "journal")
+	writeJournal(t, journal, submitRecord(id, cfg),
+		map[string]any{"type": walCheckpoint, "job": id, "cycle": 40_000, "path": victim})
+
+	srv := mustNew(t, Options{Workers: 1, JournalDir: journal})
+	info := waitServerDone(t, srv, id)
+	drainServer(t, srv)
+	requireUntouched(t, victim)
+	if info.Status != StatusDone || info.ResumedFromCycle != 0 {
+		t.Fatalf("recovered job = %s from cycle %d, want done from scratch", info.Status, info.ResumedFromCycle)
+	}
+	if rr, _ := srv.Result(id); !reflect.DeepEqual(rr.Result, want) {
+		t.Error("recovered result differs from the uninterrupted run")
+	}
+}
+
+// TestRecoveryRejectsForeignSnapshot: a valid snapshot of another run
+// (STFM, seed 12) at an FR-FCFS seed-13 job's checkpoint path is
+// quarantined; the job runs from scratch to its own Result, which is
+// what a later identical submission is then served.
+func TestRecoveryRejectsForeignSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := quickConfig(13)
+	want := referenceResult(t, cfg, cacheWorkload)
+	other := quickConfig(12)
+	other.Policy = sim.PolicySTFM
+	profs, err := experiments.Profiles(cacheWorkload...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sim.NewSystem(other, profs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sys.CheckpointAt(context.Background(), 40_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := "j1-" + store.Key(cfg, cacheWorkload)[:8]
+	ckpt := filepath.Join(dir, "checkpoints", id+".ckpt")
+	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeJournal(t, dir, submitRecord(id, cfg),
+		map[string]any{"type": walCheckpoint, "job": id, "cycle": 40_000, "path": ckpt})
+
+	srv := mustNew(t, Options{Workers: 1, JournalDir: dir})
+	defer drainServer(t, srv)
+	info := waitServerDone(t, srv, id)
+	if info.Status != StatusDone || info.ResumedFromCycle != 0 {
+		t.Fatalf("recovered job = %s from cycle %d, want done from scratch", info.Status, info.ResumedFromCycle)
+	}
+	if rr, _ := srv.Result(id); !reflect.DeepEqual(rr.Result, want) {
+		t.Errorf("recovered job finished with another run's Result (policy %s)", rr.Result.Policy)
+	}
+	if _, err := os.Stat(ckpt + ".corrupt"); err != nil {
+		t.Errorf("foreign snapshot not quarantined: %v", err)
+	}
+	if again := runOnce(t, srv, cfg, cacheWorkload); !again.Cached || !reflect.DeepEqual(again.Result, want) {
+		t.Error("a resubmission was not served the job's own Result")
+	}
+}
+
+// TestRecoveryResumesSparseConfig: a job submitted with the sparse JSON
+// config an HTTP client sends (fields NewSystem defaults left out)
+// still resumes from its own checkpoint.
+func TestRecoveryResumesSparseConfig(t *testing.T) {
+	dir := t.TempDir()
+	var cfg sim.Config
+	if err := json.Unmarshal([]byte(`{"policy": "FR-FCFS", "instrTarget": 20000}`), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := referenceResult(t, cfg, cacheWorkload)
+
+	chaos := NewChaos(ChaosRule{Point: "checkpoint.write", Visit: 2, Action: ActionCrash})
+	srv1 := mustNew(t, Options{Workers: 1, JournalDir: dir, CheckpointEvery: 40_000, Chaos: chaos})
+	id := submitOne(t, srv1, cfg, cacheWorkload)
+	waitCrashed(t, srv1, chaos, "checkpoint.write", 2)
+
+	srv2 := mustNew(t, Options{Workers: 1, JournalDir: dir, CheckpointEvery: 40_000})
+	defer drainServer(t, srv2)
+	info := waitServerDone(t, srv2, id)
+	if info.Status != StatusDone || info.ResumedFromCycle != 40_000 {
+		t.Fatalf("recovered job = %s from cycle %d, want done from its checkpoint at 40000", info.Status, info.ResumedFromCycle)
+	}
+	if rr, _ := srv2.Result(id); !reflect.DeepEqual(rr.Result, want) {
+		t.Error("resumed result differs from the uninterrupted run")
+	}
+}
+
+// TestRecoveryResumesForkChild: a fork child that ran from its
+// request's shared warm-up snapshot checkpoints as its own fork-shaped
+// config, so after a crash it resumes from that checkpoint instead of
+// rejecting it as another run's.
+func TestRecoveryResumesForkChild(t *testing.T) {
+	dir, cacheDir := t.TempDir(), t.TempDir()
+	cfg := quickConfig(34)
+	child := cfg
+	child.Policy = sim.PolicySTFM
+	child.ForkAtCycle = 40_000
+	child.WarmupPolicy = cfg.Policy
+	want := referenceResult(t, child, cacheWorkload)
+
+	// The parent writes one checkpoint per 40k cycles of its run; the
+	// child's first lands at 80k and the crash at its second.
+	profs, err := experiments.Profiles(cacheWorkload...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sim.NewSystem(cfg, profs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentCkpts := 0
+	if _, err := sys.RunCheckpointed(context.Background(), &sim.CheckpointSink{
+		Every: 40_000,
+		Write: func(int64, []byte) error { parentCkpts++; return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	chaos := NewChaos(ChaosRule{Point: "checkpoint.write", Visit: parentCkpts + 2, Action: ActionCrash})
+	opts := Options{Workers: 1, JournalDir: dir, CacheDir: cacheDir, CheckpointEvery: 40_000}
+	crashing := opts
+	crashing.Chaos = chaos
+	srv1 := mustNew(t, crashing)
+	parentID := submitOne(t, srv1, cfg, cacheWorkload)
+	waitServerDone(t, srv1, parentID)
+	forked, err := srv1.Fork(parentID, ForkRequest{Policies: []sim.PolicyKind{sim.PolicySTFM}, AtCycle: 40_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := forked.Jobs[0].ID
+	waitCrashed(t, srv1, chaos, "checkpoint.write", parentCkpts+2)
+
+	srv2 := mustNew(t, opts)
+	defer drainServer(t, srv2)
+	info := waitServerDone(t, srv2, id)
+	if info.Status != StatusDone || info.ResumedFromCycle != 80_000 {
+		t.Fatalf("recovered fork child = %s from cycle %d, want done from its checkpoint at 80000", info.Status, info.ResumedFromCycle)
+	}
+	if rr, _ := srv2.Result(id); !reflect.DeepEqual(rr.Result, want) {
+		t.Error("resumed fork child differs from a cold run of its config")
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"stfm/internal/experiments"
 	"stfm/internal/memctrl"
 	"stfm/internal/sim"
+	"stfm/internal/store"
 	"stfm/internal/telemetry"
 )
 
@@ -40,8 +41,8 @@ type Options struct {
 	// selects 64. A submission that would exceed it is rejected with
 	// ErrQueueFull (HTTP 429).
 	QueueSize int
-	// CacheDir enables the result cache's on-disk spill; "" keeps the
-	// cache memory-only.
+	// CacheDir is the result cache's spill directory (store.Open); ""
+	// keeps the cache memory-only.
 	CacheDir string
 	// SampleEvery is the progress-sampling interval attached to every
 	// executed job, in DRAM cycles; 0 selects 5000, negative disables
@@ -61,14 +62,13 @@ type Options struct {
 	// period does not change results — only how much work a crash can
 	// lose.
 	CheckpointEvery int64
-	// BaselineDir enables the shared alone-baseline store (DESIGN.md
-	// §18): completed alone-shaped jobs — one benchmark under FR-FCFS,
-	// no fork prefix, exactly the runs experiments.Runner.Alone issues —
-	// are spilled to this content-addressed directory, and submissions
-	// matching a stored baseline are served from it without queueing.
-	// Pointing the server and batch tools (stfm-experiments, stfm-sweep,
-	// stfm-bench -baseline-dir) at the same directory gives them one
-	// alone-run fleet. "" disables the store.
+	// BaselineDir opens the shared alone-baseline store (DESIGN.md
+	// §18): alone-shaped jobs (one benchmark under FR-FCFS, no fork
+	// prefix, exactly the runs experiments.Runner.Alone issues) keep
+	// their Results there instead of in the result cache. Pointing the
+	// server and batch tools (stfm-experiments, stfm-sweep, stfm-bench
+	// -baseline-dir) at the same directory gives them one alone-run
+	// fleet. "" disables the store.
 	BaselineDir string
 	// Chaos installs the deterministic fault-injection harness on the
 	// server's durability paths; nil runs fault-free. Test use.
@@ -77,15 +77,16 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Server owns the queue, worker pool, job table, and result cache. It
+// Server owns the queue, worker pool, job table, and result stores. It
 // serves HTTP through Handler and shuts down through Drain.
 type Server struct {
 	opts  Options
 	queue *queue
-	cache *Cache
-	// baseline is the shared alone-baseline store; nil when
+	// cache and baseline hold completed jobs' Results, each job in
+	// exactly one of them (storeFor). baseline is nil when
 	// Options.BaselineDir is unset.
-	baseline *experiments.BaselineStore
+	cache    *store.Store
+	baseline *store.Store
 	start    time.Time
 
 	// wal / ckptDir are the durable-journal state; nil/"" when
@@ -127,14 +128,13 @@ func New(opts Options) (*Server, error) {
 	if opts.SampleEvery == 0 {
 		opts.SampleEvery = 5000
 	}
-	cache, err := NewCache(opts.CacheDir)
+	cache, err := store.Open(opts.CacheDir)
 	if err != nil {
 		return nil, err
 	}
-	cache.chaos = opts.Chaos
-	var baseline *experiments.BaselineStore
+	var baseline *store.Store
 	if opts.BaselineDir != "" {
-		if baseline, err = experiments.NewBaselineStore(opts.BaselineDir); err != nil {
+		if baseline, err = store.Open(opts.BaselineDir); err != nil {
 			return nil, err
 		}
 	}
@@ -145,6 +145,12 @@ func New(opts Options) (*Server, error) {
 		start:    time.Now(),
 		jobs:     make(map[string]*job),
 		chaos:    opts.Chaos,
+	}
+	if s.chaos != nil {
+		cache.Fault = s.storeFault
+		if baseline != nil {
+			baseline.Fault = s.storeFault
+		}
 	}
 	// Journal replay happens before the queue exists so the queue can be
 	// sized to hold every re-enqueued job: recovery must never drop work
@@ -189,55 +195,38 @@ func New(opts Options) (*Server, error) {
 
 // recoverJobs rebuilds the job table from replayed journal state:
 // terminal jobs reappear with their recorded outcome (done jobs served
-// from the result cache), pending jobs are returned for re-enqueueing —
-// resuming from their last checkpoint when one was journaled. The job
-// ID sequence advances past every recovered ID so new submissions
-// cannot collide.
+// from their store), pending jobs are returned for re-enqueueing,
+// resuming from their checkpoint when one was journaled. Journaled
+// strings never become paths: a record naming an ID the server could
+// not have issued is dropped, the key is recomputed from the config and
+// workload, and the checkpoint path is derived from the ID. The job ID
+// sequence advances past every recovered ID so new submissions cannot
+// collide.
 func (s *Server) recoverJobs(replays []jobReplay) []*job {
 	var pending []*job
 	for _, r := range replays {
-		cfg := *r.submit.Config
-		workload := r.submit.Workload
-		profs, err := experiments.Profiles(workload...)
-		if err != nil {
-			s.logf("journal: job %s: unknown workload, dropped: %v", r.submit.Job, err)
+		id := r.submit.Job
+		if !issuedJobID(id) {
+			s.logf("journal: job %q: not a server-issued ID, dropped", id)
 			continue
 		}
-		fp := r.submit.Fingerprint
-		if fp == "" {
-			fp = Key(cfg, workload)
+		j, err := buildJob(*r.submit.Config, r.submit.Workload, r.submit.TimeoutMS)
+		if err != nil {
+			s.logf("journal: job %s: unknown workload, dropped: %v", id, err)
+			continue
 		}
-		j := &job{
-			id:          r.submit.Job,
-			cfg:         cfg,
-			workload:    append([]string(nil), workload...),
-			profiles:    profs,
-			fp:          fp,
-			maxCycles:   cfg.CycleBudget(profs),
-			timeout:     time.Duration(r.submit.TimeoutMS) * time.Millisecond,
-			submittedAt: time.Now(),
-			recovered:   true,
-			status:      StatusQueued,
-		}
-		for _, t := range cfg.InstrTargets(profs) {
-			j.targetInstr += t
-		}
-		if seq := parseJobSeq(j.id); seq > s.seq {
+		j.id = id
+		j.recovered = true
+		if seq := parseJobSeq(id); seq > s.seq {
 			s.seq = seq
 		}
 		switch {
 		case r.done && r.complete.Status == StatusDone:
-			if res, ok := s.cache.Get(fp); ok {
-				j.status = StatusDone
-				j.cached = true
-				j.result = res
-				j.finishedAt = time.Now()
-			} else {
-				// Journal says done but the result did not survive (cache
-				// was memory-only, or the spill was corrupted): recompute.
-				if r.hasCkpt {
-					j.resumeFrom = r.checkpoint.Path
-				}
+			if !s.serveStored(j) {
+				// Journal says done but the result did not survive (the
+				// store was memory-only, or the spill was corrupted):
+				// recompute.
+				j.resume = r.hasCkpt
 				pending = append(pending, j)
 			}
 		case r.done:
@@ -247,9 +236,7 @@ func (s *Server) recoverJobs(replays []jobReplay) []*job {
 			}
 			j.finishedAt = time.Now()
 		default:
-			if r.hasCkpt {
-				j.resumeFrom = r.checkpoint.Path
-			}
+			j.resume = r.hasCkpt
 			pending = append(pending, j)
 		}
 		s.jobs[j.id] = j
@@ -265,7 +252,7 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Submit validates and enqueues a job request, expanding matrix
-// submissions into one job per (mix, policy) cell. Cache hits complete
+// submissions into one job per (mix, policy) cell. Store hits complete
 // immediately without queueing; for the rest, enqueueing is
 // all-or-nothing — ErrQueueFull (nothing accepted) when the batch does
 // not fit, ErrDraining after shutdown began. Validation failures
@@ -275,23 +262,15 @@ func (s *Server) Submit(req JobRequest) (*SubmitResponse, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.admit(cells, req.Matrix)
+}
+
+// admit completes the cells whose Results are already stored, journals
+// and enqueues the rest, and publishes every cell.
+func (s *Server) admit(cells []*job, matrix string) (*SubmitResponse, error) {
 	var fresh []*job
 	for _, j := range cells {
-		if res, ok := s.cache.Get(j.fp); ok {
-			j.status = StatusDone
-			j.cached = true
-			j.result = res
-			j.finishedAt = time.Now()
-		} else if res, ok := s.baselineGet(j); ok {
-			// Alone-shaped submission with a stored baseline: served from
-			// the shared store, same as a cache hit. Content-addressed by
-			// the identical fingerprint experiments.BaselineKey hashes, so
-			// the stored Result is bit-identical to a fresh run's.
-			j.status = StatusDone
-			j.cached = true
-			j.result = res
-			j.finishedAt = time.Now()
-		} else {
+		if !s.serveStored(j) {
 			fresh = append(fresh, j)
 		}
 	}
@@ -303,12 +282,11 @@ func (s *Server) Submit(req JobRequest) (*SubmitResponse, error) {
 		for _, j := range fresh {
 			cfg := j.cfg
 			rec := walRecord{
-				Type:        walSubmit,
-				Job:         j.id,
-				Config:      &cfg,
-				Workload:    j.workload,
-				TimeoutMS:   j.timeout.Milliseconds(),
-				Fingerprint: j.fp,
+				Type:      walSubmit,
+				Job:       j.id,
+				Config:    &cfg,
+				Workload:  j.workload,
+				TimeoutMS: j.timeout.Milliseconds(),
 			}
 			if err := s.wal.append(rec); err != nil {
 				s.logf("job %s: %v", j.id, err)
@@ -318,7 +296,7 @@ func (s *Server) Submit(req JobRequest) (*SubmitResponse, error) {
 			return nil, err
 		}
 	}
-	resp := &SubmitResponse{Matrix: req.Matrix}
+	resp := &SubmitResponse{Matrix: matrix}
 	s.mu.Lock()
 	for _, j := range cells {
 		s.jobs[j.id] = j
@@ -409,39 +387,85 @@ func (s *Server) expand(req JobRequest) ([]*job, error) {
 
 // aloneShaped reports whether a job is exactly an alone-run baseline:
 // one benchmark under FR-FCFS with no fork prefix, the shape
-// experiments.Runner.Alone computes for every Talone denominator. Only
-// such jobs touch the baseline store; everything else the store would
-// never be asked for.
+// experiments.Runner.Alone computes for every Talone denominator.
 func aloneShaped(cfg sim.Config, workload []string) bool {
 	return len(workload) == 1 && cfg.Policy == sim.PolicyFRFCFS && cfg.ForkAtCycle == 0
 }
 
-// baselineGet serves an alone-shaped job from the shared baseline
-// store, when enabled.
-func (s *Server) baselineGet(j *job) (*sim.Result, bool) {
-	if s.baseline == nil || !aloneShaped(j.cfg, j.workload) {
-		return nil, false
+// storeFor returns the store that holds a job's Result: the baseline
+// store for an alone-shaped job when one is open, the result cache for
+// every other job. Each Result is therefore looked up and spilled in
+// exactly one place, under the job's key.
+func (s *Server) storeFor(j *job) *store.Store {
+	if s.baseline != nil && aloneShaped(j.cfg, j.workload) {
+		return s.baseline
 	}
-	return s.baseline.Get(experiments.BaselineKey(j.cfg, j.workload[0]))
+	return s.cache
 }
 
-// newJob resolves the workload and builds one queued job.
+// serveStored completes a not-yet-published job from its store and
+// reports whether its Result was there. Keys are content addresses, so
+// a stored Result is bit-identical to a fresh run's.
+func (s *Server) serveStored(j *job) bool {
+	res, ok := s.storeFor(j).Get(j.fp)
+	if ok {
+		j.status = StatusDone
+		j.cached = true
+		j.result = res
+		j.finishedAt = time.Now()
+	}
+	return ok
+}
+
+// storeFault is both stores' fault hook: the chaos points cache.put
+// (one Result spill) and cache.get (one spill load).
+func (s *Server) storeFault(op string, data []byte) ([]byte, error) {
+	point := "cache." + op
+	action, ok := s.chaos.at(point)
+	if !ok {
+		return data, nil
+	}
+	switch action {
+	case ActionError:
+		return nil, ErrInjected
+	case ActionCorrupt:
+		corruptByte(data)
+	case ActionCrash:
+		// Only a spill runs on a worker, whose death the harness
+		// simulates; a crash rule on cache.get is inert.
+		if op == "put" {
+			panic(chaosCrash{point: point})
+		}
+	}
+	return data, nil
+}
+
+// newJob resolves the workload and builds one queued job with the next
+// server-issued ID.
 func (s *Server) newJob(cfg sim.Config, workload []string, timeoutMS int64) (*job, error) {
-	profs, err := experiments.Profiles(workload...)
+	j, err := buildJob(cfg, workload, timeoutMS)
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	fp := Key(cfg, workload)
 	s.mu.Lock()
 	s.seq++
-	id := fmt.Sprintf("j%d-%s", s.seq, fp[:8])
+	j.id = fmt.Sprintf("j%d-%s", s.seq, j.fp[:8])
 	s.mu.Unlock()
+	return j, nil
+}
+
+// buildJob resolves the workload and builds a queued job keyed by
+// store.Key; the caller assigns its ID.
+func buildJob(cfg sim.Config, workload []string, timeoutMS int64) (*job, error) {
+	profs, err := experiments.Profiles(workload...)
+	if err != nil {
+		return nil, err
+	}
 	j := &job{
-		id:          id,
 		cfg:         cfg,
 		workload:    append([]string(nil), workload...),
 		profiles:    profs,
-		fp:          fp,
+		fp:          store.Key(cfg, workload),
 		maxCycles:   cfg.CycleBudget(profs),
 		timeout:     time.Duration(timeoutMS) * time.Millisecond,
 		submittedAt: time.Now(),
@@ -554,7 +578,7 @@ func (s *Server) worker() {
 
 // runJob executes one dequeued job and reports whether a simulated
 // crash killed the worker mid-job (in which case every completion side
-// effect — journal record, counters, cache spill — was skipped, leaving
+// effect — journal record, counters, result spill — was skipped, leaving
 // exactly the state a real crash leaves for the next boot to recover).
 func (s *Server) runJob(j *job) (crashed bool) {
 	defer func() {
@@ -624,13 +648,8 @@ func (s *Server) runJob(j *job) (crashed bool) {
 		// process on the same directory, and a "done" record implies
 		// the result is retrievable, so a crash before either re-runs
 		// the job instead of losing its result.
-		if cerr := s.cache.Put(j.fp, res); cerr != nil {
-			s.logf("job %s: %v", j.id, cerr)
-		}
-		if s.baseline != nil && aloneShaped(j.cfg, j.workload) {
-			// Feed the shared baseline store too, so batch tools pointed
-			// at the same -baseline-dir skip this alone run entirely.
-			s.baseline.Put(experiments.BaselineKey(j.cfg, j.workload[0]), res)
+		if serr := s.storeFor(j).Put(j.fp, res); serr != nil {
+			s.logf("job %s: %v", j.id, serr)
 		}
 	case errors.Is(err, sim.ErrCanceled):
 		status = StatusCanceled
@@ -660,7 +679,7 @@ func (s *Server) runJob(j *job) (crashed bool) {
 	if s.ckptDir != "" {
 		// The journal has the job's terminal state; its checkpoint is
 		// dead weight now.
-		os.Remove(filepath.Join(s.ckptDir, j.id+".ckpt"))
+		os.Remove(s.checkpointPath(j.id))
 	}
 
 	s.mu.Lock()
@@ -693,8 +712,8 @@ const defaultCheckpointEvery = 250_000
 // verification), checkpointed periodically when journaling is enabled.
 func (s *Server) execute(ctx context.Context, j *job, cfg sim.Config) (*sim.Result, error) {
 	sink := s.checkpointSink(j)
-	if j.resumeFrom != "" {
-		if sys := s.restoreSystem(j, cfg); sys != nil {
+	if j.resume {
+		if sys := s.restoreSystem(j); sys != nil {
 			if sink != nil {
 				return sys.RunCheckpointed(ctx, sink)
 			}
@@ -735,20 +754,25 @@ func (s *Server) execute(ctx context.Context, j *job, cfg sim.Config) (*sim.Resu
 	return sys.RunContext(ctx)
 }
 
-// restoreSystem rebuilds a job's simulator from its last checkpoint.
-// Any failure — missing file, checksum mismatch, shape validation —
-// quarantines the artifact as .corrupt and returns nil so the caller
-// reruns from scratch: a damaged checkpoint costs recomputation, never
-// a wrong result and never a lost job.
-func (s *Server) restoreSystem(j *job, cfg sim.Config) *sim.System {
-	data, err := os.ReadFile(j.resumeFrom)
+// restoreSystem rebuilds a job's simulator from its checkpoint. Any
+// failure (missing file, checksum mismatch, shape validation, or a
+// snapshot of another run) quarantines the file as .corrupt and
+// returns nil so the caller reruns from scratch: a damaged or foreign
+// checkpoint costs recomputation, never a wrong result and never a
+// lost job.
+func (s *Server) restoreSystem(j *job) *sim.System {
+	path := s.checkpointPath(j.id)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		s.logf("job %s: checkpoint unreadable, running from scratch: %v", j.id, err)
 		return nil
 	}
 	sys, err := sim.Restore(data, &sim.RestoreOptions{Telemetry: j.col})
+	if err == nil && !sys.Simulates(j.cfg, j.workload) {
+		err = errors.New("snapshot of another run")
+	}
 	if err != nil {
-		if qerr := quarantine(j.resumeFrom); qerr != nil {
+		if qerr := store.Quarantine(path); qerr != nil {
 			s.logf("job %s: %v", j.id, qerr)
 		}
 		s.logf("job %s: checkpoint rejected (quarantined as .corrupt), running from scratch: %v", j.id, err)
@@ -759,6 +783,13 @@ func (s *Server) restoreSystem(j *job, cfg sim.Config) *sim.System {
 	j.mu.Unlock()
 	s.logf("job %s: resumed from checkpoint at cycle %d", j.id, sys.Now())
 	return sys
+}
+
+// checkpointPath is where a journaled job's checkpoint lives. It is
+// derived from the server-issued job ID by the writer and by recovery
+// alike; the journal never supplies a path.
+func (s *Server) checkpointPath(id string) string {
+	return filepath.Join(s.ckptDir, id+".ckpt")
 }
 
 // checkpointSink builds the periodic-snapshot sink for a journaled job;
@@ -774,11 +805,10 @@ func (s *Server) checkpointSink(j *job) *sim.CheckpointSink {
 	if every < 0 {
 		return nil
 	}
-	path := filepath.Join(s.ckptDir, j.id+".ckpt")
 	return &sim.CheckpointSink{
 		Every: every,
 		Write: func(cycle int64, data []byte) error {
-			return s.writeCheckpoint(j, path, cycle, data)
+			return s.writeCheckpoint(j, cycle, data)
 		},
 	}
 }
@@ -786,7 +816,7 @@ func (s *Server) checkpointSink(j *job) *sim.CheckpointSink {
 // writeCheckpoint atomically persists one snapshot and journals it.
 // The checkpoint record is appended only after the rename, so the
 // journal never points at a half-written file.
-func (s *Server) writeCheckpoint(j *job, path string, cycle int64, data []byte) error {
+func (s *Server) writeCheckpoint(j *job, cycle int64, data []byte) error {
 	if action, ok := s.chaos.at("checkpoint.write"); ok {
 		switch action {
 		case ActionError:
@@ -804,38 +834,10 @@ func (s *Server) writeCheckpoint(j *job, path string, cycle int64, data []byte) 
 			return fmt.Errorf("service: checkpoint write: %w", ErrInjected)
 		}
 	}
-	if err := atomicWrite(path, data); err != nil {
+	if err := store.WriteFile(s.checkpointPath(j.id), data); err != nil {
 		return fmt.Errorf("service: checkpoint write: %w", err)
 	}
-	return s.wal.append(walRecord{Type: walCheckpoint, Job: j.id, Cycle: cycle, Path: path})
-}
-
-// atomicWrite persists data to path through a same-directory temp file,
-// fsync, and rename, so path never holds a torn write.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return s.wal.append(walRecord{Type: walCheckpoint, Job: j.id, Cycle: cycle})
 }
 
 // Stats is the GET /v1/stats body.
@@ -859,33 +861,16 @@ type Stats struct {
 	JobMaxMs int64 `json:"jobMaxMs"`
 	// Baseline reports the shared alone-baseline store's counters
 	// (Options.BaselineDir); absent when the store is disabled.
-	Baseline *BaselineInfo `json:"baseline,omitempty"`
-}
-
-// BaselineInfo is the /v1/stats view of the shared alone-baseline
-// store.
-type BaselineInfo struct {
-	// Entries counts in-memory baselines (disk entries load lazily).
-	Entries int `json:"entries"`
-	// Hits / Misses are cumulative lookup counters.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Inflight is the number of baseline computes running right now.
-	Inflight int `json:"inflight"`
+	Baseline *store.Stats `json:"baseline,omitempty"`
 }
 
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
-	hits, misses := s.cache.Stats()
-	var baseline *BaselineInfo
+	cache := s.cache.Stats()
+	var baseline *store.Stats
 	if s.baseline != nil {
 		bs := s.baseline.Stats()
-		baseline = &BaselineInfo{
-			Entries:  s.baseline.Len(),
-			Hits:     bs.Hits,
-			Misses:   bs.Misses,
-			Inflight: bs.Inflight,
-		}
+		baseline = &bs
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -900,9 +885,9 @@ func (s *Server) Stats() Stats {
 		Completed:     s.completed,
 		Failed:        s.failed,
 		Canceled:      s.canceled,
-		CacheEntries:  s.cache.Len(),
-		CacheHits:     hits,
-		CacheMisses:   misses,
+		CacheEntries:  cache.Entries,
+		CacheHits:     cache.Hits,
+		CacheMisses:   cache.Misses,
 		JobP50Ms:      s.durations.Percentile(0.50),
 		JobP95Ms:      s.durations.Percentile(0.95),
 		JobMaxMs:      s.durations.Max(),

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,6 +13,7 @@ import (
 	"sync"
 
 	"stfm/internal/sim"
+	"stfm/internal/store"
 )
 
 // The durable job journal (DESIGN.md §17): an append-only WAL of job
@@ -37,7 +39,7 @@ const walName = "wal.log"
 const (
 	walSubmit     = "submit"     // job accepted: identity + config
 	walStart      = "start"      // a worker began (or resumed) executing
-	walCheckpoint = "checkpoint" // a checkpoint file was persisted
+	walCheckpoint = "checkpoint" // the job's checkpoint file was persisted
 	walComplete   = "complete"   // terminal: done/failed/canceled
 )
 
@@ -47,14 +49,13 @@ type walRecord struct {
 	Seq  int64  `json:"seq"`
 	Type string `json:"type"`
 	Job  string `json:"job"`
-	// submit fields
-	Config      *sim.Config `json:"config,omitempty"`
-	Workload    []string    `json:"workload,omitempty"`
-	TimeoutMS   int64       `json:"timeoutMs,omitempty"`
-	Fingerprint string      `json:"fingerprint,omitempty"`
-	// checkpoint fields
-	Cycle int64  `json:"cycle,omitempty"`
-	Path  string `json:"path,omitempty"`
+	// submit fields; the job's key is recomputed from them, never
+	// journaled
+	Config    *sim.Config `json:"config,omitempty"`
+	Workload  []string    `json:"workload,omitempty"`
+	TimeoutMS int64       `json:"timeoutMs,omitempty"`
+	// checkpoint field; the file's path derives from the job ID
+	Cycle int64 `json:"cycle,omitempty"`
 	// complete fields
 	Status JobStatus `json:"status,omitempty"`
 	Error  string    `json:"error,omitempty"`
@@ -116,26 +117,13 @@ func decodeWALLine(line string) (walRecord, error) {
 		return r, fmt.Errorf("malformed checksum: %w", err)
 	}
 	sum := sha256.Sum256([]byte(payload))
-	if !hmacEqual(sum[:], want) {
+	if !bytes.Equal(sum[:], want) {
 		return r, fmt.Errorf("checksum mismatch")
 	}
 	if err := json.Unmarshal([]byte(payload), &r); err != nil {
 		return r, fmt.Errorf("payload decode: %w", err)
 	}
 	return r, nil
-}
-
-// hmacEqual is a plain constant-length byte comparison (the checksums
-// here detect corruption, not adversaries; no secret is involved).
-func hmacEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var diff byte
-	for i := range a {
-		diff |= a[i] ^ b[i]
-	}
-	return diff == 0
 }
 
 // openWAL opens (creating if needed) the journal in dir and replays
@@ -155,7 +143,7 @@ func openWAL(dir string, chaos *Chaos) (*wal, []walRecord, error) {
 		// Quarantine the damaged file and rewrite a fresh journal from
 		// the valid prefix, so the damage cannot compound on the next
 		// crash.
-		if err := quarantine(path); err != nil {
+		if err := store.Quarantine(path); err != nil {
 			return nil, nil, err
 		}
 		if err := rewriteWAL(path, records); err != nil {
@@ -230,45 +218,17 @@ func replayWAL(path string) ([]walRecord, *WALError, error) {
 	return records, nil, nil
 }
 
-// quarantine renames a damaged file to name.corrupt (replacing any
-// previous quarantine) for post-mortem inspection.
-func quarantine(path string) error {
-	if err := os.Rename(path, path+".corrupt"); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("service: quarantine: %w", err)
-	}
-	return nil
-}
-
 // rewriteWAL atomically replaces the journal with exactly records.
 func rewriteWAL(path string, records []walRecord) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "wal-*.tmp")
-	if err != nil {
-		return fmt.Errorf("service: journal rewrite: %w", err)
-	}
+	var buf []byte
 	for _, r := range records {
 		line, err := encodeWALRecord(r)
 		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
 			return fmt.Errorf("service: journal rewrite: %w", err)
 		}
-		if _, err := tmp.Write(line); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("service: journal rewrite: %w", err)
-		}
+		buf = append(buf, line...)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: journal rewrite: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: journal rewrite: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := store.WriteFile(path, buf); err != nil {
 		return fmt.Errorf("service: journal rewrite: %w", err)
 	}
 	return nil
@@ -380,6 +340,22 @@ func replayJobs(records []walRecord) []jobReplay {
 		out = append(out, *byID[id])
 	}
 	return out
+}
+
+// issuedJobID reports whether id has the form Server.newJob issues,
+// "j<seq>-<first 8 hex digits of the job key>". Recovery drops any
+// other ID, because an ID names the job's checkpoint file.
+func issuedJobID(id string) bool {
+	_, suffix, ok := strings.Cut(id, "-")
+	if !ok || parseJobSeq(id) <= 0 || len(suffix) != 8 {
+		return false
+	}
+	for _, c := range suffix {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // parseJobSeq extracts the numeric sequence from a job ID of the form

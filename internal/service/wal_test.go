@@ -13,11 +13,10 @@ import (
 func walSubmitRecord(job string) walRecord {
 	cfg := sim.DefaultConfig(sim.PolicySTFM, 2)
 	return walRecord{
-		Type:        walSubmit,
-		Job:         job,
-		Config:      &cfg,
-		Workload:    []string{"mcf", "libquantum"},
-		Fingerprint: "deadbeefdeadbeef",
+		Type:     walSubmit,
+		Job:      job,
+		Config:   &cfg,
+		Workload: []string{"mcf", "libquantum"},
 	}
 }
 
@@ -35,7 +34,7 @@ func TestWALRoundTrip(t *testing.T) {
 	appends := []walRecord{
 		walSubmitRecord("j1-deadbeef"),
 		{Type: walStart, Job: "j1-deadbeef"},
-		{Type: walCheckpoint, Job: "j1-deadbeef", Cycle: 40_000, Path: "/x/j1.ckpt"},
+		{Type: walCheckpoint, Job: "j1-deadbeef", Cycle: 40_000},
 		{Type: walComplete, Job: "j1-deadbeef", Status: StatusDone},
 	}
 	for _, r := range appends {
@@ -209,8 +208,8 @@ func TestReplayJobs(t *testing.T) {
 		{Type: walStart, Job: "j1-aaaaaaaa"},
 		{Type: walStart, Job: "j9-nosubmit"}, // no submit record: ignored
 		walSubmitRecord("j3-cccccccc"),
-		{Type: walCheckpoint, Job: "j1-aaaaaaaa", Cycle: 40_000, Path: "/x/j1.ckpt"},
-		{Type: walCheckpoint, Job: "j1-aaaaaaaa", Cycle: 80_000, Path: "/x/j1.ckpt"},
+		{Type: walCheckpoint, Job: "j1-aaaaaaaa", Cycle: 40_000},
+		{Type: walCheckpoint, Job: "j1-aaaaaaaa", Cycle: 80_000},
 		{Type: walComplete, Job: "j2-bbbbbbbb", Status: StatusFailed, Error: "boom"},
 		walSubmitRecord("j1-aaaaaaaa"), // duplicate submit: ignored
 	}

@@ -194,8 +194,11 @@ type RestoreOptions struct {
 	// with Config{Policy: *Policy, WarmupPolicy: <saved policy>,
 	// ForkAtCycle: <snapshot cycle>} (TestForkEquivalence pins it),
 	// which is what lets one warm-up run fan out under K policies.
-	// The override also clears the saved Config's ForkAtCycle and
-	// WarmupPolicy: the fork happens here, not on some later cycle.
+	// The restored system's Config records that fork (Policy,
+	// WarmupPolicy = the saved policy, ForkAtCycle = the snapshot
+	// cycle), so its own checkpoints restore, and answer Simulates, as
+	// the scratch run it continues. A snapshot at cycle 0, or of a run
+	// that had itself forked, restores as a plain run of Policy.
 	Policy *PolicyKind
 }
 
@@ -234,6 +237,11 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 	s, err := NewSystem(cfg, p.Profiles)
 	if err != nil {
 		return nil, &CheckpointError{Stage: "restore", Err: err}
+	}
+	if forked && p.Now > 0 && p.Config.ForkAtCycle == 0 {
+		// runLoop's s.now guard skips the switch this restore already made.
+		s.cfg.ForkAtCycle = p.Now
+		s.cfg.WarmupPolicy = p.Config.Policy
 	}
 	// A checkpoint of a fork-mode scratch run taken at-or-after its
 	// switch cycle carries the TARGET policy's registers, but NewSystem

@@ -363,3 +363,37 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestSimulatesAppliesDefaults: a system answers for its own config
+// and workload, also when the config leaves out fields NewSystem
+// defaults (a config decoded from a sparse JSON body), and for no
+// other seed, policy or workload.
+func TestSimulatesAppliesDefaults(t *testing.T) {
+	names := []string{"mcf", "libquantum"}
+	sparse := Config{Policy: PolicyFRFCFS, InstrTarget: 20_000}
+	s, err := NewSystem(sparse, profilesByName(t, names...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.CheckpointAt(context.Background(), 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []*System{s, restored} {
+		if !sys.Simulates(sparse, names) {
+			t.Error("system does not identify as its own sparse config")
+		}
+		other := sparse
+		other.Seed = 2
+		stfm := sparse
+		stfm.Policy = PolicySTFM
+		if sys.Simulates(other, names) || sys.Simulates(stfm, names) ||
+			sys.Simulates(sparse, []string{"libquantum", "mcf"}) || sys.Simulates(sparse, names[:1]) {
+			t.Error("system identifies as another run")
+		}
+	}
+}

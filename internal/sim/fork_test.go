@@ -204,3 +204,64 @@ func TestForkFingerprint(t *testing.T) {
 		t.Error("different warm-up policies share a digest")
 	}
 }
+
+// TestForkedRestoreCheckpointsAsScratchRun pins the identity a
+// policy-override restore records: the forked system, and every
+// checkpoint it takes, simulates the scratch fork config (not the plain
+// target config), and such a checkpoint resumes to the scratch run's
+// Result.
+func TestForkedRestoreCheckpointsAsScratchRun(t *testing.T) {
+	const switchAt = 60_000
+	names := []string{"mcf", "libquantum"}
+	cfg := forkTestConfig(PolicySTFM, "")
+	scratch := cfg
+	scratch.ForkAtCycle = switchAt
+	scratch.WarmupPolicy = PolicyNFQ
+	oracle := runReference(t, scratch, names...)
+
+	warm := cfg
+	warm.Policy = PolicyNFQ
+	s, err := NewSystem(warm, profilesByName(t, names...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.CheckpointAt(context.Background(), switchAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := PolicySTFM
+	forked, err := Restore(snap, &RestoreOptions{Policy: &target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !forked.Simulates(scratch, names) || forked.Simulates(cfg, names) {
+		t.Fatal("forked system does not identify as the scratch fork run")
+	}
+	var snaps [][]byte
+	res, err := forked.RunCheckpointed(context.Background(), &CheckpointSink{
+		Every: 40_000,
+		Write: func(_ int64, data []byte) error {
+			snaps = append(snaps, append([]byte(nil), data...))
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, "checkpointed fork vs scratch switch", res, oracle)
+	if len(snaps) == 0 {
+		t.Fatal("forked run took no checkpoint")
+	}
+	resumed, err := Restore(snaps[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resumed.Simulates(scratch, names) {
+		t.Error("forked run's checkpoint does not identify as the scratch fork run")
+	}
+	res, err = resumed.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, "resume from forked run's checkpoint", res, oracle)
+}

@@ -303,15 +303,7 @@ func NewSystem(cfg Config, profiles []trace.Profile) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.InstrTarget <= 0 {
-		cfg.InstrTarget = 300_000
-	}
-	if cfg.MSHRs <= 0 {
-		cfg.MSHRs = 64
-	}
-	if cfg.CoreCfg.Width == 0 {
-		cfg.CoreCfg = cpu.DefaultConfig()
-	}
+	cfg = cfg.withDefaults()
 	channels := cfg.Channels
 	if channels == 0 {
 		channels = ProtocolChannels(cfg.Protocol, n)
@@ -436,6 +428,39 @@ func (cfg Config) InstrTargets(profiles []trace.Profile) []int64 {
 		}
 	}
 	return out
+}
+
+// withDefaults fills in the zero-valued fields NewSystem defaults, so a
+// config decoded with fields left out and the config its System runs
+// compare equal.
+func (cfg Config) withDefaults() Config {
+	if cfg.InstrTarget <= 0 {
+		cfg.InstrTarget = 300_000
+	}
+	if cfg.MSHRs <= 0 {
+		cfg.MSHRs = 64
+	}
+	if cfg.CoreCfg.Width == 0 {
+		cfg.CoreCfg = cpu.DefaultConfig()
+	}
+	return cfg
+}
+
+// Simulates reports whether the system runs cfg over the named
+// benchmarks: the same names in core order, and equal fingerprints once
+// NewSystem's defaults are applied to cfg. A restored system answers
+// for the run that took its snapshot, which is how the service refuses
+// to resume a job from another job's checkpoint.
+func (s *System) Simulates(cfg Config, benchmarks []string) bool {
+	if len(benchmarks) != len(s.profiles) {
+		return false
+	}
+	for i, p := range s.profiles {
+		if p.Name != benchmarks[i] {
+			return false
+		}
+	}
+	return cfg.withDefaults().Fingerprint() == s.cfg.Fingerprint()
 }
 
 // CycleBudget returns the cycle cap RunContext enforces for this
