@@ -8,8 +8,9 @@ import (
 // This file implements memctrl.StatefulPolicy for STFM (DESIGN.md
 // §17). The Table 1 registers and the derived per-cycle fairness state
 // are serialized; configuration (alpha, gamma, weights, interval
-// length) is rebuilt by NewSTFM from sim config. RestoreState
-// validates every shape: checkpoints are untrusted input.
+// length) is rebuilt by NewSTFM from sim config. The order epoch is a
+// cache key, not state, and is not saved (memctrl.Policy.OrderEpoch).
+// RestoreState validates every shape: checkpoints are untrusted input.
 
 type stfmState struct {
 	TSharedBase  []int64   `json:"tsharedBase"`
@@ -23,7 +24,6 @@ type stfmState struct {
 	Unfairness   float64   `json:"unfairness"`
 	TMax         int       `json:"tmax"`
 	OrderKey     int       `json:"orderKey"`
-	OrderEpoch   uint64    `json:"orderEpoch"`
 
 	FairnessCycles int64     `json:"fairnessCycles"`
 	TotalCycles    int64     `json:"totalCycles"`
@@ -46,7 +46,6 @@ func (s *STFM) SaveState() ([]byte, error) {
 		Unfairness:     s.unfairness,
 		TMax:           s.tmax,
 		OrderKey:       s.orderKey,
-		OrderEpoch:     s.orderEpoch,
 		FairnessCycles: s.fairnessCycles,
 		TotalCycles:    s.totalCycles,
 		IntervalResets: s.intervalResets,
@@ -104,7 +103,6 @@ func (s *STFM) RestoreState(data []byte) error {
 	s.unfairness = st.Unfairness
 	s.tmax = st.TMax
 	s.orderKey = st.OrderKey
-	s.orderEpoch = st.OrderEpoch
 	s.fairnessCycles = st.FairnessCycles
 	s.totalCycles = st.TotalCycles
 	s.intervalResets = st.IntervalResets

@@ -114,7 +114,7 @@ type STFM struct {
 	// orderKey/orderEpoch track the only mutable state Less consults:
 	// whether the fairness rule is engaged and, if so, which thread
 	// jumps the queue. The epoch bumps when that key changes, licensing
-	// the controller's per-bank winner memo (memctrl.OrderingPolicy) —
+	// the controller's per-bank winner memo (memctrl.Policy.OrderEpoch) —
 	// slowdowns shift every cycle, but the *ordering* usually does not.
 	orderKey   int
 	orderEpoch uint64
@@ -299,7 +299,7 @@ func (s *STFM) BeginCycle(now int64) {
 	}
 }
 
-// OrderEpoch implements memctrl.OrderingPolicy: the comparator's only
+// OrderEpoch implements memctrl.Policy: the comparator's only
 // mutable inputs are the fairness-mode flag and the identity of the
 // most slowed-down thread, both recomputed in BeginCycle.
 func (s *STFM) OrderEpoch() uint64 { return s.orderEpoch }
@@ -505,7 +505,6 @@ func (s *STFM) OnSchedule(_ int64, chosen *memctrl.Candidate, waiting *memctrl.W
 }
 
 var (
-	_ memctrl.Policy         = (*STFM)(nil)
-	_ memctrl.EventPolicy    = (*STFM)(nil)
-	_ memctrl.OrderingPolicy = (*STFM)(nil)
+	_ memctrl.Policy      = (*STFM)(nil)
+	_ memctrl.EventPolicy = (*STFM)(nil)
 )

@@ -23,6 +23,9 @@ func (v *fakeView) HasQueued(t int) bool     { return v.queued[t] }
 func (v *fakeView) QueuedBanks(t int) int    { return v.banks[t] }
 func (v *fakeView) QueuedRequests(t int) int { return v.requests[t] }
 func (v *fakeView) InService(t int) int      { return v.inService[t] }
+func (v *fakeView) AppendQueuedReads(dst []*memctrl.Request, _ int) []*memctrl.Request {
+	return dst
+}
 
 func newFakeView(threads int) *fakeView {
 	return &fakeView{
@@ -437,5 +440,25 @@ func TestSlowdownMonotoneInInterference(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRestoreStateIgnoresOrderEpoch: the order epoch is a cache key, not
+// state, so a checkpoint written while STFM still saved it restores to
+// the same registers.
+func TestRestoreStateIgnoresOrderEpoch(t *testing.T) {
+	f := newFixture(t, 2, DefaultConfig())
+	f.stfm.slowdowns[1] = 1.5
+	f.stfm.orderKey = 1
+	state, err := f.stfm.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := newFixture(t, 2, DefaultConfig()).stfm
+	if err := fresh.RestoreState(append([]byte(`{"orderEpoch":41,`), state[1:]...)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := fresh.SaveState(); string(got) != string(state) {
+		t.Errorf("restored to %s, want %s", got, state)
 	}
 }

@@ -70,7 +70,7 @@ func TestCheckInvariantsCatchesCacheCorruption(t *testing.T) {
 // horizon the edge at now would use, or -1.
 func heldHorizon(c *Controller, now int64) int {
 	for ch, h := range c.chHorizon {
-		if now < h.at && h.at < dram.Horizon && h.orderEp == c.orderEpoch() {
+		if now < h.at && h.at < dram.Horizon && h.orderEp == c.policy.OrderEpoch() {
 			return ch
 		}
 	}
@@ -84,31 +84,11 @@ func rivalMemo(c *Controller) int {
 		ch := idx / c.banksPer
 		draining, useWrites, _ := c.eligibility(ch)
 		q, m := &c.queues[idx], &c.memo[idx]
-		if len(q.reads) > 1 && m.qver == q.ver && m.orderEp == c.orderEpoch() &&
+		if len(q.reads) > 1 && m.qver == q.ver && m.orderEp == c.policy.OrderEpoch() &&
 			m.bankEp == c.channels[ch].Bank(idx%c.banksPer).Epoch() &&
 			m.draining == draining && m.useWrites == useWrites {
 			return idx
 		}
 	}
 	return -1
-}
-
-// unorderedPolicy is neither an OrderingPolicy nor a BatchPolicy.
-type unorderedPolicy struct{}
-
-func (unorderedPolicy) Name() string                           { return "unordered" }
-func (unorderedPolicy) BeginCycle(int64)                       {}
-func (unorderedPolicy) Less(a, b *Candidate) bool              { return a.Req.Older(b.Req) }
-func (unorderedPolicy) OnSchedule(int64, *Candidate, *Waiting) {}
-
-// TestSetPolicyRejectsUnorderedPolicy: the scheduling caches are keyed
-// on the order epoch, so a policy without one is refused outright.
-func TestSetPolicyRejectsUnorderedPolicy(t *testing.T) {
-	c := newEdgeController(t, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("SetPolicy accepted a policy with no order epoch")
-		}
-	}()
-	c.SetPolicy(unorderedPolicy{})
 }

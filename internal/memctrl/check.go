@@ -272,7 +272,7 @@ func (c *Controller) checkFreeList() error {
 //   - no channel whose horizon the next edge would use skips an edge at
 //     which a fresh winner is ready.
 func (c *Controller) checkCaches(now int64) error {
-	orderEp := c.orderEpoch()
+	orderEp := c.policy.OrderEpoch()
 	nextEdge := c.edgeCeil(now)
 	for ch, channel := range c.channels {
 		base := ch * c.banksPer
@@ -296,7 +296,7 @@ func (c *Controller) checkCaches(now int64) error {
 			b := bits.TrailingZeros64(banks)
 			w, readyAt := c.freshWinner(ch, b, draining, useWrites)
 			q, m := &c.queues[base+b], &c.memo[base+b]
-			if c.batch == nil && m.qver == q.ver && m.bankEp == channel.Bank(b).Epoch() && m.orderEp == orderEp &&
+			if m.qver == q.ver && m.bankEp == channel.Bank(b).Epoch() && m.orderEp == orderEp &&
 				m.draining == draining && m.useWrites == useWrites && m.winner != w {
 				return fmt.Errorf("memctrl: (ch %d, bank %d) winner memo names request %d, a fresh tournament picks %d",
 					ch, b, m.winner.ID, w.ID)

@@ -143,17 +143,13 @@ type Controller struct {
 	cfg      Config
 	channels []*dram.Channel
 	policy   Policy
-	// batch/eventPol/ordering cache the policy's optional-interface
-	// assertions, resolved once in SetPolicy so the per-edge path does
-	// not repeat them.
-	batch    BatchPolicy
+	// eventPol caches the policy's EventPolicy assertion, resolved once
+	// in SetPolicy so the per-edge path does not repeat it.
 	eventPol EventPolicy
-	ordering OrderingPolicy
 
 	// banksPer caches Geometry.BanksPerChannel; queues is the request
 	// index, addressed queues[ch*banksPer+bank], and memo the per-bank
-	// winner cache with the same addressing (unused under a
-	// BatchPolicy).
+	// winner cache with the same addressing.
 	banksPer int
 	queues   []bankQueue
 	memo     []bankMemo
@@ -221,16 +217,15 @@ type Controller struct {
 	// work counts scheduling work since construction (Work).
 	work Work
 	// scratch backs the channel's waiting set, built on an issue edge
-	// only when the policy reads it (Waiting.Channel) or every edge when
-	// a BatchPolicy needs it; bankScratch backs one bank's set
-	// (Waiting.Bank), and waiting is the lazily built set handed to
-	// OnSchedule. bankCand[b] holds bank b's level-1 winner once it is
-	// ready (arbitration tracks which entries are current in a ready
-	// mask), and challenger is the stack-avoiding slot candidates are
-	// staged in before comparison (policies receive *Candidate, and a
-	// pointer into controller-owned memory keeps the edge path free of
-	// escape-analysis heap allocations). Channels are scheduled one at a
-	// time, so one set serves them all.
+	// only when the policy reads it (Waiting.Channel); bankScratch backs
+	// one bank's set (Waiting.Bank), and waiting is the lazily built set
+	// handed to OnSchedule. bankCand[b] holds bank b's level-1 winner
+	// once it is ready (arbitration tracks which entries are current in
+	// a ready mask), and challenger is the stack-avoiding slot
+	// candidates are staged in before comparison (policies receive
+	// *Candidate, and a pointer into controller-owned memory keeps the
+	// edge path free of escape-analysis heap allocations). Channels are
+	// scheduled one at a time, so one set serves them all.
 	scratch     []Candidate
 	bankScratch []Candidate
 	waiting     Waiting
@@ -245,10 +240,10 @@ type Controller struct {
 	// policies.
 	reserved [][]*Request
 
-	// CommandTrace, if non-nil, receives every issued command (used by
-	// tests and the trace inspection tool). req is valid only during the
-	// call: the controller recycles a request once it completes, so the
-	// trace must copy what it needs rather than keep the pointer.
+	// CommandTrace, if non-nil, receives every issued command (a test
+	// hook). req is valid only during the call: the controller recycles
+	// a request once it completes, so the trace must copy what it needs
+	// rather than keep the pointer.
 	CommandTrace func(now int64, ch int, cmd dram.Command, req *Request)
 
 	// trace receives request lifecycle and command events when
@@ -325,7 +320,7 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		scratch:        make([]Candidate, 0, bufCap),
 		bankCand:       make([]Candidate, banks),
 	}
-	c.setPolicy(policy)
+	c.SetPolicy(policy)
 	for i := range c.inServiceBank {
 		c.inServiceBank[i] = make([]int16, cfg.Geometry.Channels*banks)
 		c.queuedBank[i] = make([]int16, cfg.Geometry.Channels*banks)
@@ -347,32 +342,10 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 func (c *Controller) Config() Config { return c.cfg }
 
 // SetPolicy installs the scheduling policy. It must be called before
-// the first Tick when the controller was constructed without one. It
-// panics on a policy that is neither a BatchPolicy nor an
-// OrderingPolicy.
-func (c *Controller) SetPolicy(p Policy) { c.setPolicy(p) }
-
-// setPolicy installs p and caches its optional interfaces. It panics
-// on a policy that is neither a BatchPolicy nor an OrderingPolicy: the
-// winner memo and the channel horizons are keyed on the order epoch,
-// so a policy without one cannot be scheduled correctly.
-func (c *Controller) setPolicy(p Policy) {
+// the first Tick when the controller was constructed without one.
+func (c *Controller) SetPolicy(p Policy) {
 	c.policy = p
-	c.batch, _ = p.(BatchPolicy)
 	c.eventPol, _ = p.(EventPolicy)
-	c.ordering, _ = p.(OrderingPolicy)
-	if p != nil && c.batch == nil && c.ordering == nil {
-		panic(fmt.Sprintf("memctrl: policy %s implements neither BatchPolicy nor OrderingPolicy", p.Name()))
-	}
-}
-
-// orderEpoch returns the policy's order epoch, or 0 under a
-// BatchPolicy, whose order is rebuilt by every scan.
-func (c *Controller) orderEpoch() uint64 {
-	if c.ordering == nil {
-		return 0
-	}
-	return c.ordering.OrderEpoch()
 }
 
 // SwitchPolicy replaces the scheduling policy mid-run and normalizes
@@ -397,7 +370,7 @@ func (c *Controller) orderEpoch() uint64 {
 // the switch lands exactly on an unprocessed edge both dense-tick and
 // event-stepped runs process that edge under the new policy.
 func (c *Controller) SwitchPolicy(now int64, p Policy) {
-	c.setPolicy(p)
+	c.SetPolicy(p)
 	for i := range c.memo {
 		c.memo[i] = bankMemo{}
 	}
@@ -542,12 +515,12 @@ func (c *Controller) EnqueueWrite(now int64, thread int, lineAddr uint64) bool {
 // the horizon is lowered to r's ready edge (the other winners are
 // unchanged, so the horizon stays a lower bound).
 //
-// A read to a channel with no reads flips its write eligibility, and
-// a BatchPolicy rebuilds its order on every scan: neither folds.
+// A read to a channel with no reads flips its write eligibility, so it
+// does not fold.
 func (c *Controller) foldRead(now int64, r *Request, q *bankQueue) bool {
 	ch, b := r.Loc.Channel, r.Loc.Bank
 	h := &c.chHorizon[ch]
-	if c.readMask[ch] == 0 || c.batch != nil || h.at == 0 || h.orderEp != c.ordering.OrderEpoch() {
+	if c.readMask[ch] == 0 || h.at == 0 || h.orderEp != c.policy.OrderEpoch() {
 		return false
 	}
 	channel := c.channels[ch]
@@ -627,7 +600,7 @@ func (c *Controller) Tick(now int64) int64 {
 		// the last scan and no bank's winner can issue yet: skip the
 		// rescan outright. The epoch is re-read per channel because an
 		// issue on an earlier channel may have bumped it.
-		orderEp := c.orderEpoch()
+		orderEp := c.policy.OrderEpoch()
 		if h := c.chHorizon[ch]; now < h.at && h.orderEp == orderEp {
 			c.work.HorizonSkips++
 			next = min(next, h.at)
@@ -784,25 +757,17 @@ func (c *Controller) completeFinished(now int64) {
 // chHorizon), so the horizon is exact.
 //
 // The steps are eligibility (the channel's read of the global
-// write-drain hysteresis), level 1 (arbitrateChannel, or
-// arbitrateBatch under a BatchPolicy), level 2 (pickReady), and — on an
-// issue — the commit in issue, which hands the policy a lazily built
-// waiting set (Waiting): a policy pays only for the part of the
-// channel's queues it reads.
+// write-drain hysteresis), level 1 (arbitrateChannel), level 2
+// (pickReady), and — on an issue — the commit in issue, which hands the
+// policy a lazily built waiting set (Waiting): a policy pays only for
+// the part of the channel's queues it reads.
 func (c *Controller) scheduleChannel(ch int, now int64, orderEp uint64) (issued bool, horizon int64) {
 	draining, useWrites, hasWork := c.eligibility(ch)
 	c.draining[ch] = draining
 	if !hasWork {
 		return false, dram.Horizon
 	}
-	var ready uint64
-	var minReady int64
-	var prebuilt []Candidate
-	if c.batch != nil {
-		prebuilt, ready, minReady = c.arbitrateBatch(ch, now, draining, useWrites)
-	} else {
-		ready, minReady = c.arbitrateChannel(ch, now, orderEp, draining, useWrites)
-	}
+	ready, minReady := c.arbitrateChannel(ch, now, orderEp, draining, useWrites)
 	best := c.pickReady(ready, draining)
 	if best == nil {
 		if minReady >= dram.Horizon {
@@ -813,7 +778,7 @@ func (c *Controller) scheduleChannel(ch int, now int64, orderEp uint64) (issued 
 	if c.trace != nil {
 		c.traceInversion(now, ch, best, ready)
 	}
-	c.issue(ch, now, best, c.waiting.reset(ch, now, useWrites, best, prebuilt))
+	c.issue(ch, now, best, c.waiting.reset(ch, now, useWrites, best))
 	return true, 0
 }
 
@@ -919,58 +884,6 @@ func (c *Controller) scanBank(ch, b int, q *bankQueue, channel *dram.Channel, ep
 			}
 		}
 	}
-}
-
-// arbitrateBatch is level 1 under a BatchPolicy (PAR-BS): the policy
-// needs the channel's full waiting set before arbitration (batch
-// formation), so the candidate set is built up front every scan and
-// each bank's winner is picked from it, honoring the reservation lock
-// exactly like scanBank. It returns the set (the waiting set OnSchedule
-// reads) along with arbitrateChannel's results.
-func (c *Controller) arbitrateBatch(ch int, now int64, draining, useWrites bool) (cands []Candidate, ready uint64, minReady int64) {
-	channel := c.channels[ch]
-	base := ch * c.banksPer
-	cands = c.scratch[:0]
-	for banks := c.occupied(ch, useWrites); banks != 0; banks &= banks - 1 {
-		b := bits.TrailingZeros64(banks)
-		q := &c.queues[base+b]
-		epoch := channel.BankEpoch(b)
-		for _, list := range q.eligible(useWrites) {
-			for _, r := range list {
-				refreshMemo(channel, r, epoch)
-				cands = append(cands, candidateFor(r, ch, now))
-			}
-		}
-	}
-	c.scratch = cands[:0]
-	c.batch.PrepareCycle(ch, now, cands)
-
-	var have, locked uint64
-	for i := range cands {
-		cand := &cands[i]
-		b := cand.Cmd.Bank
-		bit := uint64(1) << uint(b)
-		switch {
-		case locked&bit != 0:
-		case c.reserved[ch][b] == cand.Req:
-			c.bankCand[b] = *cand
-			have |= bit
-			locked |= bit
-		case have&bit == 0 || c.better(cand, &c.bankCand[b], draining):
-			c.bankCand[b] = *cand
-			have |= bit
-		}
-	}
-	minReady = dram.Horizon
-	for ; have != 0; have &= have - 1 {
-		b := bits.TrailingZeros64(have)
-		if w := &c.bankCand[b]; w.Ready {
-			ready |= 1 << uint(b)
-		} else if w.Req.cacheReadyAt < minReady {
-			minReady = w.Req.cacheReadyAt
-		}
-	}
-	return cands, ready, minReady
 }
 
 // pickReady is level 2: the across-bank choice among the ready bank
@@ -1189,7 +1102,7 @@ func outcomeFor(kind dram.CommandKind) dram.RowBufferOutcome {
 	}
 }
 
-// --- View implementation (used by the STFM policy) ---
+// --- View implementation (used by the STFM and PAR-BS policies) ---
 
 // NumThreads implements View.
 func (c *Controller) NumThreads() int { return c.cfg.NumThreads }
@@ -1219,6 +1132,16 @@ func (c *Controller) bankServiceDec(r *Request) {
 
 // QueuedRequests implements View.
 func (c *Controller) QueuedRequests(thread int) int { return c.queuedPerThr[thread] }
+
+// AppendQueuedReads implements View: channel ch's waiting reads, bank
+// by bank.
+func (c *Controller) AppendQueuedReads(dst []*Request, ch int) []*Request {
+	base := ch * c.banksPer
+	for banks := c.readMask[ch]; banks != 0; banks &= banks - 1 {
+		dst = append(dst, c.queues[base+bits.TrailingZeros64(banks)].reads...)
+	}
+	return dst
+}
 
 // QueuedBanks implements View: the number of distinct banks for which
 // the thread has a waiting read request. Maintained incrementally by

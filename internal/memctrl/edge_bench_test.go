@@ -17,8 +17,8 @@ import (
 // an import cycle.
 
 // benchFRFCFS mirrors policy.FRFCFS: ready column accesses first, then
-// oldest-first. It implements OrderingPolicy (the comparator is
-// stateless) so the benchmarks exercise the per-bank winner memo the
+// oldest-first. Its order epoch is constant (the comparator is
+// stateless), so the benchmarks exercise the per-bank winner memo the
 // same way the real baseline policy does.
 type benchFRFCFS struct{}
 
@@ -32,8 +32,6 @@ func (benchFRFCFS) Less(a, b *Candidate) bool {
 }
 func (benchFRFCFS) OnSchedule(int64, *Candidate, *Waiting) {}
 func (benchFRFCFS) OrderEpoch() uint64                     { return 0 }
-
-var _ OrderingPolicy = benchFRFCFS{}
 
 // edgeGrid is the sweep from the perf issue: 2/8/16 cores crossed with
 // 1/2/4 channels (the paper scales channels with cores, but the hot

@@ -40,15 +40,16 @@ func (c *Candidate) IsColumn() bool { return c.Cmd.Kind.IsColumn() }
 
 // Policy decides which ready DRAM command the controller issues each
 // DRAM cycle. Implementations are the five schedulers the paper
-// evaluates. The controller calls BeginCycle once per DRAM cycle, then
-// for each channel selects the maximum candidate under Less and calls
-// OnSchedule with the winner and the channel's waiting set.
+// evaluates and two extensions (PAR-BS, TCM). The controller calls
+// BeginCycle once per DRAM cycle, then for each channel selects the
+// maximum candidate under Less and calls OnSchedule with the winner
+// and the channel's waiting set.
 type Policy interface {
 	// Name returns the scheduler's short name (e.g. "FR-FCFS").
 	Name() string
 	// BeginCycle is invoked once per DRAM cycle before any selection,
 	// letting stateful policies (STFM's unfairness check, NFQ's
-	// bookkeeping) update per-cycle state.
+	// bookkeeping, PAR-BS's batch formation) update per-cycle state.
 	BeginCycle(now int64)
 	// Less reports whether candidate a has strictly higher priority
 	// than candidate b. Both candidates are ready commands on the
@@ -66,41 +67,28 @@ type Policy interface {
 	// the policy's own registers, and must not keep waiting, its slices
 	// or the candidates' request pointers past the call.
 	OnSchedule(now int64, chosen *Candidate, waiting *Waiting)
-}
-
-// BatchPolicy is an optional extension interface: policies that need
-// the full per-channel waiting set each cycle (batch formation in
-// PAR-BS-style schedulers) implement it, and the controller calls
-// PrepareCycle with the channel's candidates before arbitration.
-type BatchPolicy interface {
-	// PrepareCycle observes (and may re-batch over) the channel's full
-	// candidate set before this cycle's arbitration.
-	PrepareCycle(channel int, now int64, waiting []Candidate)
-}
-
-// OrderingPolicy is the extension interface that licenses the
-// controller's scheduling caches; every policy that is not a
-// BatchPolicy must implement it (SetPolicy panics otherwise).
-// OrderEpoch returns a counter that the policy bumps whenever internal
-// state consulted by Less changes — i.e. whenever Less(a, b) could
-// return a different answer than it did on an earlier cycle for the
-// same two candidates. While the epoch (together with the bank's state
-// epoch and the bank queue's membership version) is unchanged, the
-// controller reuses the previously selected per-bank winner instead of
-// re-running the Less tournament over the bank's queue, and it keeps a
-// channel's cached no-issue horizon, which is the earliest ready edge
-// among those winners.
-//
-// The contract covers only policy-internal state: candidate-derived
-// inputs (command kind, row-buffer outcome, arrival ID) are tracked by
-// the controller's own epochs. An order that depends on time must bump
-// the epoch when time changes an answer: NFQ's inversion expiry bumps
-// it in BeginCycle on the edge the expiry falls due, and NFQ reports
-// the expiry as its EventPolicy event so the controller ticks that
-// edge. Stateless orders (FR-FCFS, FCFS) return a constant.
-type OrderingPolicy interface {
-	// OrderEpoch returns the current ordering-state counter; see the
-	// interface comment for the exact bumping contract.
+	// OrderEpoch returns a counter that the policy bumps whenever
+	// internal state consulted by Less changes — i.e. whenever Less(a, b)
+	// could return a different answer than it did on an earlier cycle
+	// for the same two candidates. While the epoch (together with the
+	// bank's state epoch and the bank queue's membership version) is
+	// unchanged, the controller reuses the previously selected per-bank
+	// winner instead of re-running the Less tournament over the bank's
+	// queue, and it keeps a channel's cached no-issue horizon, which is
+	// the earliest ready edge among those winners.
+	//
+	// The contract covers only policy-internal state: candidate-derived
+	// inputs (command kind, row-buffer outcome, arrival ID) are tracked
+	// by the controller's own epochs. State that changes only for a
+	// request leaving its queue (PAR-BS unmarking a request whose column
+	// access issued) needs no bump, since the removal already
+	// invalidates its bank. An order that depends on time must bump the
+	// epoch when time changes an answer: NFQ's inversion expiry bumps it
+	// in BeginCycle on the edge the expiry falls due, and NFQ reports the
+	// expiry as its EventPolicy event so the controller ticks that edge.
+	// Stateless orders (FR-FCFS, FCFS) return a constant. The epoch is a
+	// cache key, not state: checkpoints do not carry it, because a
+	// restored controller starts with every memo and horizon empty.
 	OrderEpoch() uint64
 }
 
@@ -122,7 +110,8 @@ type EventPolicy interface {
 }
 
 // View is the read-only controller interface given to policies that
-// need global request-buffer state (STFM's bank-parallelism registers).
+// need global request-buffer state (STFM's bank-parallelism registers,
+// PAR-BS's batch formation).
 type View interface {
 	// NumThreads returns the number of hardware threads sharing the
 	// controller.
@@ -145,4 +134,10 @@ type View interface {
 	// HasQueued reports whether the thread has at least one request
 	// waiting in the request buffer.
 	HasQueued(thread int) bool
+	// AppendQueuedReads appends channel ch's waiting reads (column
+	// access not yet issued) to dst, in no particular order, and returns
+	// the extended slice. The controller recycles a request once it
+	// completes, so a policy reads what it needs right away and does not
+	// dereference the pointers later.
+	AppendQueuedReads(dst []*Request, ch int) []*Request
 }

@@ -15,7 +15,7 @@ type FRFCFSCap struct {
 	cap    int
 	counts [][]int // [channel][bank] column accesses serviced past an older row access
 	// epoch counts changes to counts — the only policy state Less reads
-	// — licensing the controller's per-bank winner memo (OrderingPolicy).
+	// — licensing the controller's per-bank winner memo (OrderEpoch).
 	epoch uint64
 }
 
@@ -79,11 +79,8 @@ func (p *FRFCFSCap) OnSchedule(_ int64, chosen *memctrl.Candidate, waiting *memc
 	}
 }
 
-// OrderEpoch implements memctrl.OrderingPolicy: bumped whenever a bank's
+// OrderEpoch implements memctrl.Policy: bumped whenever a bank's
 // reorder budget changes, the only mutable input to Less.
 func (p *FRFCFSCap) OrderEpoch() uint64 { return p.epoch }
 
-var (
-	_ memctrl.Policy         = (*FRFCFSCap)(nil)
-	_ memctrl.OrderingPolicy = (*FRFCFSCap)(nil)
-)
+var _ memctrl.Policy = (*FRFCFSCap)(nil)

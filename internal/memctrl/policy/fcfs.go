@@ -25,11 +25,8 @@ func (*FCFS) Less(a, b *memctrl.Candidate) bool { return a.Req.Older(b.Req) }
 // OnSchedule implements memctrl.Policy; it reads nothing.
 func (*FCFS) OnSchedule(int64, *memctrl.Candidate, *memctrl.Waiting) {}
 
-// OrderEpoch implements memctrl.OrderingPolicy: the comparator is
+// OrderEpoch implements memctrl.Policy: the comparator is
 // stateless, so the ordering never changes.
 func (*FCFS) OrderEpoch() uint64 { return 0 }
 
-var (
-	_ memctrl.Policy         = (*FCFS)(nil)
-	_ memctrl.OrderingPolicy = (*FCFS)(nil)
-)
+var _ memctrl.Policy = (*FCFS)(nil)

@@ -37,11 +37,8 @@ func (*FRFCFS) Less(a, b *memctrl.Candidate) bool {
 // OnSchedule implements memctrl.Policy; it reads nothing.
 func (*FRFCFS) OnSchedule(int64, *memctrl.Candidate, *memctrl.Waiting) {}
 
-// OrderEpoch implements memctrl.OrderingPolicy: the comparator is
+// OrderEpoch implements memctrl.Policy: the comparator is
 // stateless, so the ordering never changes.
 func (*FRFCFS) OrderEpoch() uint64 { return 0 }
 
-var (
-	_ memctrl.Policy         = (*FRFCFS)(nil)
-	_ memctrl.OrderingPolicy = (*FRFCFS)(nil)
-)
+var _ memctrl.Policy = (*FRFCFS)(nil)

@@ -29,11 +29,11 @@ import (
 //   - Ties break oldest-first.
 //
 // Less depends on time only through each bank's inversion expiry at
-// rowBlockedSince + tRAS, so NFQ is an OrderingPolicy: its order epoch
-// bumps in OnSchedule when a VFT or an inversion timer changes, and in
-// BeginCycle when an expiry falls due. It is also an EventPolicy whose
-// event is the earliest pending expiry, so an event-driven controller
-// wakes when one can change a bank's winner.
+// rowBlockedSince + tRAS, so its order epoch bumps in OnSchedule when a
+// VFT or an inversion timer changes, and in BeginCycle when an expiry
+// falls due. It is also an EventPolicy whose event is the earliest
+// pending expiry, so an event-driven controller wakes when one can
+// change a bank's winner.
 type NFQ struct {
 	timing dram.Timing
 	shares []float64
@@ -124,7 +124,7 @@ func (p *NFQ) pendingExpiry() int64 {
 	return next
 }
 
-// OrderEpoch implements memctrl.OrderingPolicy.
+// OrderEpoch implements memctrl.Policy.
 func (p *NFQ) OrderEpoch() uint64 { return p.epoch }
 
 // NextPolicyEvent implements memctrl.EventPolicy: the earliest pending
@@ -214,7 +214,6 @@ func (p *NFQ) OnSchedule(now int64, chosen *memctrl.Candidate, waiting *memctrl.
 }
 
 var (
-	_ memctrl.Policy         = (*NFQ)(nil)
-	_ memctrl.OrderingPolicy = (*NFQ)(nil)
-	_ memctrl.EventPolicy    = (*NFQ)(nil)
+	_ memctrl.Policy      = (*NFQ)(nil)
+	_ memctrl.EventPolicy = (*NFQ)(nil)
 )

@@ -19,7 +19,7 @@ func TestPolicyOrderingProperties(t *testing.T) {
 		NewFCFS(),
 		NewFRFCFSCap(4, 1, 8),
 		NewNFQ(4, 1, 8, tm),
-		NewPARBS(4, 1, 5),
+		NewPARBS(&readsView{threads: 4}, 1, 5),
 	}
 
 	// Build a diverse candidate population.
@@ -30,7 +30,7 @@ func TestPolicyOrderingProperties(t *testing.T) {
 		for bank := 0; bank < 4; bank++ {
 			for _, k := range kinds {
 				cands = append(cands, memctrl.Candidate{
-					Req:     &memctrl.Request{ID: id, Thread: thread, Arrival: int64(id * 7 % 100)},
+					Req:     &memctrl.Request{ID: id, Thread: thread, Arrival: int64(id * 7 % 100), Loc: dram.Location{Bank: bank}},
 					Cmd:     dram.Command{Kind: k, Bank: bank},
 					Ready:   id%3 != 0,
 					Channel: 0,
@@ -42,8 +42,8 @@ func TestPolicyOrderingProperties(t *testing.T) {
 
 	for _, p := range policies {
 		p.BeginCycle(1000)
-		if bp, ok := p.(memctrl.BatchPolicy); ok {
-			bp.PrepareCycle(0, 1000, cands)
+		if pb, ok := p.(*PARBS); ok {
+			pb.form(0, reqsOf(cands))
 		}
 		// Accrue some NFQ virtual time so the comparator sees
 		// non-trivial state.

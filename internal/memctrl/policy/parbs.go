@@ -1,7 +1,8 @@
 package policy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"stfm/internal/memctrl"
 )
@@ -33,7 +34,14 @@ const DefaultMarkingCap = 5
 // Batches are per channel (a simplification; the original forms global
 // batches — with the paper's per-channel bank partitioning the
 // difference is second-order).
+//
+// PAR-BS is an ordinary ordering policy: BeginCycle forms the batch of
+// every drained channel from the reads the controller's View reports,
+// and the order epoch bumps only when a formation changes the marks or
+// the ranks, so the controller's winner memos and channel horizons
+// survive every edge between formations.
 type PARBS struct {
+	view    memctrl.View
 	cap     int
 	threads int
 
@@ -41,15 +49,28 @@ type PARBS struct {
 	marked    []map[uint64]bool // request ID -> marked
 	remaining []int
 	rank      [][]int // [channel][thread] -> rank (smaller is better)
+	// epoch counts formations that changed the marks or the ranks, the
+	// state Less reads (OrderEpoch).
+	epoch uint64
+
+	// Formation scratch, reused across formations.
+	reads             []*memctrl.Request
+	total, maxPerBank []int
+	order             []int
 }
 
-// NewPARBS creates the scheduler for the given thread count and
-// channel count. cap <= 0 selects DefaultMarkingCap.
-func NewPARBS(threads, channels, cap int) *PARBS {
+// NewPARBS creates the scheduler over the controller's view (for its
+// thread count and queued reads) for the given channel count. cap <= 0
+// selects DefaultMarkingCap.
+func NewPARBS(view memctrl.View, channels, cap int) *PARBS {
 	if cap <= 0 {
 		cap = DefaultMarkingCap
 	}
-	p := &PARBS{cap: cap, threads: threads}
+	threads := view.NumThreads()
+	p := &PARBS{
+		view: view, cap: cap, threads: threads,
+		total: make([]int, threads), maxPerBank: make([]int, threads), order: make([]int, threads),
+	}
 	for i := 0; i < channels; i++ {
 		p.marked = append(p.marked, make(map[uint64]bool))
 		p.remaining = append(p.remaining, 0)
@@ -61,64 +82,74 @@ func NewPARBS(threads, channels, cap int) *PARBS {
 // Name implements memctrl.Policy.
 func (*PARBS) Name() string { return "PAR-BS" }
 
-// BeginCycle implements memctrl.Policy.
-func (*PARBS) BeginCycle(int64) {}
-
-// PrepareCycle implements memctrl.BatchPolicy: forms a new batch when
-// the current one has drained.
-func (p *PARBS) PrepareCycle(ch int, _ int64, waiting []memctrl.Candidate) {
-	if p.remaining[ch] > 0 {
-		return
-	}
-	marked := p.marked[ch]
-	for id := range marked {
-		delete(marked, id)
-	}
-
-	// Group waiting reads by (thread, bank), oldest first.
-	type key struct{ thread, bank int }
-	groups := make(map[key][]*memctrl.Request)
-	for i := range waiting {
-		c := &waiting[i]
-		if c.Req.IsWrite {
+// BeginCycle implements memctrl.Policy: forms a new batch on every
+// channel whose batch has drained. A channel without reads still forms
+// one, which resets its ranks to identity: writes are ordered by rank
+// too.
+func (p *PARBS) BeginCycle(int64) {
+	for ch, n := range p.remaining {
+		if n > 0 {
 			continue
 		}
-		k := key{c.Req.Thread, c.Cmd.Bank}
-		groups[k] = append(groups[k], c.Req)
-	}
-	total := make([]int, p.threads)
-	maxPerBank := make([]int, p.threads)
-	for k, reqs := range groups {
-		sort.Slice(reqs, func(i, j int) bool { return reqs[i].ID < reqs[j].ID })
-		n := len(reqs)
-		if n > p.cap {
-			n = p.cap
+		p.reads = p.view.AppendQueuedReads(p.reads[:0], ch)
+		if p.form(ch, p.reads) {
+			p.epoch++
 		}
-		for _, r := range reqs[:n] {
+	}
+}
+
+// form forms channel ch's batch over its waiting reads, which it
+// reorders, and reports whether the marks or ranks changed. The
+// channel's batch must have drained, so no request is marked yet.
+func (p *PARBS) form(ch int, reads []*memctrl.Request) bool {
+	// Mark up to cap of each thread's oldest reads per bank.
+	slices.SortFunc(reads, func(a, b *memctrl.Request) int {
+		if a.Thread != b.Thread {
+			return a.Thread - b.Thread
+		}
+		if a.Loc.Bank != b.Loc.Bank {
+			return a.Loc.Bank - b.Loc.Bank
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	clear(p.total)
+	clear(p.maxPerBank)
+	marked := p.marked[ch]
+	for i := 0; i < len(reads); {
+		t, b := reads[i].Thread, reads[i].Loc.Bank
+		j := i + 1
+		for j < len(reads) && reads[j].Thread == t && reads[j].Loc.Bank == b {
+			j++
+		}
+		n := min(j-i, p.cap)
+		for _, r := range reads[i : i+n] {
 			marked[r.ID] = true
 		}
-		total[k.thread] += n
-		if n > maxPerBank[k.thread] {
-			maxPerBank[k.thread] = n
-		}
+		p.total[t] += n
+		p.maxPerBank[t] = max(p.maxPerBank[t], n)
+		i = j
 	}
 	p.remaining[ch] = len(marked)
 
 	// Max-total ranking: ascending max-per-bank load, then total.
-	order := make([]int, p.threads)
-	for i := range order {
-		order[i] = i
+	for i := range p.order {
+		p.order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ta, tb := order[a], order[b]
-		if maxPerBank[ta] != maxPerBank[tb] {
-			return maxPerBank[ta] < maxPerBank[tb]
+	slices.SortStableFunc(p.order, func(a, b int) int {
+		if p.maxPerBank[a] != p.maxPerBank[b] {
+			return p.maxPerBank[a] - p.maxPerBank[b]
 		}
-		return total[ta] < total[tb]
+		return p.total[a] - p.total[b]
 	})
-	for pos, thread := range order {
-		p.rank[ch][thread] = pos
+	changed := len(marked) > 0
+	rank := p.rank[ch]
+	for pos, thread := range p.order {
+		if rank[thread] != pos {
+			rank[thread] = pos
+			changed = true
+		}
 	}
+	return changed
 }
 
 // Less implements memctrl.Policy: marked-first, row-hit first, rank,
@@ -139,7 +170,9 @@ func (p *PARBS) Less(a, b *memctrl.Candidate) bool {
 }
 
 // OnSchedule implements memctrl.Policy: marked requests leave the
-// batch when their column access issues. It reads no waiting set.
+// batch when their column access issues. It reads no waiting set, and
+// unmarking needs no epoch bump: the request leaves its queue with the
+// same column access.
 func (p *PARBS) OnSchedule(_ int64, chosen *memctrl.Candidate, _ *memctrl.Waiting) {
 	if !chosen.Cmd.Kind.IsColumn() {
 		return
@@ -151,7 +184,8 @@ func (p *PARBS) OnSchedule(_ int64, chosen *memctrl.Candidate, _ *memctrl.Waitin
 	}
 }
 
-var (
-	_ memctrl.Policy      = (*PARBS)(nil)
-	_ memctrl.BatchPolicy = (*PARBS)(nil)
-)
+// OrderEpoch implements memctrl.Policy: bumped by every formation that
+// changes the marks or the ranks.
+func (p *PARBS) OrderEpoch() uint64 { return p.epoch }
+
+var _ memctrl.Policy = (*PARBS)(nil)

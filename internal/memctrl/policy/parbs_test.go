@@ -7,15 +7,37 @@ import (
 	"stfm/internal/memctrl"
 )
 
+// readsView is a memctrl.View whose every channel holds the same
+// scripted queued reads.
+type readsView struct {
+	memctrl.View
+	threads int
+	reads   []*memctrl.Request
+}
+
+func (v *readsView) NumThreads() int { return v.threads }
+func (v *readsView) AppendQueuedReads(dst []*memctrl.Request, _ int) []*memctrl.Request {
+	return append(dst, v.reads...)
+}
+
+// reqsOf returns the candidates' requests.
+func reqsOf(cands []memctrl.Candidate) []*memctrl.Request {
+	var out []*memctrl.Request
+	for i := range cands {
+		out = append(out, cands[i].Req)
+	}
+	return out
+}
+
 func TestPARBSMarkingCap(t *testing.T) {
-	p := NewPARBS(2, 1, 2)
+	p := NewPARBS(&readsView{threads: 2}, 1, 2)
 	// Thread 0 floods bank 0 with 5 requests; thread 1 has 1.
 	var waiting []memctrl.Candidate
 	for i := uint64(1); i <= 5; i++ {
 		waiting = append(waiting, cand(i, 0, dram.CmdRead, 0, int64(i)))
 	}
 	waiting = append(waiting, cand(10, 1, dram.CmdRead, 0, 10))
-	p.PrepareCycle(0, 0, waiting)
+	p.form(0, reqsOf(waiting))
 
 	markedCount := 0
 	for _, c := range waiting[:5] {
@@ -36,12 +58,12 @@ func TestPARBSMarkingCap(t *testing.T) {
 }
 
 func TestPARBSMarkedBeatUnmarked(t *testing.T) {
-	p := NewPARBS(2, 1, 1)
+	p := NewPARBS(&readsView{threads: 2}, 1, 1)
 	old := cand(1, 0, dram.CmdRead, 0, 0)
 	young := cand(2, 0, dram.CmdRead, 0, 5) // same thread/bank, beyond cap
 	hit := cand(3, 1, dram.CmdRead, 1, 9)
 	hit.Outcome = dram.RowHit
-	p.PrepareCycle(0, 0, []memctrl.Candidate{old, young, hit})
+	p.form(0, reqsOf([]memctrl.Candidate{old, young, hit}))
 
 	if !p.marked[0][1] || p.marked[0][2] {
 		t.Fatal("marking state wrong")
@@ -55,14 +77,14 @@ func TestPARBSMarkedBeatUnmarked(t *testing.T) {
 }
 
 func TestPARBSShortestJobFirstRanking(t *testing.T) {
-	p := NewPARBS(2, 1, 5)
+	p := NewPARBS(&readsView{threads: 2}, 1, 5)
 	// Thread 0: 4 requests in one bank (heavy). Thread 1: 1 request.
 	var waiting []memctrl.Candidate
 	for i := uint64(1); i <= 4; i++ {
 		waiting = append(waiting, cand(i, 0, dram.CmdRead, 0, int64(i)))
 	}
 	waiting = append(waiting, cand(10, 1, dram.CmdRead, 1, 10))
-	p.PrepareCycle(0, 0, waiting)
+	p.form(0, reqsOf(waiting))
 
 	if p.rank[0][1] >= p.rank[0][0] {
 		t.Errorf("light thread must rank ahead: rank0=%d rank1=%d", p.rank[0][0], p.rank[0][1])
@@ -77,30 +99,50 @@ func TestPARBSShortestJobFirstRanking(t *testing.T) {
 }
 
 func TestPARBSBatchDrainsAndReforms(t *testing.T) {
-	p := NewPARBS(1, 1, 5)
+	v := &readsView{threads: 1}
+	p := NewPARBS(v, 1, 5)
 	a := cand(1, 0, dram.CmdRead, 0, 0)
-	p.PrepareCycle(0, 0, []memctrl.Candidate{a})
+	v.reads = reqsOf([]memctrl.Candidate{a})
+	p.BeginCycle(0)
 	if p.remaining[0] != 1 {
 		t.Fatalf("remaining = %d", p.remaining[0])
 	}
-	p.OnSchedule(0, &a, memctrl.NewWaiting(nil))
+	// Until the batch drains, a new read joins no batch.
+	b := cand(2, 0, dram.CmdRead, 0, 5)
+	v.reads = reqsOf([]memctrl.Candidate{a, b})
+	p.BeginCycle(5)
+	if p.marked[0][2] {
+		t.Error("a read arriving mid-batch must wait for the next batch")
+	}
+	p.OnSchedule(5, &a, memctrl.NewWaiting(nil))
 	if p.remaining[0] != 0 {
 		t.Fatalf("batch should drain, remaining = %d", p.remaining[0])
 	}
-	// Next PrepareCycle forms a fresh batch.
-	b := cand(2, 0, dram.CmdRead, 0, 5)
-	p.PrepareCycle(0, 10, []memctrl.Candidate{b})
+	// The next edge forms a fresh batch.
+	v.reads = reqsOf([]memctrl.Candidate{b})
+	p.BeginCycle(10)
 	if !p.marked[0][2] {
 		t.Error("new batch must mark the new request")
 	}
 }
 
+// TestPARBSIgnoresWrites: the controller reports only reads to a
+// formation, so a queued write is never marked.
 func TestPARBSIgnoresWrites(t *testing.T) {
-	p := NewPARBS(1, 1, 5)
-	w := cand(1, 0, dram.CmdWrite, 0, 0)
-	w.Req.IsWrite = true
-	p.PrepareCycle(0, 0, []memctrl.Candidate{w})
+	c, err := memctrl.NewController(memctrl.DefaultConfig(1, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPARBS(c, 1, 5)
+	c.SetPolicy(p)
+	if !c.EnqueueWrite(0, 0, 1) || !c.EnqueueRead(0, 0, 2, 0) {
+		t.Fatal("controller refused a request")
+	}
+	p.BeginCycle(0)
 	if p.marked[0][1] {
 		t.Error("writes must not be batched")
+	}
+	if !p.marked[0][2] || p.remaining[0] != 1 {
+		t.Errorf("the read must form the batch alone: marked %v, remaining %d", p.marked[0], p.remaining[0])
 	}
 }

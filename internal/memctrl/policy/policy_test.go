@@ -11,7 +11,7 @@ import (
 // cand builds a candidate with the given shape.
 func cand(id uint64, thread int, kind dram.CommandKind, bank int, arrival int64) memctrl.Candidate {
 	return memctrl.Candidate{
-		Req:     &memctrl.Request{ID: id, Thread: thread, Arrival: arrival},
+		Req:     &memctrl.Request{ID: id, Thread: thread, Arrival: arrival, Loc: dram.Location{Bank: bank}},
 		Cmd:     dram.Command{Kind: kind, Bank: bank},
 		Channel: 0,
 		Ready:   true,
@@ -270,6 +270,103 @@ func TestNFQOrderEpochTracksInversionExpiry(t *testing.T) {
 	p.OnSchedule(tm.RAS, &old, memctrl.NewWaiting([]memctrl.Candidate{old}))
 	if p.OrderEpoch() == ep {
 		t.Error("clearing the inversion timer left the epoch unchanged")
+	}
+}
+
+// TestPARBSOrderEpoch: a formation bumps PAR-BS's order epoch exactly
+// when it changes what Less reads — the marks or the ranks — and
+// unmarking a request whose column access issued does not, since the
+// request leaves its queue with that access.
+func TestPARBSOrderEpoch(t *testing.T) {
+	v := &readsView{threads: 2}
+	p := NewPARBS(v, 1, 5)
+	identity := func() bool { return p.rank[0][0] == 0 && p.rank[0][1] == 1 }
+
+	ep := p.OrderEpoch()
+	p.BeginCycle(0)
+	if p.OrderEpoch() == ep || !identity() {
+		t.Errorf("the first empty formation set ranks %v (epoch %d -> %d), want identity ranks and a bump",
+			p.rank[0], ep, p.OrderEpoch())
+	}
+	ep = p.OrderEpoch()
+	p.BeginCycle(10)
+	if p.OrderEpoch() != ep {
+		t.Error("re-forming an empty batch with identity ranks bumped the epoch")
+	}
+
+	// Marks alone: thread 1's read leaves the ranks at identity.
+	v.reads = reqsOf([]memctrl.Candidate{cand(1, 1, dram.CmdRead, 0, 20)})
+	p.BeginCycle(20)
+	if p.OrderEpoch() == ep || !identity() {
+		t.Errorf("a formation that marked a read: ranks %v, epoch %d -> %d, want identity and a bump",
+			p.rank[0], ep, p.OrderEpoch())
+	}
+	drained := cand(1, 1, dram.CmdRead, 0, 20)
+	p.OnSchedule(30, &drained, memctrl.NewWaiting(nil))
+
+	// Marks and ranks: thread 0 is heavier, so thread 1 ranks first.
+	var batch []memctrl.Candidate
+	for i := uint64(2); i <= 4; i++ {
+		batch = append(batch, cand(i, 0, dram.CmdRead, 0, int64(i)))
+	}
+	batch = append(batch, cand(5, 1, dram.CmdRead, 1, 40))
+	v.reads = reqsOf(batch)
+	ep = p.OrderEpoch()
+	p.BeginCycle(40)
+	if p.OrderEpoch() == ep || p.remaining[0] != 4 || p.rank[0][1] != 0 {
+		t.Fatalf("a ranked formation: remaining %d, ranks %v, epoch %d -> %d",
+			p.remaining[0], p.rank[0], ep, p.OrderEpoch())
+	}
+
+	// Unmarking: an activate leaves the batch alone, and each column
+	// access drains one mark, neither touching the epoch.
+	ep = p.OrderEpoch()
+	act := cand(2, 0, dram.CmdActivate, 0, 2)
+	p.OnSchedule(50, &act, memctrl.NewWaiting(nil))
+	for i := range batch {
+		p.OnSchedule(60, &batch[i], memctrl.NewWaiting(nil))
+	}
+	if p.remaining[0] != 0 || p.OrderEpoch() != ep {
+		t.Errorf("after the batch's column accesses: remaining %d, epoch %d -> %d, want 0 and no bump",
+			p.remaining[0], ep, p.OrderEpoch())
+	}
+
+	// An empty formation after a ranked batch resets the ranks.
+	v.reads = nil
+	p.BeginCycle(70)
+	if p.OrderEpoch() == ep || !identity() {
+		t.Errorf("the empty formation after a ranked batch: ranks %v, epoch %d -> %d, want identity and a bump",
+			p.rank[0], ep, p.OrderEpoch())
+	}
+}
+
+// TestRestoreStateIgnoresOrderEpochs: order epochs are cache keys, not
+// state, so a checkpoint written while TCM and FR-FCFS+Cap still saved
+// theirs restores to the same registers.
+func TestRestoreStateIgnoresOrderEpochs(t *testing.T) {
+	tcm := NewTCM(2)
+	tcm.served[1] = 3
+	tcm.recluster()
+	capped := NewFRFCFSCap(4, 1, 8)
+	capped.counts[0][3] = 2
+	for _, tc := range []struct {
+		saved, fresh memctrl.StatefulPolicy
+		field        string
+	}{
+		{tcm, NewTCM(2), "orderEpoch"},
+		{capped, NewFRFCFSCap(4, 1, 8), "epoch"},
+	} {
+		state, err := tc.saved.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := append([]byte(`{"`+tc.field+`":41,`), state[1:]...)
+		if err := tc.fresh.RestoreState(old); err != nil {
+			t.Fatalf("state with %q: %v", tc.field, err)
+		}
+		if got, _ := tc.fresh.SaveState(); string(got) != string(state) {
+			t.Errorf("state with %q restored to %s, want %s", tc.field, got, state)
+		}
 	}
 }
 

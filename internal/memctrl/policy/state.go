@@ -9,8 +9,10 @@ import (
 // This file implements memctrl.StatefulPolicy for the policies that
 // carry mutable scheduling registers (DESIGN.md §17). Configuration
 // (quanta, caps, shares) is rebuilt by the constructors from sim
-// config; only run-time state is serialized. FR-FCFS and FCFS are
-// stateless and have no entry here. Every RestoreState validates
+// config; only run-time state is serialized. Order epochs are cache
+// keys, not state, and are not saved (memctrl.Policy.OrderEpoch): a
+// restored controller starts with every memo empty. FR-FCFS and FCFS
+// are stateless and have no entry here. Every RestoreState validates
 // shapes and returns an error rather than panicking: checkpoints are
 // untrusted input (FuzzCheckpointDecode).
 
@@ -65,7 +67,6 @@ type tcmState struct {
 	NextCluster   int64   `json:"nextCluster"`
 	NextShuffle   int64   `json:"nextShuffle"`
 	ShuffleOffset int     `json:"shuffleOffset"`
-	OrderEpoch    uint64  `json:"orderEpoch"`
 }
 
 // SaveState implements memctrl.StatefulPolicy.
@@ -77,7 +78,6 @@ func (t *TCM) SaveState() ([]byte, error) {
 		NextCluster:   t.nextCluster,
 		NextShuffle:   t.nextShuffle,
 		ShuffleOffset: t.shuffleOffset,
-		OrderEpoch:    t.orderEpoch,
 	})
 }
 
@@ -102,7 +102,6 @@ func (t *TCM) RestoreState(data []byte) error {
 	t.nextCluster = st.NextCluster
 	t.nextShuffle = st.NextShuffle
 	t.shuffleOffset = st.ShuffleOffset
-	t.orderEpoch = st.OrderEpoch
 	return nil
 }
 
@@ -167,12 +166,11 @@ func (p *PARBS) RestoreState(data []byte) error {
 
 type capState struct {
 	Counts [][]int `json:"counts"`
-	Epoch  uint64  `json:"epoch"`
 }
 
 // SaveState implements memctrl.StatefulPolicy.
 func (f *FRFCFSCap) SaveState() ([]byte, error) {
-	return json.Marshal(capState{Counts: f.counts, Epoch: f.epoch})
+	return json.Marshal(capState{Counts: f.counts})
 }
 
 // RestoreState implements memctrl.StatefulPolicy.
@@ -192,6 +190,5 @@ func (f *FRFCFSCap) RestoreState(data []byte) error {
 	for ch := range st.Counts {
 		copy(f.counts[ch], st.Counts[ch])
 	}
-	f.epoch = st.Epoch
 	return nil
 }

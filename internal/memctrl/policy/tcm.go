@@ -11,32 +11,24 @@ import (
 // scheduler in the research line STFM started, included alongside
 // PAR-BS as an extension beyond the paper's evaluation.
 //
-// Every ClusterQuantum cycles, threads are ranked by measured memory
+// Every clusterQuantum cycles, threads are ranked by measured memory
 // intensity (DRAM reads serviced in the last quantum) and split into
 // two clusters:
 //
 //   - The latency-sensitive cluster holds the least intensive threads,
-//     up to ClusterCapacity of total traffic. Its requests always beat
+//     up to clusterCapacity of total traffic. Its requests always beat
 //     the bandwidth cluster's: they need little bandwidth, so
 //     prioritizing them barely hurts anyone while insulating them from
 //     queueing behind heavy threads.
 //   - The bandwidth-sensitive cluster holds everyone else. Within it,
-//     thread ranks are rotated every ShuffleQuantum ("insertion
+//     thread ranks are rotated every shuffleQuantum ("insertion
 //     shuffle" simplified to rotation) so interference is time-shared
 //     rather than loaded onto whichever thread is unluckiest.
 //
 // Within a priority class, row hits first, then oldest — the usual
 // throughput rules.
 type TCM struct {
-	threads int
-	// ClusterQuantum is the re-clustering period in CPU cycles.
-	ClusterQuantum int64
-	// ShuffleQuantum is the bandwidth-cluster rank rotation period.
-	ShuffleQuantum int64
-	// ClusterCapacity is the fraction of measured traffic admitted to
-	// the latency-sensitive cluster (0.15 in the TCM paper's spirit).
-	ClusterCapacity float64
-
+	threads       int
 	served        []int64 // reads serviced per thread, current quantum
 	latencyClass  []bool
 	rank          []int // smaller = higher priority (both clusters)
@@ -48,16 +40,25 @@ type TCM struct {
 	orderEpoch uint64
 }
 
+// TCM's tuning constants.
+const (
+	// clusterQuantum is the re-clustering period in CPU cycles.
+	clusterQuantum = 1_000_000
+	// shuffleQuantum is the bandwidth-cluster rank rotation period in
+	// CPU cycles (800 DRAM cycles).
+	shuffleQuantum = 8_000
+	// clusterCapacity is the fraction of measured traffic admitted to
+	// the latency-sensitive cluster (0.15 in the TCM paper's spirit).
+	clusterCapacity = 0.15
+)
+
 // NewTCM builds the scheduler for the given thread count.
 func NewTCM(threads int) *TCM {
 	t := &TCM{
-		threads:         threads,
-		ClusterQuantum:  1_000_000, // 1M CPU cycles
-		ShuffleQuantum:  8_000,     // 800 DRAM cycles
-		ClusterCapacity: 0.15,
-		served:          make([]int64, threads),
-		latencyClass:    make([]bool, threads),
-		rank:            make([]int, threads),
+		threads:      threads,
+		served:       make([]int64, threads),
+		latencyClass: make([]bool, threads),
+		rank:         make([]int, threads),
 	}
 	for i := range t.rank {
 		t.rank[i] = i
@@ -74,14 +75,14 @@ func (t *TCM) BeginCycle(now int64) {
 	if now >= t.nextCluster {
 		t.recluster()
 		for t.nextCluster <= now {
-			t.nextCluster += t.ClusterQuantum
+			t.nextCluster += clusterQuantum
 		}
 	}
 	if now >= t.nextShuffle {
 		t.shuffleOffset++
 		t.assignRanks()
 		for t.nextShuffle <= now {
-			t.nextShuffle += t.ShuffleQuantum
+			t.nextShuffle += shuffleQuantum
 		}
 	}
 }
@@ -107,7 +108,7 @@ func (t *TCM) recluster() {
 	for _, s := range t.served {
 		total += s
 	}
-	budget := int64(t.ClusterCapacity * float64(total))
+	budget := int64(clusterCapacity * float64(total))
 	var used int64
 	for i := range t.latencyClass {
 		t.latencyClass[i] = false
@@ -174,12 +175,11 @@ func (t *TCM) OnSchedule(_ int64, chosen *memctrl.Candidate, _ *memctrl.Waiting)
 	}
 }
 
-// OrderEpoch implements memctrl.OrderingPolicy: ranks change only in
+// OrderEpoch implements memctrl.Policy: ranks change only in
 // assignRanks (reclustering and shuffling), which bumps the epoch.
 func (t *TCM) OrderEpoch() uint64 { return t.orderEpoch }
 
 var (
-	_ memctrl.Policy         = (*TCM)(nil)
-	_ memctrl.EventPolicy    = (*TCM)(nil)
-	_ memctrl.OrderingPolicy = (*TCM)(nil)
+	_ memctrl.Policy      = (*TCM)(nil)
+	_ memctrl.EventPolicy = (*TCM)(nil)
 )

@@ -45,7 +45,7 @@ func TestTCMShuffleRotatesBandwidthRanks(t *testing.T) {
 	p.recluster()
 	p.nextCluster = 1 << 62 // isolate the shuffle from re-clustering
 	first := append([]int(nil), p.rank...)
-	p.BeginCycle(p.ShuffleQuantum + 1)
+	p.BeginCycle(shuffleQuantum + 1)
 	changed := false
 	for i := range first {
 		if p.rank[i] != first[i] {

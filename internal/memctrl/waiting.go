@@ -18,8 +18,8 @@ type Waiting struct {
 	now       int64
 	useWrites bool
 	chosen    *Candidate
-	// all is the channel's set once built, or the set the caller
-	// already had (the BatchPolicy path, NewWaiting).
+	// all is the channel's set once built, or the set NewWaiting
+	// wrapped.
 	all     []Candidate
 	haveAll bool
 	// bank is the bank whose candidates bankSet holds (-1: none yet).
@@ -35,11 +35,9 @@ func NewWaiting(all []Candidate) *Waiting {
 }
 
 // reset rearms the controller's Waiting for one issue on channel ch.
-// prebuilt, when non-nil, is the channel's set the caller already built
-// (the BatchPolicy path).
-func (w *Waiting) reset(ch int, now int64, useWrites bool, chosen *Candidate, prebuilt []Candidate) *Waiting {
+func (w *Waiting) reset(ch int, now int64, useWrites bool, chosen *Candidate) *Waiting {
 	w.ch, w.now, w.useWrites, w.chosen = ch, now, useWrites, chosen
-	w.all, w.haveAll = prebuilt, prebuilt != nil
+	w.all, w.haveAll = nil, false
 	w.bank = -1
 	return w
 }

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -106,26 +107,83 @@ func (w *waitingChecker) compare(now int64, view string, got, want []Candidate) 
 	}
 }
 
-// batchChecker routes the same checks through the BatchPolicy path,
-// where the controller passes its already built set through.
-type batchChecker struct{ *waitingChecker }
+// batchChecker runs the same checks under an order that changes
+// mid-run, the way PAR-BS's batches change it: on every edge on which a
+// channel's batch has drained, BeginCycle reads the channel's queued
+// reads through AppendQueuedReads, requires them to equal the bank
+// queues' reads, marks a random eighth and bumps the order epoch; Less
+// puts marked requests first, and a mark leaves with its request's
+// column access.
+type batchChecker struct {
+	*waitingChecker
+	marked    map[uint64]bool
+	remaining []int
+	epoch     uint64
+}
 
-func (batchChecker) PrepareCycle(int, int64, []Candidate) {}
+func (b *batchChecker) BeginCycle(now int64) {
+	c := b.c
+	for ch, n := range b.remaining {
+		if n > 0 {
+			continue
+		}
+		got := c.AppendQueuedReads(nil, ch)
+		var want []*Request
+		for bank := 0; bank < c.banksPer; bank++ {
+			want = append(want, c.queues[ch*c.banksPer+bank].reads...)
+		}
+		for _, s := range [][]*Request{got, want} {
+			sort.Slice(s, func(i, j int) bool { return s[i].ID < s[j].ID })
+		}
+		if !slices.Equal(got, want) {
+			b.t.Fatalf("cycle %d: channel %d AppendQueuedReads returned %d reads, not the %d its bank queues hold", now, ch, len(got), len(want))
+		}
+		for _, r := range got {
+			if b.rng.Intn(8) == 0 {
+				b.marked[r.ID] = true
+				b.remaining[ch]++
+			}
+		}
+		if b.remaining[ch] > 0 {
+			b.epoch++
+		}
+	}
+}
+
+func (b *batchChecker) Less(x, y *Candidate) bool {
+	if mx, my := b.marked[x.Req.ID], b.marked[y.Req.ID]; mx != my {
+		return mx
+	}
+	return b.benchFRFCFS.Less(x, y)
+}
+
+func (b *batchChecker) OnSchedule(now int64, chosen *Candidate, waiting *Waiting) {
+	b.waitingChecker.OnSchedule(now, chosen, waiting)
+	if chosen.IsColumn() && b.marked[chosen.Req.ID] {
+		delete(b.marked, chosen.Req.ID)
+		b.remaining[chosen.Channel]--
+	}
+}
+
+func (b *batchChecker) OrderEpoch() uint64 { return b.epoch }
 
 // TestLazyWaitingSetIsExact drives a 2-channel controller through
 // randomized read/write streams — row hits and conflicts, bursts deep
 // enough to trip write draining, reservation-locked banks, memoized
 // bank winners — and inside every OnSchedule requires Waiting.Bank(b)
 // and Waiting.Channel() to equal the eager pre-issue waiting set field
-// for field, the chosen request's First flag included.
+// for field, the chosen request's First flag included. The batch=true
+// runs do so under batchChecker's changing order.
 func TestLazyWaitingSetIsExact(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("batch=%v/seed=%d", batch, seed), func(t *testing.T) {
 				c := newEdgeController(t, 4, 2)
 				chk := &waitingChecker{t: t, c: c, rng: trace.NewRand(seed), started: make(map[uint64]bool)}
+				var bchk *batchChecker
 				if batch {
-					c.SetPolicy(batchChecker{chk})
+					bchk = &batchChecker{waitingChecker: chk, marked: make(map[uint64]bool), remaining: make([]int, 2)}
+					c.SetPolicy(bchk)
 				} else {
 					c.SetPolicy(chk)
 				}
@@ -138,6 +196,9 @@ func TestLazyWaitingSetIsExact(t *testing.T) {
 					chk.firstChosen == 0 || chk.laterChosen == 0 {
 					t.Fatalf("checks did not cover every shape: %d bank reads, %d channel reads, %d with writes eligible, %d/%d first/later chosen",
 						chk.bankReads, chk.channelReads, chk.withWrites, chk.firstChosen, chk.laterChosen)
+				}
+				if batch && bchk.epoch < 10 {
+					t.Fatalf("only %d batches formed", bchk.epoch)
 				}
 			})
 		}

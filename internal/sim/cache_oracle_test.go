@@ -17,8 +17,8 @@ import (
 // Controller.CheckInvariants recomputes each bank's level-1 winner
 // from scratch and requires every reusable memo to name it and no used
 // horizon to skip an edge at which it is ready. The runs must also
-// exercise what they check: horizon skips everywhere, and memo hits
-// and folds under the memoizing (non-batch) schedulers.
+// exercise what they check: horizon skips, memo hits and enqueue folds
+// under every scheduler, PAR-BS's batches included.
 func TestSchedulingCacheOracle(t *testing.T) {
 	refresh := dram.DefaultTiming().WithRefresh()
 	hbm, err := dram.PresetTiming(dram.HBM)
@@ -68,7 +68,7 @@ func TestSchedulingCacheOracle(t *testing.T) {
 				if w.HorizonSkips == 0 {
 					t.Error("no horizon skip was exercised")
 				}
-				if pol != PolicyPARBS && (w.MemoHits == 0 || w.EnqueueFolds == 0) {
+				if w.MemoHits == 0 || w.EnqueueFolds == 0 {
 					t.Errorf("memo hits (%d) and enqueue folds (%d) were not both exercised", w.MemoHits, w.EnqueueFolds)
 				}
 			})

@@ -26,8 +26,8 @@ func newNFQ(threads int, geom dram.Geometry, timing dram.Timing, weights []float
 	return p, nil
 }
 
-func newPARBS(threads int, geom dram.Geometry, cap int) memctrl.Policy {
-	return policy.NewPARBS(threads, geom.Channels, cap)
+func newPARBS(view memctrl.View, geom dram.Geometry, cap int) memctrl.Policy {
+	return policy.NewPARBS(view, geom.Channels, cap)
 }
 
 func newTCM(threads int) memctrl.Policy { return policy.NewTCM(threads) }

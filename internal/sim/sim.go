@@ -102,7 +102,8 @@ type Config struct {
 	MSHRs int `json:"mshrs"`
 	// STFM configures the STFM policy (zero value = paper defaults).
 	STFM core.Config `json:"stfm"`
-	// CapValue sets FR-FCFS+Cap's cap (0 = the paper's 4).
+	// CapValue sets FR-FCFS+Cap's cap (0 = the paper's 4) and PAR-BS's
+	// per-thread per-bank marking cap (0 = policy.DefaultMarkingCap, 5).
 	CapValue int `json:"capValue"`
 	// NFQWeights, if non-nil, gives NFQ per-thread bandwidth shares
 	// proportional to these weights (Section 7.5).
@@ -503,7 +504,7 @@ func (s *System) buildPolicy(kind PolicyKind, mcfg memctrl.Config) (memctrl.Poli
 	case PolicyNFQ:
 		return newNFQ(len(s.profiles), mcfg.Geometry, mcfg.Timing, s.cfg.NFQWeights)
 	case PolicyPARBS:
-		return newPARBS(len(s.profiles), mcfg.Geometry, s.cfg.CapValue), nil
+		return newPARBS(s.ctrl, mcfg.Geometry, s.cfg.CapValue), nil
 	case PolicyTCM:
 		return newTCM(len(s.profiles)), nil
 	case PolicySTFM:
