@@ -19,16 +19,13 @@
 // compare two commits by running the suite on both. The work counters
 // are deterministic and compare exactly across hosts.
 //
-// A third mode, -suite matrix, benchmarks the checkpoint-fork matrix
-// engine and the persistent alone-baseline store (DESIGN.md §18): the
-// fig5- and protocols-shaped matrices each run three ways — cold
-// (full run per cell, fresh baselines), baseline-cached (full runs
-// against a warm shared store), and fork-amortized (each mix's
-// FR-FCFS warm-up prefix checkpointed once and forked per policy) —
-// and the report (BENCH_matrix.json) records the three wall clocks,
-// the store's hit rate, and the oracle gate: every fork-amortized
-// cell must be bit-identical to an untimed scratch run of the same
-// fork-shaped config.
+// A third mode, -suite matrix, benchmarks the persistent alone-baseline
+// store (DESIGN.md §18): the fig5- and protocols-shaped matrices each
+// run cold (every cell, fresh baselines) and baseline-cached (every
+// cell against a warm shared store), and the report (BENCH_matrix.json)
+// records both wall clocks and the store's hit rate. The suite fails
+// unless every cached cell is bit-identical to its cold cell and every
+// cached baseline is a hit.
 //
 // Usage:
 //
@@ -368,43 +365,11 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out
 }
 
 // matrixSuiteInstrs is the per-thread instruction budget of the matrix
-// suite. Each mix's fork point is matrixWarmupNum/matrixWarmupDen of
-// its own FR-FCFS run length (probed untimed before the passes): mixes
-// range from 0.7M to 3.7M CPU cycles at this budget, so a single
-// global fork cycle would either overshoot the short runs or amortize
-// almost nothing of the long ones, while a per-mix fraction keeps the
-// shared warm-up prefix equally large everywhere.
-const (
-	matrixSuiteInstrs int64 = 60_000
-	matrixWarmupNum   int64 = 3
-	matrixWarmupDen   int64 = 4
-)
-
-// matrixPassMode selects how one timed pass executes the grid.
-type matrixPassMode int
-
-const (
-	// matrixPlain runs every cell full-length under its own policy —
-	// the pre-fork execution model and the cold/cached columns.
-	matrixPlain matrixPassMode = iota
-	// matrixScratch runs every cell full-length but fork-shaped
-	// (ForkAtCycle + WarmupPolicy set via mutate): the untimed scratch
-	// oracle the fork pass is gated against.
-	matrixScratch
-	// matrixFork plans each mix as a checkpoint-fork group
-	// (Options.ForkWarmup): warm-up once, one tail per policy.
-	matrixFork
-)
+// suite.
+const matrixSuiteInstrs int64 = 60_000
 
 // matrixCase is one benchmarked matrix shape: the same grid of
-// (mix, policy[, protocol]) cells timed cold, baseline-cached, and
-// fork-amortized. Cold and cached run the plain grid (every cell
-// full-length under its own policy); the fork pass pays each mix's
-// FR-FCFS warm-up prefix once and simulates only the post-switch tail
-// per policy, which is where its speedup comes from — the report's
-// ForkWarmupFrac states how much of the run is shared prefix. What the
-// fork pass computes is pinned by an untimed scratch pass running each
-// fork-shaped cell cold (CellsIdentical).
+// (mix, policy[, protocol]) cells timed cold and baseline-cached.
 type matrixCase struct {
 	ID        string `json:"id"`
 	Mixes     int    `json:"mixes"`
@@ -412,36 +377,28 @@ type matrixCase struct {
 	Protocols int    `json:"protocols"`
 	Cells     int    `json:"cells"`
 	Instrs    int64  `json:"instr_target"`
-	// ForkWarmupFrac is each mix's policy-switch point as a fraction of
-	// its probed FR-FCFS run length, shared by the fork planner and the
-	// scratch cells' ForkAtCycle.
-	ForkWarmupFrac float64 `json:"fork_warmup_frac"`
 	// Wall clock per full matrix pass (best of -repeat):
-	// cold   = full run per cell + the full alone-baseline fleet;
-	// cached = full run per cell, baselines served by the store;
-	// fork   = checkpoint-fork groups, baselines served by the store.
+	// cold   = every cell + the full alone-baseline fleet;
+	// cached = every cell, baselines served by the store.
 	ColdNs        int64   `json:"cold_ns"`
 	CachedNs      int64   `json:"cached_ns"`
-	ForkNs        int64   `json:"fork_ns"`
 	CachedSpeedup float64 `json:"cached_speedup"`
-	ForkSpeedup   float64 `json:"fork_speedup"`
-	// Baseline-store traffic observed by the fork pass's last
+	// Baseline-store traffic observed by the cached pass's last
 	// repetition; a primed store makes the hit rate 1.0.
 	BaselineHits    int64   `json:"baseline_hits"`
 	BaselineMisses  int64   `json:"baseline_misses"`
 	BaselineHitRate float64 `json:"baseline_hit_rate"`
-	// CellsIdentical is the oracle gate: every fork-amortized cell's
-	// WorkloadResult (raw sim.Result and derived metrics) DeepEquals an
-	// untimed scratch run of the same fork-shaped config.
+	// CellsIdentical is the gate: every cached cell's WorkloadResult
+	// (raw sim.Result and derived metrics) DeepEquals its cold cell.
 	CellsIdentical bool `json:"cells_identical"`
 }
 
 type matrixReport struct {
 	Suite string `json:"suite"`
-	// GOMAXPROCS records the CPU budget: the matrix worker pool and the
-	// fork planner's per-mix groups both scale with real CPUs, so wall
-	// clocks from hosts with different CPU counts are not comparable
-	// (the speedup ratios largely are — both sides use the same pool).
+	// GOMAXPROCS records the CPU budget: the matrix worker pool scales
+	// with real CPUs, so wall clocks from hosts with different CPU
+	// counts are not comparable (the speedup ratio largely is — both
+	// passes use the same pool).
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	Repeat     int          `json:"repeat"`
 	Cases      []matrixCase `json:"cases"`
@@ -449,8 +406,8 @@ type matrixReport struct {
 
 // runMatrixSuite benchmarks the two matrix shapes of DESIGN.md §18
 // against a shared alone-baseline store, writing BENCH_matrix.json.
-// The fork-amortized pass is gated on bit-exactness against the cold
-// pass; a divergence is a hard failure, not a report field.
+// A cached cell that differs from its cold cell, or a cached baseline
+// that misses the store, is a hard failure, not a report field.
 func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, baselineDir, out string) {
 	tempStore := baselineDir == ""
 	if tempStore {
@@ -481,63 +438,28 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 		if len(protocols) == 0 {
 			protocols = []dram.Protocol{""}
 		}
-
-		// Probe (untimed): each mix's plain FR-FCFS run length fixes its
-		// fork point. The probe config replicates a matrix cell's warm-up
-		// run exactly, so the fork cycle is guaranteed to land inside it.
-		warmups := make([][]int64, len(protocols))
-		for pi, proto := range protocols {
-			warmups[pi] = make([]int64, len(spec.Mixes))
-			for mi, m := range spec.Mixes {
-				cfg := sim.DefaultConfig(sim.PolicyFRFCFS, len(m.Profiles))
-				cfg.InstrTarget = matrixSuiteInstrs
-				cfg.MinMisses = 150
-				cfg.Seed = 1
-				cfg.Protocol = proto
-				cfg.Channels = sim.ProtocolChannels(proto, len(m.Profiles))
-				res, err := sim.RunContext(ctx, cfg, m.Profiles)
-				if err != nil {
-					interruptible(err)
-				}
-				warmups[pi][mi] = res.TotalCycles * matrixWarmupNum / matrixWarmupDen
+		options := func(proto dram.Protocol, baselines *store.Store) experiments.Options {
+			return experiments.Options{
+				InstrTarget: matrixSuiteInstrs, MinMisses: 150, Seed: 1,
+				Protocol: proto, Baseline: baselines,
 			}
 		}
 
-		// One full pass over every protocol plane of the grid. Every
-		// pass's runners share one fresh store on dir ("" = memory-only),
-		// so its Stats describe exactly that pass. Mixes run one
-		// RunMatrix call each because the fork planner takes its
-		// (per-mix) warm-up cycle from Options.
-		runPass := func(dir string, mode matrixPassMode) (planes [][]map[sim.PolicyKind]*experiments.WorkloadResult, d time.Duration, stats store.Stats) {
+		// One full pass over every protocol plane of the grid, one
+		// RunMatrix call per plane. Every pass's runners share one fresh
+		// store on dir ("" = memory-only), so its Stats describe exactly
+		// that pass.
+		runPass := func(dir string) (planes [][]map[sim.PolicyKind]*experiments.WorkloadResult, d time.Duration, stats store.Stats) {
 			baselines, err := store.Open(dir)
 			if err != nil {
 				fatal(err)
 			}
 			start := time.Now()
-			for pi, proto := range protocols {
-				plane := make([]map[sim.PolicyKind]*experiments.WorkloadResult, 0, len(spec.Mixes))
-				for mi, mix := range spec.Mixes {
-					w := warmups[pi][mi]
-					opts := experiments.Options{
-						InstrTarget: matrixSuiteInstrs, MinMisses: 150, Seed: 1,
-						Protocol: proto, Baseline: baselines,
-					}
-					var mutate func(*sim.Config)
-					switch mode {
-					case matrixFork:
-						opts.ForkWarmup = w
-					case matrixScratch:
-						mutate = func(cfg *sim.Config) {
-							cfg.ForkAtCycle = w
-							cfg.WarmupPolicy = sim.PolicyFRFCFS
-						}
-					}
-					r := experiments.NewRunnerContext(ctx, opts)
-					res, err := r.RunMatrix([]workloads.Mix{mix}, spec.Policies, mutate)
-					if err != nil {
-						interruptible(err)
-					}
-					plane = append(plane, res[0])
+			for _, proto := range protocols {
+				r := experiments.NewRunnerContext(ctx, options(proto, baselines))
+				plane, err := r.RunMatrix(spec.Mixes, spec.Policies, nil)
+				if err != nil {
+					interruptible(err)
 				}
 				planes = append(planes, plane)
 			}
@@ -545,14 +467,11 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 		}
 
 		// Prime the shared store with the alone fleet (untimed): the
-		// cached and fork passes measure matrix execution against a warm
-		// store, the steady state of repeated sweeps sharing a directory.
-		// The cold pass is indifferent to the disk — it runs memory-only.
+		// cached pass measures matrix execution against a warm store, the
+		// steady state of repeated sweeps sharing a directory. The cold
+		// pass is indifferent to the disk — it runs memory-only.
 		for _, proto := range protocols {
-			r := experiments.NewRunnerContext(ctx, experiments.Options{
-				InstrTarget: matrixSuiteInstrs, MinMisses: 150, Seed: 1,
-				Protocol: proto, Baseline: primed,
-			})
+			r := experiments.NewRunnerContext(ctx, options(proto, primed))
 			channels := sim.ProtocolChannels(proto, len(spec.Mixes[0].Profiles))
 			for _, p := range distinctProfiles(spec.Mixes) {
 				if _, err := r.Alone(p, channels); err != nil {
@@ -561,38 +480,31 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 			}
 		}
 
-		// The untimed scratch oracle: every fork-shaped cell run cold.
-		oraclePlanes, _, _ := runPass(baselineDir, matrixScratch)
-
-		// Timed repetitions interleave the three passes (cold, cached,
-		// fork) and rotate their order every repetition, so neither slow
-		// throughput drift on a shared host nor the suite's own growing
-		// heap systematically favors whichever pass runs first;
-		// best-of-repeat then discards the drifted repetitions. Cold pays
-		// the full alone fleet every repetition (memory-only store per
-		// pass); cached and fork read the primed shared store.
-		var forkPlanes [][]map[sim.PolicyKind]*experiments.WorkloadResult
-		var forkStats store.Stats
+		// Timed repetitions alternate the two passes and swap their order
+		// every repetition, so neither slow throughput drift on a shared
+		// host nor the suite's own growing heap systematically favors
+		// whichever pass runs first; best-of-repeat then discards the
+		// drifted repetitions. Cold pays the full alone fleet every
+		// repetition (memory-only store per pass); cached reads the
+		// primed shared store.
+		var coldPlanes, cachedPlanes [][]map[sim.PolicyKind]*experiments.WorkloadResult
+		var cachedStats store.Stats
 		coldT := time.Duration(1<<63 - 1)
 		cachedT := coldT
-		forkT := coldT
 		passes := []func(){
 			func() {
-				if _, d, _ := runPass("", matrixPlain); d < coldT {
+				planes, d, _ := runPass("")
+				if d < coldT {
 					coldT = d
 				}
+				coldPlanes = planes
 			},
 			func() {
-				if _, d, _ := runPass(baselineDir, matrixPlain); d < cachedT {
+				planes, d, st := runPass(baselineDir)
+				if d < cachedT {
 					cachedT = d
 				}
-			},
-			func() {
-				planes, d, st := runPass(baselineDir, matrixFork)
-				if d < forkT {
-					forkT = d
-				}
-				forkPlanes, forkStats = planes, st
+				cachedPlanes, cachedStats = planes, st
 			},
 		}
 		for i := 0; i < repeat; i++ {
@@ -602,45 +514,33 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 			}
 		}
 
-		identical := true
-		for pi := range oraclePlanes {
-			for mi := range oraclePlanes[pi] {
-				for pol, oracle := range oraclePlanes[pi][mi] {
-					if !reflect.DeepEqual(oracle, forkPlanes[pi][mi][pol]) {
-						identical = false
-					}
-				}
-			}
-		}
-
 		c := matrixCase{
-			ID:             spec.ID,
-			Mixes:          len(spec.Mixes),
-			Policies:       len(spec.Policies),
-			Protocols:      len(spec.Protocols),
-			Cells:          spec.Cells(),
-			Instrs:         matrixSuiteInstrs,
-			ForkWarmupFrac: float64(matrixWarmupNum) / float64(matrixWarmupDen),
+			ID:        spec.ID,
+			Mixes:     len(spec.Mixes),
+			Policies:  len(spec.Policies),
+			Protocols: len(spec.Protocols),
+			Cells:     spec.Cells(),
+			Instrs:    matrixSuiteInstrs,
 
 			ColdNs:        coldT.Nanoseconds(),
 			CachedNs:      cachedT.Nanoseconds(),
-			ForkNs:        forkT.Nanoseconds(),
 			CachedSpeedup: coldT.Seconds() / cachedT.Seconds(),
-			ForkSpeedup:   coldT.Seconds() / forkT.Seconds(),
 
-			BaselineHits:   forkStats.Hits,
-			BaselineMisses: forkStats.Misses,
+			BaselineHits:   cachedStats.Hits,
+			BaselineMisses: cachedStats.Misses,
 
-			CellsIdentical: identical,
+			CellsIdentical: reflect.DeepEqual(cachedPlanes, coldPlanes),
 		}
-		if total := forkStats.Hits + forkStats.Misses; total > 0 {
-			c.BaselineHitRate = float64(forkStats.Hits) / float64(total)
+		if total := cachedStats.Hits + cachedStats.Misses; total > 0 {
+			c.BaselineHitRate = float64(cachedStats.Hits) / float64(total)
 		}
-		fmt.Printf("%s: %d cells, cold %v, cached %v (%.2fx), fork %v (%.2fx), hit rate %.0f%%, identical=%v\n",
-			c.ID, c.Cells, coldT, cachedT, c.CachedSpeedup, forkT, c.ForkSpeedup,
-			100*c.BaselineHitRate, c.CellsIdentical)
-		if !identical {
-			fatal(fmt.Errorf("%s: fork-amortized cells diverged from the cold scratch oracle", spec.ID))
+		fmt.Printf("%s: %d cells, cold %v, cached %v (%.2fx), hit rate %.0f%%, identical=%v\n",
+			c.ID, c.Cells, coldT, cachedT, c.CachedSpeedup, 100*c.BaselineHitRate, c.CellsIdentical)
+		if !c.CellsIdentical {
+			fatal(fmt.Errorf("%s: baseline-cached cells diverged from the cold pass", spec.ID))
+		}
+		if c.BaselineHitRate != 1 {
+			fatal(fmt.Errorf("%s: the cached pass missed the primed baseline store (%d misses)", spec.ID, c.BaselineMisses))
 		}
 		return c
 	}

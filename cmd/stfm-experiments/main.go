@@ -44,7 +44,6 @@ func main() {
 		outDir = flag.String("o", "", "also write each report to <dir>/<id>.txt")
 
 		baselineDir = flag.String("baseline-dir", "", "persistent alone-baseline store directory, shared across runs and tools (empty: memory-only)")
-		forkWarmup  = flag.Int64("fork-warmup", 0, "plan matrix experiments as checkpoint-fork groups switching policy at this CPU cycle (0: cold per-cell runs)")
 
 		useTel      = flag.Bool("telemetry", false, "attach a telemetry collector to every shared workload run")
 		sampleEvery = flag.Int64("sample-every", 1000, "telemetry sampling interval in DRAM cycles")
@@ -82,7 +81,6 @@ func main() {
 	opts.InstrTarget = *instrs
 	opts.Seed = *seed
 	opts.Baseline = baseline
-	opts.ForkWarmup = *forkWarmup
 	if *useTel {
 		opts.Telemetry = telemetry.Options{SampleEvery: *sampleEvery, TraceCap: telemetry.DefaultTraceCap}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,7 +13,6 @@ import (
 
 	"stfm/internal/sim"
 	"stfm/internal/store"
-	"stfm/internal/workloads"
 )
 
 // TestBaselineSingleflight pins the runner's per-key deduplication:
@@ -200,111 +198,4 @@ func openStore(t *testing.T, dir string) *store.Store {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestForkMatrixEquivalence is the fork planner's oracle: a
-// ForkWarmup matrix must produce, for every cell, a Result bit-identical
-// to the cold path running the same cells with ForkAtCycle set, and
-// identical derived metrics.
-func TestForkMatrixEquivalence(t *testing.T) {
-	const warmup = 60_000
-	mixes := workloads.SampleFourCore()[:2]
-	policies := []sim.PolicyKind{sim.PolicyFRFCFS, sim.PolicySTFM, sim.PolicyNFQ}
-	base := Options{InstrTarget: 15_000, MinMisses: 0, Seed: 1}
-
-	forkOpts := base
-	forkOpts.ForkWarmup = warmup
-	forked, err := NewRunner(forkOpts).RunMatrix(mixes, policies, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The scratch oracle: cold per-cell runs of the SAME simulation —
-	// ForkAtCycle/WarmupPolicy in the config, no checkpointing.
-	cold, err := NewRunner(base).RunMatrix(mixes, policies, func(cfg *sim.Config) {
-		cfg.ForkAtCycle = warmup
-		cfg.WarmupPolicy = sim.PolicyFRFCFS
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range mixes {
-		for _, pol := range policies {
-			f, c := forked[i][pol], cold[i][pol]
-			if f == nil || c == nil {
-				t.Fatalf("%s/%s: missing cell (fork=%v cold=%v)", mixes[i].Name, pol, f != nil, c != nil)
-			}
-			if !reflect.DeepEqual(f.Result, c.Result) {
-				t.Errorf("%s/%s: forked Result differs from scratch oracle", mixes[i].Name, pol)
-			}
-			if !reflect.DeepEqual(f, c) {
-				t.Errorf("%s/%s: forked WorkloadResult (metrics) differs from scratch oracle", mixes[i].Name, pol)
-			}
-		}
-	}
-}
-
-// TestForkMatrixIsolatesWarmupFailure pins fork-group error handling: a
-// mix whose warm-up cannot even construct (here: a mutate that breaks
-// validation for one mix's core count) fails every cell of that group
-// with an annotated JobError while other groups complete.
-func TestForkMatrixIsolatesWarmupFailure(t *testing.T) {
-	mixes := workloads.SampleFourCore()[:2]
-	opts := Options{InstrTarget: 10_000, Seed: 1, ForkWarmup: 1000}
-	calls := 0
-	var mu sync.Mutex
-	res, err := NewRunner(opts).RunMatrix(mixes, []sim.PolicyKind{sim.PolicyFRFCFS}, func(cfg *sim.Config) {
-		mu.Lock()
-		calls++
-		mine := calls
-		mu.Unlock()
-		if mine == 1 {
-			cfg.InstrTarget = -1 // fails Validate inside NewSystem
-		}
-	})
-	if err == nil {
-		t.Fatal("broken warm-up must surface in the joined error")
-	}
-	var je *JobError
-	if !errors.As(err, &je) {
-		t.Fatalf("error %v does not unwrap to *JobError", err)
-	}
-	survivors := 0
-	for i := range mixes {
-		if res[i][sim.PolicyFRFCFS] != nil {
-			survivors++
-		}
-	}
-	if survivors != 1 {
-		t.Errorf("%d groups survived, want exactly 1 (the unbroken mix)", survivors)
-	}
-}
-
-// TestForkMatrixPanicIsolated pins that a panic inside a fork group is
-// recovered into a JobError with a stack, like the cold path's cells.
-func TestForkMatrixPanicIsolated(t *testing.T) {
-	mixes := workloads.SampleFourCore()[:2]
-	opts := Options{InstrTarget: 10_000, Seed: 1, ForkWarmup: 1000}
-	calls := 0
-	var mu sync.Mutex
-	_, err := NewRunner(opts).RunMatrix(mixes, []sim.PolicyKind{sim.PolicyFRFCFS}, func(cfg *sim.Config) {
-		mu.Lock()
-		calls++
-		mine := calls
-		mu.Unlock()
-		if mine == 2 {
-			panic(fmt.Sprintf("boom in group %d", mine))
-		}
-	})
-	if err == nil {
-		t.Fatal("panicking group must surface in the joined error")
-	}
-	var je *JobError
-	if !errors.As(err, &je) {
-		t.Fatalf("error %v does not unwrap to *JobError", err)
-	}
-	if len(je.Stack) == 0 {
-		t.Error("recovered panic carries no stack")
-	}
 }

@@ -47,16 +47,6 @@ type Options struct {
 	// stfm-server included. Nil gives the runner a fresh memory-only
 	// store.
 	Baseline *store.Store
-	// ForkWarmup, when positive, plans matrix executions (RunMatrix) as
-	// checkpoint-fork groups: each (mix, protocol) runs once under
-	// FR-FCFS to a checkpoint at this CPU cycle and every policy cell
-	// forks from it, amortizing the warm-up prefix K ways. Results are
-	// bit-identical to cold runs of Config{ForkAtCycle: ForkWarmup}
-	// cells (sim.TestForkEquivalence); note that an active fork is a
-	// DIFFERENT simulation than a plain one — the policy only governs
-	// cycles after the switch — so fork-mode cells are content-addressed
-	// separately. 0 keeps the cold per-cell path.
-	ForkWarmup int64
 	// Telemetry, when enabled, attaches a fresh telemetry.Collector to
 	// every shared workload run (alone-run baselines stay untelemetered,
 	// since their only purpose is the Talone denominator of Section 6.2).
@@ -199,9 +189,7 @@ type WorkloadResult struct {
 	Benchmarks []string
 	Shared     []sim.ThreadResult
 	// Result is the raw shared-run sim.Result the metrics derive from
-	// (Result.Threads == Shared). Fork-amortized matrix cells being
-	// bit-identical to their cold scratch oracle is asserted against
-	// this field (stfm-bench -suite matrix).
+	// (Result.Threads == Shared).
 	Result    *sim.Result
 	AloneMCPI []float64
 	AloneIPC  []float64
@@ -251,16 +239,7 @@ func (r *Runner) RunWorkload(policy sim.PolicyKind, profiles []trace.Profile, mu
 	if err != nil {
 		return nil, err
 	}
-	return r.assembleWorkloadResult(policy, profiles, r.aloneConfigFor(cfg, channels), res)
-}
-
-// assembleWorkloadResult turns one completed shared run into the
-// paper's metrics against the cached alone baselines run under
-// aloneCfg (see aloneConfigFor). It is the shared
-// tail of the cold path (RunWorkload) and the checkpoint-fork path
-// (RunMatrix with Options.ForkWarmup), so both produce structurally
-// identical WorkloadResults.
-func (r *Runner) assembleWorkloadResult(policy sim.PolicyKind, profiles []trace.Profile, aloneCfg sim.Config, res *sim.Result) (*WorkloadResult, error) {
+	aloneCfg := r.aloneConfigFor(cfg, channels)
 	wr := &WorkloadResult{
 		Policy:     policy,
 		Benchmarks: trace.Names(profiles),

@@ -350,23 +350,13 @@ func policyRow(m map[sim.PolicyKind]*WorkloadResult, f func(*WorkloadResult) flo
 //
 // Alone baselines need no pre-warming: Runner.Alone is singleflight per
 // baseline key, so concurrent cells that race on the same denominator
-// block on a single compute instead of duplicating it.
-//
-// With Options.ForkWarmup > 0 (and telemetry off), execution is planned
-// as checkpoint-fork groups instead of independent cells: each mix runs
-// once under FR-FCFS to a checkpoint at the warm-up cycle and every
-// policy forks from that snapshot, so a K-policy matrix pays for the
-// warm-up prefix once instead of K times. Each fork cell's Result is
-// bit-identical to a cold run of the same config with
-// ForkAtCycle/WarmupPolicy set (sim.TestForkEquivalence pins this;
-// stfm-bench -suite matrix re-asserts it against live scratch runs).
+// block on a single compute instead of duplicating it. A fork-shaped
+// matrix (an FR-FCFS warm-up, then each policy) is a mutate that sets
+// ForkAtCycle and WarmupPolicy; each of its cells runs its own warm-up.
 func (r *Runner) RunMatrix(mixes []workloads.Mix, policies []sim.PolicyKind, mutate func(*sim.Config)) ([]map[sim.PolicyKind]*WorkloadResult, error) {
 	out := make([]map[sim.PolicyKind]*WorkloadResult, len(mixes))
 	for i := range out {
 		out[i] = make(map[sim.PolicyKind]*WorkloadResult, len(policies))
-	}
-	if r.opts.ForkWarmup > 0 && !r.opts.Telemetry.Enabled() {
-		return r.runMatrixForked(mixes, policies, mutate, out)
 	}
 	type job struct {
 		mix int
@@ -421,117 +411,6 @@ func (r *Runner) RunMatrix(mixes []workloads.Mix, policies []sim.PolicyKind, mut
 	close(jobs)
 	wg.Wait()
 	return out, errors.Join(errs...)
-}
-
-// runMatrixForked is RunMatrix's checkpoint-fork planner: the work unit
-// is a fork group (one mix) rather than a cell. Each group runs the mix
-// once under the FR-FCFS warm-up scheduler to sim.CheckpointAt(W), then
-// restores the snapshot once per policy with the sim.RestoreOptions
-// Policy override. Groups run on the worker pool; the forks inside one
-// group run serially, sharing its snapshot.
-//
-// mutate is applied once per group, to the warm-up config (it sees
-// Policy == FR-FCFS); policy-specific knobs it sets (NFQWeights,
-// STFM.*, CapValue) are carried in the snapshot's config and picked up
-// by whichever fork builds that scheduler. A mutate that branches on
-// cfg.Policy is incompatible with fork planning — use the cold path.
-func (r *Runner) runMatrixForked(mixes []workloads.Mix, policies []sim.PolicyKind, mutate func(*sim.Config), out []map[sim.PolicyKind]*WorkloadResult) ([]map[sim.PolicyKind]*WorkloadResult, error) {
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var errs []error
-	runGroup := func(mi int) (cells map[sim.PolicyKind]*WorkloadResult, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				cells = nil
-				err = &JobError{
-					Mix: mixes[mi].Name, Policy: "(fork-group)",
-					Err: fmt.Errorf("panic: %v", v), Stack: debug.Stack(),
-				}
-			}
-		}()
-		return r.runForkGroup(mixes[mi], policies, mutate)
-	}
-	jobs := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(mixes) {
-		workers = len(mixes)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for mi := range jobs {
-				cells, err := runGroup(mi)
-				mu.Lock()
-				if err != nil {
-					errs = append(errs, err)
-				}
-				for pol, wr := range cells {
-					out[mi][pol] = wr
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := range mixes {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return out, errors.Join(errs...)
-}
-
-// runForkGroup executes one mix's fork group: warm up, snapshot, fork
-// once per policy. Per-policy failures are joined (annotated JobErrors)
-// while surviving policies still land in the returned map; a warm-up
-// failure fails the whole group, since every cell depends on the
-// snapshot.
-func (r *Runner) runForkGroup(mix workloads.Mix, policies []sim.PolicyKind, mutate func(*sim.Config)) (map[sim.PolicyKind]*WorkloadResult, error) {
-	warm := r.baseConfig(sim.PolicyFRFCFS, len(mix.Profiles))
-	if mutate != nil {
-		mutate(&warm)
-	}
-	// The warm-up run is exactly the shared prefix of every cell: force
-	// the warm-up scheduler and strip the fork knobs so CheckpointAt
-	// never switches on its own.
-	warm.Policy = sim.PolicyFRFCFS
-	warm.ForkAtCycle = 0
-	warm.WarmupPolicy = ""
-	channels := warm.Channels
-	if channels == 0 {
-		channels = sim.ProtocolChannels(warm.Protocol, len(mix.Profiles))
-	}
-	aloneCfg := r.aloneConfigFor(warm, channels)
-	sys, err := sim.NewSystem(warm, mix.Profiles)
-	if err != nil {
-		return nil, &JobError{Mix: mix.Name, Policy: "(fork-warmup)", Err: err}
-	}
-	snap, err := sys.CheckpointAt(r.ctx, r.opts.ForkWarmup)
-	if err != nil {
-		return nil, &JobError{Mix: mix.Name, Policy: "(fork-warmup)", Err: err}
-	}
-	cells := make(map[sim.PolicyKind]*WorkloadResult, len(policies))
-	var errs []error
-	for _, pol := range policies {
-		pol := pol
-		forked, err := sim.Restore(snap, &sim.RestoreOptions{Policy: &pol})
-		if err != nil {
-			errs = append(errs, &JobError{Mix: mix.Name, Policy: pol, Err: err})
-			continue
-		}
-		res, err := forked.RunContext(r.ctx)
-		if err != nil {
-			errs = append(errs, &JobError{Mix: mix.Name, Policy: pol, Err: err})
-			continue
-		}
-		wr, err := r.assembleWorkloadResult(pol, mix.Profiles, aloneCfg, res)
-		if err != nil {
-			errs = append(errs, &JobError{Mix: mix.Name, Policy: pol, Err: err})
-			continue
-		}
-		cells[pol] = wr
-	}
-	return cells, errors.Join(errs...)
 }
 
 func channelsForMix(r *Runner, cores int) int {

@@ -348,11 +348,12 @@ func (c *Controller) SetPolicy(p Policy) {
 	c.eventPol, _ = p.(EventPolicy)
 }
 
-// SwitchPolicy replaces the scheduling policy mid-run and normalizes
+// SwitchPolicy replaces the scheduling policy mid-run (a fork-mode
+// run's switch to its target, sim.Config.ForkAtCycle) and normalizes
 // every piece of cached scheduling state so the switch is
-// schedule-deterministic: a run that switches at cycle t and a
-// checkpoint taken at t then restored under the new policy continue
-// bit-identically.
+// schedule-deterministic: from the switch edge on, the new policy
+// decides exactly as it would on a controller whose caches start empty,
+// such as one restored from a checkpoint taken at the switch.
 //
 // Three caches could otherwise leak decisions across the switch:
 //

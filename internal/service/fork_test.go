@@ -15,8 +15,7 @@ import (
 
 // TestForkEndpoint drives POST /v1/jobs/{id}/fork over real HTTP: fork
 // a parent under two target policies, and pin every child's result
-// bit-identical to a cold in-process run of the equivalent fork-mode
-// config (the scratch oracle of sim.TestForkEquivalence).
+// bit-identical to an in-process sim.Run of its fork-mode config.
 func TestForkEndpoint(t *testing.T) {
 	_, client := newTestServer(t, Options{Workers: 2, QueueSize: 8, SampleEvery: 500})
 	ctx := context.Background()
@@ -60,7 +59,7 @@ func TestForkEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// The scratch oracle: a cold run of the child's exact config.
+		// The oracle: sim.Run of the child's exact config.
 		oracle := cfg
 		oracle.Policy = policies[i]
 		oracle.ForkAtCycle = atCycle

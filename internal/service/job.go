@@ -142,12 +142,9 @@ type job struct {
 	recovered bool
 	resume    bool
 
-	// forkOf / fork are set on fork children before publication: forkOf
-	// names the parent job, fork points at the request's shared warm-up
-	// snapshot (nil on recovered children, which replay the warm-up via
-	// cfg.ForkAtCycle instead).
+	// forkOf names the parent job of a fork child, set before
+	// publication.
 	forkOf string
-	fork   *forkGroup
 
 	mu         sync.Mutex
 	status     JobStatus

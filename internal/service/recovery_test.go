@@ -503,8 +503,16 @@ func TestRecoveryRejectsForeignSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := sys.CheckpointAt(context.Background(), 40_000)
-	if err != nil {
+	var snap []byte
+	if _, err := sys.RunCheckpointed(context.Background(), &sim.CheckpointSink{
+		Every: 40_000,
+		Write: func(_ int64, data []byte) error {
+			if snap == nil {
+				snap = append([]byte(nil), data...)
+			}
+			return nil
+		},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	id := "j1-" + store.Key(cfg, cacheWorkload)[:8]
@@ -562,10 +570,11 @@ func TestRecoveryResumesSparseConfig(t *testing.T) {
 	}
 }
 
-// TestRecoveryResumesForkChild: a fork child that ran from its
-// request's shared warm-up snapshot checkpoints as its own fork-shaped
-// config, so after a crash it resumes from that checkpoint instead of
-// rejecting it as another run's.
+// TestRecoveryResumesForkChild: a fork child checkpoints as its own
+// fork-shaped config, so after a crash it resumes from that checkpoint
+// instead of rejecting it as another run's. Its last checkpoint before
+// the crash is the one at the switch cycle, which carries the target
+// policy.
 func TestRecoveryResumesForkChild(t *testing.T) {
 	dir, cacheDir := t.TempDir(), t.TempDir()
 	cfg := quickConfig(34)
@@ -576,7 +585,8 @@ func TestRecoveryResumesForkChild(t *testing.T) {
 	want := referenceResult(t, child, cacheWorkload)
 
 	// The parent writes one checkpoint per 40k cycles of its run; the
-	// child's first lands at 80k and the crash at its second.
+	// child's first lands at 40k, the switch cycle, and the crash at its
+	// second.
 	profs, err := experiments.Profiles(cacheWorkload...)
 	if err != nil {
 		t.Fatal(err)
@@ -609,8 +619,8 @@ func TestRecoveryResumesForkChild(t *testing.T) {
 	srv2 := mustNew(t, opts)
 	defer drainServer(t, srv2)
 	info := waitServerDone(t, srv2, id)
-	if info.Status != StatusDone || info.ResumedFromCycle != 80_000 {
-		t.Fatalf("recovered fork child = %s from cycle %d, want done from its checkpoint at 80000", info.Status, info.ResumedFromCycle)
+	if info.Status != StatusDone || info.ResumedFromCycle != 40_000 {
+		t.Fatalf("recovered fork child = %s from cycle %d, want done from its checkpoint at 40000", info.Status, info.ResumedFromCycle)
 	}
 	if rr, _ := srv2.Result(id); !reflect.DeepEqual(rr.Result, want) {
 		t.Error("resumed fork child differs from a cold run of its config")

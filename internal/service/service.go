@@ -720,30 +720,6 @@ func (s *Server) execute(ctx context.Context, j *job, cfg sim.Config) (*sim.Resu
 			return sys.RunContext(ctx)
 		}
 	}
-	if j.fork != nil {
-		// Fork child: restore the request's shared warm-up snapshot with
-		// the policy override instead of replaying the warm-up prefix.
-		// Any failure here falls through to the cold path below — the
-		// child's config carries ForkAtCycle/WarmupPolicy, so a fresh run
-		// IS the same simulation, just slower.
-		if snap, err := j.fork.snapshot(ctx, s); err != nil {
-			s.logf("job %s: fork warm-up failed, running cold: %v", j.id, err)
-		} else {
-			pol := cfg.Policy
-			sys, rerr := sim.Restore(snap, &sim.RestoreOptions{Telemetry: j.col, Policy: &pol})
-			if rerr != nil {
-				s.logf("job %s: fork snapshot rejected, running cold: %v", j.id, rerr)
-			} else {
-				j.mu.Lock()
-				j.resumedFromCycle = sys.Now()
-				j.mu.Unlock()
-				if sink != nil {
-					return sys.RunCheckpointed(ctx, sink)
-				}
-				return sys.RunContext(ctx)
-			}
-		}
-	}
 	sys, err := sim.NewSystem(cfg, j.profiles)
 	if err != nil {
 		return nil, err

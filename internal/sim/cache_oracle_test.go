@@ -18,7 +18,13 @@ import (
 // from scratch and requires every reusable memo to name it and no used
 // horizon to skip an edge at which it is ready. The runs must also
 // exercise what they check: horizon skips, memo hits and enqueue folds
-// under every scheduler, PAR-BS's batches included.
+// under every scheduler, PAR-BS's batches included. The fork cases warm
+// up under STFM or FR-FCFS and switch to each scheduler mid-run, so the
+// check also covers SwitchPolicy's reset of the memos and horizons, and
+// they require a fresh target to be installed after the switch.
+// FR-FCFS's order epoch is always zero, like a fresh target's, so its
+// stale memos would pass the epoch check: that cell is where the memo
+// reset is load-bearing.
 func TestSchedulingCacheOracle(t *testing.T) {
 	refresh := dram.DefaultTiming().WithRefresh()
 	hbm, err := dram.PresetTiming(dram.HBM)
@@ -43,6 +49,16 @@ func TestSchedulingCacheOracle(t *testing.T) {
 			c.Timing = &hbm
 		}},
 		{"8core-cache", 2_000, eight, func(c *Config) { c.UseCaches = true }},
+		{"4core-2ch-fork", 2_500, four, func(c *Config) {
+			c.Channels = 2
+			c.ForkAtCycle = 30_000
+			c.WarmupPolicy = PolicySTFM
+		}},
+		{"4core-2ch-fork-frfcfs", 2_500, four, func(c *Config) {
+			c.Channels = 2
+			c.ForkAtCycle = 30_000
+			c.WarmupPolicy = PolicyFRFCFS
+		}},
 	}
 	for _, tc := range cases {
 		for _, pol := range ExtendedPolicies() {
@@ -54,6 +70,7 @@ func TestSchedulingCacheOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				warmupSTFM := s.STFM()
 				for !s.allFrozen() {
 					if s.now >= 2_000_000 {
 						t.Fatalf("threads still running after %d cycles", s.now)
@@ -61,6 +78,16 @@ func TestSchedulingCacheOracle(t *testing.T) {
 					s.Tick()
 					if err := s.ctrl.CheckInvariants(s.now); err != nil {
 						t.Fatalf("after cycle %d: %v", s.now-1, err)
+					}
+				}
+				if cfg.ForkAtCycle > 0 {
+					if s.now <= cfg.ForkAtCycle {
+						t.Fatalf("the run ended at cycle %d, before its switch at %d", s.now, cfg.ForkAtCycle)
+					}
+					got := s.ctrl.Policy()
+					if got.Name() != string(pol) || got != s.policy || (s.STFM() != nil) != (pol == PolicySTFM) ||
+						warmupSTFM != nil && s.STFM() == warmupSTFM {
+						t.Errorf("after the switch the controller runs %s, want a fresh %s", got.Name(), pol)
 					}
 				}
 				w := s.ctrl.Work()

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
 
 	"stfm/internal/cache"
 	"stfm/internal/cpu"
@@ -184,22 +183,6 @@ type RestoreOptions struct {
 	// Telemetry re-attaches a collector (checkpoints do not carry
 	// telemetry buffers; a restored run's series restarts empty).
 	Telemetry *telemetry.Collector
-	// Policy, if non-nil, forks the checkpoint under a different
-	// scheduler: the machine state (queues, banks, cores, generators) is
-	// restored exactly, but the scheduler is a FRESH instance of the
-	// given kind — the snapshot's policy registers are discarded, even
-	// when the kinds match — and the controller's cached scheduling
-	// state is normalized as if the policy had been switched at the
-	// snapshot cycle. The continuation is bit-identical to a scratch run
-	// with Config{Policy: *Policy, WarmupPolicy: <saved policy>,
-	// ForkAtCycle: <snapshot cycle>} (TestForkEquivalence pins it),
-	// which is what lets one warm-up run fan out under K policies.
-	// The restored system's Config records that fork (Policy,
-	// WarmupPolicy = the saved policy, ForkAtCycle = the snapshot
-	// cycle), so its own checkpoints restore, and answer Simulates, as
-	// the scratch run it continues. A snapshot at cycle 0, or of a run
-	// that had itself forked, restores as a plain run of Policy.
-	Policy *PolicyKind
 }
 
 // Restore rebuilds a System from a Checkpoint blob. The returned
@@ -224,37 +207,18 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 	cfg := p.Config
 	cfg.Streams = nil
 	cfg.Telemetry = nil
-	forked := false
 	if opts != nil {
 		cfg.Telemetry = opts.Telemetry
-		if opts.Policy != nil {
-			forked = true
-			cfg.Policy = *opts.Policy
-			cfg.ForkAtCycle = 0
-			cfg.WarmupPolicy = ""
-		}
 	}
 	s, err := NewSystem(cfg, p.Profiles)
 	if err != nil {
 		return nil, &CheckpointError{Stage: "restore", Err: err}
 	}
-	if forked && p.Now > 0 && p.Config.ForkAtCycle == 0 {
-		// runLoop's s.now guard skips the switch this restore already made.
-		s.cfg.ForkAtCycle = p.Now
-		s.cfg.WarmupPolicy = p.Config.Policy
-	}
-	// A checkpoint of a fork-mode scratch run taken at-or-after its
-	// switch cycle carries the TARGET policy's registers, but NewSystem
-	// built the warm-up scheduler; rebuild the target before its state
-	// is restored below. runLoop's s.now guard then skips re-switching.
-	if !forked && cfg.ForkAtCycle > 0 && p.Now >= cfg.ForkAtCycle {
-		s.stfm = nil
-		tp, perr := s.buildPolicy(cfg.Policy, s.ctrl.Config())
-		if perr != nil {
-			return nil, &CheckpointError{Stage: "restore", Err: perr}
-		}
-		s.policy = tp
-		s.ctrl.SetPolicy(tp)
+	// A checkpoint of a fork-mode run taken at or after its switch cycle
+	// carries the target policy's registers: install the target before
+	// its state is restored below, so the run does not switch again.
+	if p.Now >= s.switchAt {
+		s.switchToTarget()
 	}
 	n := len(s.cores)
 	if len(p.Cores) != n || len(p.Frozen) != n || len(p.Results) != n || len(p.Targets) != n {
@@ -291,7 +255,7 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 	if err := s.checkTags(p); err != nil {
 		return nil, err
 	}
-	if p.Policy != nil && !forked {
+	if p.Policy != nil {
 		sp, ok := s.policy.(memctrl.StatefulPolicy)
 		if !ok {
 			return nil, ckptErr("restore", "payload carries %s policy state but the policy is stateless", cfg.Policy)
@@ -301,12 +265,6 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 		}
 	}
 	s.now = p.Now
-	if forked {
-		// Normalize the controller's cached scheduling state exactly as
-		// the scratch run's switch does (same SwitchPolicy call), so the
-		// forked continuation and the scratch oracle step identically.
-		s.ctrl.SwitchPolicy(s.now, s.policy)
-	}
 	copy(s.frozen, p.Frozen)
 	copy(s.results, p.Results)
 	copy(s.targets, p.Targets)
@@ -413,58 +371,4 @@ func (s *System) RunCheckpointed(ctx context.Context, sink *CheckpointSink) (*Re
 		return nil, ckptErr("save", "RunCheckpointed needs a sink with a positive period and a Write func")
 	}
 	return s.runLoop(ctx, sink)
-}
-
-// CheckpointAt advances the system to exactly the given CPU cycle and
-// returns a checkpoint taken there: the warm-up half of checkpoint-fork
-// execution. Stepping mirrors RunContext's event-horizon jumps with the
-// target cycle as one more fixed boundary, so the prefix schedule is
-// bit-identical to a full run's — a fork restored from the returned
-// snapshot continues exactly as that run would from the same cycle.
-//
-// The run may stop short of cycle: at the cycle budget, or when every
-// thread froze first. The checkpoint is then taken at that earlier
-// quiescent point, which still forks correctly — the scratch oracle's
-// switch simply never fires, in both executions. Runs canceled via ctx
-// return ErrCanceled/ErrDeadline and no checkpoint. Unlike RunContext,
-// CheckpointAt has no watchdog: a livelocked warm-up burns its cycle
-// budget instead of aborting early. Panics inside the stepped window
-// surface as a *SimError, like RunContext's.
-func (s *System) CheckpointAt(ctx context.Context, cycle int64) (data []byte, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			data = nil
-			err = &SimError{Cycle: s.now, Check: "panic", Err: panicErr(v), Stack: debug.Stack()}
-		}
-	}()
-	if cycle < 0 {
-		return nil, ckptErr("save", "negative checkpoint cycle %d", cycle)
-	}
-	maxCycles := s.cfg.CycleBudget(s.profiles)
-	done := ctx.Done()
-	for s.now < cycle && s.now < maxCycles && !s.allFrozen() {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctxErr(ctx, s.now)
-			default:
-			}
-		}
-		next := s.step()
-		if next <= s.now || s.allFrozen() {
-			continue
-		}
-		if next > maxCycles {
-			next = maxCycles
-		}
-		if next > cycle {
-			next = cycle
-		}
-		for s.nextSampleAt < next {
-			s.now = s.nextSampleAt
-			s.takeSample(s.now)
-		}
-		s.now = next
-	}
-	return s.Checkpoint()
 }

@@ -277,15 +277,8 @@ func TestRestoreRejectsDanglingTags(t *testing.T) {
 			cfg := DefaultConfig(PolicyFRFCFS, 2)
 			cfg.InstrTarget = 50_000
 			cfg.UseCaches = tc.caches
-			s, err := NewSystem(cfg, profilesByName(t, "mcf", "libquantum"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			good, err := s.CheckpointAt(context.Background(), 40_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := decodeCheckpoint(good)
+			_, snaps := captureCheckpoints(t, cfg, 40_000, "mcf", "libquantum")
+			p, err := decodeCheckpoint(snaps[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +294,7 @@ func TestRestoreRejectsDanglingTags(t *testing.T) {
 				!strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Restore = %v, want a restore-stage *CheckpointError mentioning %q", err, tc.want)
 			}
-			if _, err := Restore(good, nil); err != nil {
+			if _, err := Restore(snaps[0], nil); err != nil {
 				t.Fatalf("pristine checkpoint failed to restore: %v", err)
 			}
 		})
@@ -375,8 +368,16 @@ func TestSimulatesAppliesDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := s.CheckpointAt(context.Background(), 10_000)
-	if err != nil {
+	var snap []byte
+	if _, err := s.RunCheckpointed(context.Background(), &CheckpointSink{
+		Every: 10_000,
+		Write: func(_ int64, data []byte) error {
+			if snap == nil {
+				snap = append([]byte(nil), data...)
+			}
+			return nil
+		},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := Restore(snap, nil)

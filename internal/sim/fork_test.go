@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"stfm/internal/dram"
@@ -27,91 +28,66 @@ func runScratchSwitch(t *testing.T, cfg Config, warmup PolicyKind, at int64, nam
 	return runReference(t, cfg, names...)
 }
 
-// runForked runs the checkpoint-fork path: a warm-up-only run to a
-// checkpoint at the switch cycle, then a Restore with the Policy
-// override and a continuation to completion.
-func runForked(t *testing.T, cfg Config, warmup PolicyKind, at int64, names ...string) *Result {
-	t.Helper()
-	wcfg := cfg
-	wcfg.Policy = warmup
-	wcfg.ForkAtCycle = 0
-	wcfg.WarmupPolicy = ""
-	s, err := NewSystem(wcfg, profilesByName(t, names...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := s.CheckpointAt(context.Background(), at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := cfg.Policy
-	forked, err := Restore(snap, &RestoreOptions{Policy: &target})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := forked.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestForkEquivalence is the fork-mode correctness contract: for every
-// implemented target policy and across protocol packs, a warm-up run
-// checkpointed at the switch cycle and forked under the target produces
-// a Result reflect.DeepEqual to a scratch run that switches policy at
-// the same cycle.
+// TestForkEquivalence is the fork-mode checkpoint contract under the
+// stateless FR-FCFS warm-up: see checkForkEquivalence.
 func TestForkEquivalence(t *testing.T) {
-	const switchAt = 60_000
-	protocols := []dram.Protocol{"", dram.DDR4}
-	for _, proto := range protocols {
-		for _, pol := range ExtendedPolicies() {
-			pol, proto := pol, proto
-			name := string(pol) + "/" + string(proto)
-			if proto == "" {
-				name = string(pol) + "/DDR2"
-			}
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				cfg := forkTestConfig(pol, proto)
-				oracle := runScratchSwitch(t, cfg, PolicyFRFCFS, switchAt, "mcf", "libquantum")
-				forked := runForked(t, cfg, PolicyFRFCFS, switchAt, "mcf", "libquantum")
-				assertResultsEqual(t, "fork vs scratch switch", forked, oracle)
-			})
-		}
-	}
+	checkForkEquivalence(t, PolicyFRFCFS)
 }
 
-// TestForkEquivalenceStatefulWarmup pins that a stateful warm-up
-// scheduler's registers are discarded identically on both paths: STFM
-// warms up, FR-FCFS (stateless) and STFM (fresh instance, even though
-// the kinds match) take over.
+// TestForkEquivalenceStatefulWarmup is the same contract under the
+// stateful STFM warm-up: snapshots before the switch carry its
+// registers, those at and after it only the target's, and an STFM
+// target is a fresh instance even though the kinds match.
 func TestForkEquivalenceStatefulWarmup(t *testing.T) {
+	checkForkEquivalence(t, PolicySTFM)
+}
+
+// checkForkEquivalence checks, for every target policy and two protocol
+// packs under the given warm-up scheduler, that a fork-mode run
+// checkpointed every ForkAtCycle/2 cycles matches the uninterrupted
+// run, and so does a resume from each of its snapshots. Snapshots
+// before the switch carry the warm-up scheduler and switch on resume;
+// the one at the switch and those after it carry the target and must
+// not switch again.
+func checkForkEquivalence(t *testing.T, warmup PolicyKind) {
 	const switchAt = 60_000
-	for _, target := range []PolicyKind{PolicyFRFCFS, PolicySTFM, PolicyNFQ} {
-		target := target
-		t.Run(string(target), func(t *testing.T) {
+	for _, pol := range ExtendedPolicies() {
+		pol := pol
+		t.Run(string(pol), func(t *testing.T) {
 			t.Parallel()
-			cfg := forkTestConfig(target, "")
-			oracle := runScratchSwitch(t, cfg, PolicySTFM, switchAt, "mcf", "libquantum")
-			forked := runForked(t, cfg, PolicySTFM, switchAt, "mcf", "libquantum")
-			assertResultsEqual(t, "fork vs scratch switch (STFM warm-up)", forked, oracle)
+			for _, proto := range []dram.Protocol{dram.DDR2, dram.DDR4} {
+				proto := proto
+				t.Run(string(proto), func(t *testing.T) {
+					t.Parallel()
+					t.Run("warmup-"+string(warmup), func(t *testing.T) {
+						cfg := forkTestConfig(pol, proto)
+						cfg.ForkAtCycle = switchAt
+						cfg.WarmupPolicy = warmup
+						ref := runReference(t, cfg, "mcf", "libquantum")
+						res, snaps := captureCheckpoints(t, cfg, switchAt/2, "mcf", "libquantum")
+						assertResultsEqual(t, "checkpointed fork run", res, ref)
+						if len(snaps) < 3 {
+							t.Fatalf("%d snapshots; need one before, at and after the switch", len(snaps))
+						}
+						for i, snap := range snaps {
+							assertResultsEqual(t, fmt.Sprintf("resume from snapshot %d", i), resumeFrom(t, snap), ref)
+						}
+					})
+				})
+			}
 		})
 	}
 }
 
 // TestForkSwitchAfterRunEnd pins the degenerate fork: when the run
 // freezes (or hits the cycle budget) before the switch cycle, the
-// scratch oracle never switches and the checkpoint lands at the
-// earlier quiescent point — and the two paths still agree. Note the
-// target policy is still the one reported: finish() labels the Result
-// with cfg.Policy on both paths.
+// switch never fires and the run is the warm-up scheduler's plain run.
+// Note the target policy is still the one reported: finish() labels the
+// Result with cfg.Policy.
 func TestForkSwitchAfterRunEnd(t *testing.T) {
 	cfg := forkTestConfig(PolicySTFM, "")
 	const wayPast = int64(1) << 40
 	oracle := runScratchSwitch(t, cfg, PolicyFRFCFS, wayPast, "mcf", "libquantum")
-	forked := runForked(t, cfg, PolicyFRFCFS, wayPast, "mcf", "libquantum")
-	assertResultsEqual(t, "fork past run end", forked, oracle)
 	if oracle.Policy != PolicySTFM {
 		t.Errorf("oracle Result.Policy = %q, want STFM (the fork target)", oracle.Policy)
 	}
@@ -119,6 +95,10 @@ func TestForkSwitchAfterRunEnd(t *testing.T) {
 		t.Errorf("switch never fired, but STFM diagnostics are nonzero: %v %v",
 			oracle.STFMUnfairness, oracle.STFMFairnessFraction)
 	}
+	cfg.Policy = PolicyFRFCFS
+	plain := runReference(t, cfg, "mcf", "libquantum")
+	plain.Policy = PolicySTFM
+	assertResultsEqual(t, "fork past run end vs plain warm-up run", oracle, plain)
 }
 
 // TestForkDenseEquivalence pins that the fork switch lands on the same
@@ -131,27 +111,6 @@ func TestForkDenseEquivalence(t *testing.T) {
 	cfg.DenseTick = true
 	dense := runScratchSwitch(t, cfg, PolicyFRFCFS, switchAt, "mcf", "libquantum")
 	assertResultsEqual(t, "dense vs event scratch switch", dense, event)
-}
-
-// TestForkRunCheckpointedResume pins restore-and-continue of a
-// fork-mode run's own periodic checkpoints, on both sides of the
-// switch cycle: snapshots before it carry the warm-up scheduler and
-// re-switch on resume; snapshots at-or-after it carry the target and
-// must not switch again.
-func TestForkRunCheckpointedResume(t *testing.T) {
-	const switchAt = 60_000
-	cfg := forkTestConfig(PolicySTFM, "")
-	cfg.ForkAtCycle = switchAt
-	cfg.WarmupPolicy = PolicyFRFCFS
-	ref, snaps := captureCheckpoints(t, cfg, 40_000, "mcf", "libquantum")
-	if len(snaps) < 2 {
-		t.Fatalf("need snapshots on both sides of the switch, got %d", len(snaps))
-	}
-	for i, snap := range snaps {
-		res := resumeFrom(t, snap)
-		assertResultsEqual(t, "resume from fork-run snapshot", res, ref)
-		_ = i
-	}
 }
 
 // TestForkConfigValidation pins the fork knobs' validation rules.
@@ -205,63 +164,37 @@ func TestForkFingerprint(t *testing.T) {
 	}
 }
 
-// TestForkedRestoreCheckpointsAsScratchRun pins the identity a
-// policy-override restore records: the forked system, and every
-// checkpoint it takes, simulates the scratch fork config (not the plain
-// target config), and such a checkpoint resumes to the scratch run's
-// Result.
-func TestForkedRestoreCheckpointsAsScratchRun(t *testing.T) {
-	const switchAt = 60_000
-	names := []string{"mcf", "libquantum"}
-	cfg := forkTestConfig(PolicySTFM, "")
-	scratch := cfg
-	scratch.ForkAtCycle = switchAt
-	scratch.WarmupPolicy = PolicyNFQ
-	oracle := runReference(t, scratch, names...)
+// TestForkTargetBuiltAtConstruction: NewSystem builds a fork's target
+// as well as its warm-up scheduler, so a target that cannot be built
+// (NFQ with one weight for two threads) fails construction instead of
+// the run at the switch, and the unused target is not what STFM()
+// reports before the switch.
+func TestForkTargetBuiltAtConstruction(t *testing.T) {
+	profs := profilesByName(t, "mcf", "libquantum")
+	bad := forkTestConfig(PolicyNFQ, "")
+	bad.NFQWeights = []float64{1}
+	bad.ForkAtCycle = 60_000
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("the case needs a config Validate accepts: %v", err)
+	}
+	if _, err := NewSystem(bad, profs); err == nil || !strings.Contains(err.Error(), "weights") {
+		t.Errorf("NewSystem with an unbuildable fork target: got %v, want the NFQ weights error", err)
+	}
 
-	warm := cfg
-	warm.Policy = PolicyNFQ
-	s, err := NewSystem(warm, profilesByName(t, names...))
+	cfg := forkTestConfig(PolicySTFM, "")
+	cfg.ForkAtCycle = 10_000
+	s, err := NewSystem(cfg, profs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := s.CheckpointAt(context.Background(), switchAt)
-	if err != nil {
-		t.Fatal(err)
+	for s.Now() < cfg.ForkAtCycle {
+		if s.STFM() != nil {
+			t.Fatalf("cycle %d: STFM() reports the target under the FR-FCFS warm-up", s.Now())
+		}
+		s.Tick()
 	}
-	target := PolicySTFM
-	forked, err := Restore(snap, &RestoreOptions{Policy: &target})
-	if err != nil {
-		t.Fatal(err)
+	s.Tick()
+	if st := s.STFM(); st == nil || s.Controller().Policy() != st {
+		t.Error("Tick did not install the STFM target at the switch cycle")
 	}
-	if !forked.Simulates(scratch, names) || forked.Simulates(cfg, names) {
-		t.Fatal("forked system does not identify as the scratch fork run")
-	}
-	var snaps [][]byte
-	res, err := forked.RunCheckpointed(context.Background(), &CheckpointSink{
-		Every: 40_000,
-		Write: func(_ int64, data []byte) error {
-			snaps = append(snaps, append([]byte(nil), data...))
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, "checkpointed fork vs scratch switch", res, oracle)
-	if len(snaps) == 0 {
-		t.Fatal("forked run took no checkpoint")
-	}
-	resumed, err := Restore(snaps[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.Simulates(scratch, names) {
-		t.Error("forked run's checkpoint does not identify as the scratch fork run")
-	}
-	res, err = resumed.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, "resume from forked run's checkpoint", res, oracle)
 }

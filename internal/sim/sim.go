@@ -110,13 +110,14 @@ type Config struct {
 	NFQWeights []float64 `json:"nfqWeights,omitempty"`
 	// ForkAtCycle, when positive, runs the simulation's warm-up prefix
 	// under WarmupPolicy and switches to Policy at exactly this CPU
-	// cycle: the scheduler is rebuilt from scratch (its accumulated
-	// registers are NOT carried across the switch) and every derived
-	// scheduling cache is invalidated. This is the scratch oracle for
-	// checkpoint-fork execution: a run that checkpoints under
-	// WarmupPolicy at this cycle and is restored with a
-	// RestoreOptions.Policy override produces a bit-identical Result
-	// (TestForkEquivalence pins it). 0 disables the switch.
+	// cycle, whether the system is run or stepped with Tick: a fresh
+	// Policy instance takes over (the warm-up scheduler's registers are
+	// NOT carried across the switch) and every derived scheduling cache
+	// is invalidated. NewSystem builds both schedulers, so a target that
+	// cannot be built fails construction, not the run at the switch. A
+	// checkpoint taken at or after the switch carries the target and
+	// resumes without switching again (TestForkEquivalence pins both
+	// sides). 0 disables the switch.
 	ForkAtCycle int64 `json:"forkAtCycle,omitempty"`
 	// WarmupPolicy is the scheduler driving cycles [0, ForkAtCycle);
 	// empty selects FR-FCFS. Only meaningful with ForkAtCycle > 0
@@ -278,12 +279,17 @@ type System struct {
 	// Config.Streams supplies the streams); policy is the scheduler
 	// instance attached to the controller. Both are retained for
 	// checkpointing (DESIGN.md §17).
-	gens    []*trace.Generator
-	policy  memctrl.Policy
-	stfm    *core.STFM
-	now     int64
-	frozen  []bool
-	results []ThreadResult
+	gens   []*trace.Generator
+	policy memctrl.Policy
+	stfm   *core.STFM
+	// target is a fork-mode run's pending scheduler, installed at cycle
+	// switchAt (the horizon sentinel once it is installed, or when the
+	// run has no fork).
+	target   memctrl.Policy
+	switchAt int64
+	now      int64
+	frozen   []bool
+	results  []ThreadResult
 
 	// Telemetry state: tel is nil when no collector is attached;
 	// nextSampleAt is the next sampling boundary in CPU cycles (the
@@ -341,17 +347,21 @@ func NewSystem(cfg Config, profiles []trace.Profile) (*System, error) {
 	}
 	s.ctrl = ctrl
 
-	// Fork-mode runs start under the warm-up scheduler; runLoop rebuilds
-	// the target policy at the switch cycle.
-	kind := cfg.Policy
-	if cfg.ForkAtCycle > 0 {
-		kind = cfg.warmupKind()
-	}
-	policy, err := s.buildPolicy(kind, mcfg)
+	policy, err := s.buildPolicy(cfg.Policy, mcfg)
 	if err != nil {
 		return nil, err
 	}
+	s.switchAt = horizon
+	if cfg.ForkAtCycle > 0 {
+		// A fork-mode run starts under the warm-up scheduler and holds
+		// the target until the switch cycle.
+		s.target, s.switchAt = policy, cfg.ForkAtCycle
+		if policy, err = s.buildPolicy(cfg.warmupKind(), mcfg); err != nil {
+			return nil, err
+		}
+	}
 	s.policy = policy
+	s.stfm, _ = policy.(*core.STFM)
 	ctrl.SetPolicy(policy)
 
 	if cfg.Streams != nil && len(cfg.Streams) != n {
@@ -512,35 +522,22 @@ func (s *System) buildPolicy(kind PolicyKind, mcfg memctrl.Config) (memctrl.Poli
 		if stfmCfg.Alpha == 0 {
 			stfmCfg = core.DefaultConfig()
 		}
-		st, err := core.NewSTFM(stfmCfg, s.ctrl, mcfg.Geometry, mcfg.Timing, s.tshared)
-		if err != nil {
-			return nil, err
-		}
-		s.stfm = st
-		return st, nil
+		return core.NewSTFM(stfmCfg, s.ctrl, mcfg.Geometry, mcfg.Timing, s.tshared)
 	default:
 		return nil, fmt.Errorf("sim: unknown policy %q", kind)
 	}
 }
 
-// switchToTarget replaces the running scheduler with a freshly built
-// instance of Config.Policy, the fork-mode switch at ForkAtCycle. The
-// target starts from its initial registers — nothing the warm-up
-// scheduler accumulated is carried over — and the controller's cached
-// scheduling state is normalized (memctrl.Controller.SwitchPolicy), so
-// the continuation is bit-identical to restoring a checkpoint taken at
-// this cycle under a RestoreOptions.Policy override.
-func (s *System) switchToTarget() error {
-	// Reset the STFM diagnostics hook first: finish() must report zero
-	// STFM diagnostics unless the TARGET policy is STFM.
-	s.stfm = nil
-	p, err := s.buildPolicy(s.cfg.Policy, s.ctrl.Config())
-	if err != nil {
-		return err
-	}
-	s.policy = p
-	s.ctrl.SwitchPolicy(s.now, p)
-	return nil
+// switchToTarget installs the fork target NewSystem built, the
+// fork-mode switch at ForkAtCycle. The target starts from its initial
+// registers — nothing the warm-up scheduler accumulated is carried over
+// — and the controller's cached scheduling state is normalized
+// (memctrl.Controller.SwitchPolicy). The STFM diagnostics follow the
+// target: finish reports zero unless the target is STFM.
+func (s *System) switchToTarget() {
+	s.policy, s.target, s.switchAt = s.target, nil, horizon
+	s.stfm, _ = s.policy.(*core.STFM)
+	s.ctrl.SwitchPolicy(s.now, s.policy)
 }
 
 // tshared is the per-thread cumulative stall counter the cores
@@ -578,8 +575,14 @@ func (s *System) Now() int64 { return s.now }
 // and cache.Horizon all have this value).
 const horizon = int64(1) << 62
 
-// Tick advances the whole system one CPU cycle.
-func (s *System) Tick() { s.step() }
+// Tick advances the whole system one CPU cycle, switching a fork-mode
+// run to its target first when the cycle is the switch cycle.
+func (s *System) Tick() {
+	if s.now >= s.switchAt {
+		s.switchToTarget()
+	}
+	s.step()
+}
 
 // step advances the system one CPU cycle and returns the earliest
 // future cycle at which any component can act — the event horizon Run
@@ -773,14 +776,6 @@ func (s *System) runLoop(ctx context.Context, sink *CheckpointSink) (res *Result
 	if sink != nil && sink.Every > 0 {
 		nextCkptAt = s.now + sink.Every
 	}
-	// The fork-mode policy switch is one more fixed cycle boundary.
-	// Guarding on s.now makes restores of fork-run checkpoints taken
-	// at-or-after the switch (which already carry the target policy, see
-	// Restore) skip it.
-	nextSwitchAt := int64(horizon)
-	if s.cfg.ForkAtCycle > 0 && s.now < s.cfg.ForkAtCycle {
-		nextSwitchAt = s.cfg.ForkAtCycle
-	}
 	for s.now < maxCycles && !s.allFrozen() {
 		if done != nil {
 			select {
@@ -789,17 +784,12 @@ func (s *System) runLoop(ctx context.Context, sink *CheckpointSink) (res *Result
 			default:
 			}
 		}
-		if s.now >= nextSwitchAt {
-			// Before this cycle's step, exactly where a checkpoint at the
-			// same boundary would be taken — the forked continuation's
-			// first step is at this cycle too. Switching before the
-			// checkpoint check means a sink snapshot at the switch cycle
-			// captures the target policy, keeping such checkpoints
-			// restorable without re-switching.
-			if serr := s.switchToTarget(); serr != nil {
-				return s.finish(), serr
-			}
-			nextSwitchAt = horizon
+		if s.now >= s.switchAt {
+			// The fork-mode switch is one more fixed cycle boundary, taken
+			// before the checkpoint check: a snapshot at the switch cycle
+			// captures the target policy, so it restores without switching
+			// again (see Restore).
+			s.switchToTarget()
 		}
 		if s.now >= nextCkptAt {
 			if data, cerr := s.Checkpoint(); cerr != nil {
@@ -843,8 +833,8 @@ func (s *System) runLoop(ctx context.Context, sink *CheckpointSink) (res *Result
 		if next > nextCkptAt {
 			next = nextCkptAt
 		}
-		if next > nextSwitchAt {
-			next = nextSwitchAt
+		if next > s.switchAt {
+			next = s.switchAt
 		}
 		// Sampling boundaries inside the quiescent window still get
 		// their snapshots: jump to each boundary and sample there,
