@@ -12,12 +12,12 @@
 // A second mode, -suite sched, runs the scheduler-hot-path suite: the
 // 8- and 16-core STFM mixes that keep the controller busy every DRAM
 // edge (plus the same 16-core mix on the HBM pack's 8 channels), timed
-// event-driven and written to BENCH_sched.json with the host's
-// GOMAXPROCS and each mix's controller work counters (memctrl.Work)
-// alongside. Wall clocks are comparable only between runs on one host,
-// so the report carries no ratio against another host's numbers:
-// compare two commits by running the suite on both. The work counters
-// are deterministic and compare exactly across hosts.
+// event-driven and written to BENCH_sched.json with each mix's
+// controller work counters (memctrl.Work) alongside. Wall clocks are
+// comparable only between runs on one host, so the report carries no
+// ratio against another host's numbers: compare two commits by running
+// the suite on both. The work counters are deterministic and compare
+// exactly across hosts.
 //
 // A third mode, -suite matrix, benchmarks the persistent alone-baseline
 // store (DESIGN.md §18): the fig5- and protocols-shaped matrices each
@@ -26,6 +26,9 @@
 // records both wall clocks and the store's hit rate. The suite fails
 // unless every cached cell is bit-identical to its cold cell and every
 // cached baseline is a hit.
+//
+// Every report opens with the host envelope: CPU count, GOMAXPROCS, Go
+// version and the commit it was built from.
 //
 // Usage:
 //
@@ -43,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"os/signal"
 	"reflect"
 	"runtime"
@@ -60,13 +64,51 @@ import (
 	"stfm/internal/workloads"
 )
 
+// host is the envelope every report carries. Wall clocks from
+// different hosts are not comparable, while every Result and work
+// counter is; the envelope says which host and code a report's timings
+// belong to.
+type host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	// Commit is the checked-out HEAD, marked "+dirty" when the working
+	// tree has changes, and empty outside a git checkout.
+	Commit string `json:"commit"`
+}
+
+func hostEnvelope() host {
+	return host{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Commit:     commit(),
+	}
+}
+
+// commit returns `git rev-parse HEAD`, with "+dirty" appended when
+// `git status --porcelain` prints anything, or "" when git fails.
+func commit() string {
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	status, err := exec.Command("git", "status", "--porcelain").Output()
+	if err != nil {
+		return ""
+	}
+	c := strings.TrimSpace(string(head))
+	if len(status) > 0 {
+		c += "+dirty"
+	}
+	return c
+}
+
 type report struct {
 	// Suite names the report's shape ("stepping"), like the sched and
-	// matrix reports; GOMAXPROCS records the host's CPU budget (every
-	// timed run is one goroutine, but wall clocks from different hosts
-	// are not comparable, while every Result is).
-	Suite      string `json:"suite"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
+	// matrix reports.
+	Suite string `json:"suite"`
+	host
 	// Workload identification.
 	Mix    []string       `json:"mix"`
 	Policy sim.PolicyKind `json:"policy"`
@@ -185,7 +227,7 @@ func main() {
 
 	rep := report{
 		Suite:             "stepping",
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
+		host:              hostEnvelope(),
 		Mix:               names,
 		Policy:            cfg.Policy,
 		Instrs:            cfg.InstrTarget,
@@ -258,11 +300,8 @@ type schedMix struct {
 
 type schedReport struct {
 	Suite string `json:"suite"`
-	// GOMAXPROCS records the host's CPU budget: every timed run is one
-	// goroutine, but wall clocks from different hosts are not
-	// comparable, while every Result is.
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Mixes      []schedMix `json:"mixes"`
+	host
+	Mixes []schedMix `json:"mixes"`
 }
 
 // runSchedSuite times the scheduler-hot-path workloads: STFM (the
@@ -287,7 +326,7 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out
 		{"16core-4ch-high8+low8", sixteen.Profiles, ""},
 		{"16core-HBM-8ch-high8+low8", sixteen.Profiles, dram.HBM},
 	}
-	rep := schedReport{Suite: "sched", GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	rep := schedReport{Suite: "sched", host: hostEnvelope()}
 	for _, tc := range cases {
 		cfg := sim.DefaultConfig(sim.PolicySTFM, len(tc.profiles))
 		cfg.InstrTarget = 60_000
@@ -395,13 +434,12 @@ type matrixCase struct {
 
 type matrixReport struct {
 	Suite string `json:"suite"`
-	// GOMAXPROCS records the CPU budget: the matrix worker pool scales
-	// with real CPUs, so wall clocks from hosts with different CPU
-	// counts are not comparable (the speedup ratio largely is — both
-	// passes use the same pool).
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Repeat     int          `json:"repeat"`
-	Cases      []matrixCase `json:"cases"`
+	// The matrix worker pool scales with real CPUs, so wall clocks from
+	// hosts with different CPU counts are not comparable (the speedup
+	// ratio largely is — both passes use the same pool).
+	host
+	Repeat int          `json:"repeat"`
+	Cases  []matrixCase `json:"cases"`
 }
 
 // runMatrixSuite benchmarks the two matrix shapes of DESIGN.md §18
@@ -545,7 +583,7 @@ func runMatrixSuite(ctx context.Context, stop context.CancelFunc, repeat int, ba
 		return c
 	}
 
-	rep := matrixReport{Suite: "matrix", GOMAXPROCS: runtime.GOMAXPROCS(0), Repeat: repeat}
+	rep := matrixReport{Suite: "matrix", host: hostEnvelope(), Repeat: repeat}
 	for _, id := range []string{"fig5", "protocols"} {
 		spec, err := experiments.MatrixByID(id)
 		if err != nil {

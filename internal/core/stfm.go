@@ -136,10 +136,10 @@ func (s *STFM) InterferenceBreakdown(thread int) (bus, bank, own float64) {
 }
 
 // NewSTFM builds the scheduler. view is the controller it will run in
-// (for the bank-parallelism registers), geom/timing describe the DRAM
-// system, and tshared supplies each thread's cumulative stall-cycle
-// counter (pass the core model's counter; tests may pass synthetic
-// functions).
+// (for the bank-parallelism registers and the interference victims'
+// thread masks), geom/timing describe the DRAM system, and tshared
+// supplies each thread's cumulative stall-cycle counter (pass the core
+// model's counter; tests may pass synthetic functions).
 func NewSTFM(cfg Config, view memctrl.View, geom dram.Geometry, timing dram.Timing, tshared func(thread int) int64) (*STFM, error) {
 	if cfg.Alpha < 1 {
 		return nil, fmt.Errorf("core: Alpha must be >= 1, got %v", cfg.Alpha)
@@ -269,7 +269,7 @@ func (s *STFM) BeginCycle(now int64) {
 	s.tmax = -1
 	for i := 0; i < s.numThreads; i++ {
 		s.slowdowns[i] = s.computeSlowdown(i)
-		if !s.view.HasQueued(i) {
+		if s.view.QueuedRequests(i) == 0 {
 			continue
 		}
 		if s.slowdowns[i] > smax {
@@ -409,46 +409,34 @@ func (s *STFM) bankLatency(o dram.RowBufferOutcome) float64 {
 }
 
 // OnSchedule implements memctrl.Policy: the Tinterference update rules
-// of Section 3.2.2. Only the bus rule (1a) looks beyond the scheduled
-// bank, and it applies only to column accesses, so the whole channel's
-// waiting set is read only when the chosen command is one.
-func (s *STFM) OnSchedule(_ int64, chosen *memctrl.Candidate, waiting *memctrl.Waiting) {
+// of Section 3.2.2. The victims of each rule are thread masks the view
+// computes from the pre-issue queues; only the bus rule (1a) looks
+// beyond the scheduled bank, and it applies only to column accesses.
+func (s *STFM) OnSchedule(now int64, chosen *memctrl.Candidate) {
 	c := chosen.Req.Thread
+	self := uint64(1) << uint(c)
 
 	// 1a) Bus interference: a scheduled read/write occupies the data
 	// bus for t_bus; every other thread with a ready read/write
-	// command on this channel is delayed by it.
+	// command in another bank of this channel is delayed by it (a
+	// same-bank victim's bank charge already subsumes the bus
+	// occupancy of this command).
 	// 1b) Bank interference: every other thread with a ready command
 	// to the same bank must wait for this command; the delay is
-	// amortized over the victim's BankWaitingParallelism.
+	// amortized over the victim's BankWaitingParallelism. A thread is
+	// delayed only if its command "could have been scheduled had the
+	// thread run by itself": either the command is ready now, or it is
+	// blocked by bank state another thread created (in the alone
+	// system the bank would have held this thread's own row).
 	chosenBank := chosen.Channel*s.banks + chosen.Cmd.Bank
-	var busVictims, bankVictims uint64 // thread bitmasks (numThreads <= 64)
-	var ready []memctrl.Candidate
-	if chosen.Cmd.Kind.IsColumn() {
-		ready = waiting.Channel()
-	} else {
-		ready = waiting.Bank(chosen.Cmd.Bank)
+	waiting, ready := s.view.BankWaiters(now, chosen.Channel, chosen.Cmd.Bank)
+	if u := s.lastBankUser[chosenBank]; u >= 0 {
+		waiting &^= 1 << uint(u)
 	}
-	for i := range ready {
-		r := &ready[i]
-		t := r.Req.Thread
-		if t == c {
-			continue
-		}
-		// A thread is delayed only if its command "could have been
-		// scheduled had the thread run by itself" (Section 3.2.2):
-		// either the command is ready now, or it is blocked by bank
-		// state another thread created (in the alone system the bank
-		// would have held this thread's own row).
-		if r.Channel == chosen.Channel && r.Cmd.Bank == chosen.Cmd.Bank &&
-			(r.Ready || s.lastBankUser[chosenBank] != int8(t)) {
-			bankVictims |= 1 << uint(t)
-		} else if chosen.Cmd.Kind.IsColumn() && r.Cmd.Kind.IsColumn() && r.Ready {
-			// Bus interference applies to victims in other banks; a
-			// same-bank victim's bank charge already subsumes the bus
-			// occupancy of this command.
-			busVictims |= 1 << uint(t)
-		}
+	bankVictims := (ready | waiting) &^ self
+	var busVictims uint64
+	if chosen.Cmd.Kind.IsColumn() {
+		busVictims = s.view.ReadyColumnWaiters(now, chosen.Channel, chosen.Cmd.Bank) &^ self
 	}
 	lat := s.commandLatency(chosen.Cmd.Kind)
 	for t := 0; t < s.numThreads; t++ {

@@ -9,17 +9,19 @@ import (
 	"stfm/internal/memctrl"
 )
 
-// fakeView is a scripted memctrl.View.
+// fakeView is a scripted memctrl.View. Its mask queries answer from
+// waiting, the channel's scripted waiting requests, every one of them
+// ready unless its request ID is in blocked.
 type fakeView struct {
 	threads   int
-	queued    []bool
 	banks     []int
 	requests  []int
 	inService []int
+	waiting   []memctrl.Candidate
+	blocked   map[uint64]bool
 }
 
 func (v *fakeView) NumThreads() int          { return v.threads }
-func (v *fakeView) HasQueued(t int) bool     { return v.queued[t] }
 func (v *fakeView) QueuedBanks(t int) int    { return v.banks[t] }
 func (v *fakeView) QueuedRequests(t int) int { return v.requests[t] }
 func (v *fakeView) InService(t int) int      { return v.inService[t] }
@@ -27,13 +29,40 @@ func (v *fakeView) AppendQueuedReads(dst []*memctrl.Request, _ int) []*memctrl.R
 	return dst
 }
 
+func (v *fakeView) BankWaiters(_ int64, ch, bank int) (waiting, ready uint64) {
+	for _, c := range v.waiting {
+		if c.Channel == ch && c.Cmd.Bank == bank {
+			waiting |= 1 << uint(c.Req.Thread)
+			if !v.blocked[c.Req.ID] {
+				ready |= 1 << uint(c.Req.Thread)
+			}
+		}
+	}
+	return waiting, ready
+}
+
+func (v *fakeView) ReadyColumnWaiters(_ int64, ch, exceptBank int) uint64 {
+	var ready uint64
+	for _, c := range v.waiting {
+		if c.Channel == ch && c.Cmd.Bank != exceptBank && c.IsColumn() && !v.blocked[c.Req.ID] {
+			ready |= 1 << uint(c.Req.Thread)
+		}
+	}
+	return ready
+}
+
+func (v *fakeView) OlderRowWaiting(int, int, uint64) bool { return false }
+
+// wait scripts the channel's waiting requests for the next OnSchedule.
+func (v *fakeView) wait(cands ...memctrl.Candidate) { v.waiting = cands }
+
 func newFakeView(threads int) *fakeView {
 	return &fakeView{
 		threads:   threads,
-		queued:    make([]bool, threads),
 		banks:     make([]int, threads),
 		requests:  make([]int, threads),
 		inService: make([]int, threads),
+		blocked:   make(map[uint64]bool),
 	}
 }
 
@@ -88,7 +117,7 @@ func TestSlowdownComputation(t *testing.T) {
 	f.tshared[0] = 1000
 	f.stfm.tinterf[0] = 500
 	// Thread 1: no stall time -> S = 1.
-	f.view.queued[0], f.view.queued[1] = true, true
+	f.view.requests[0], f.view.requests[1] = 1, 1
 	f.stfm.BeginCycle(0)
 	if got := f.stfm.Slowdown(0); math.Abs(got-2) > 1e-9 {
 		t.Errorf("Slowdown(0) = %v, want 2", got)
@@ -119,7 +148,7 @@ func TestWeightedSlowdowns(t *testing.T) {
 	f.tshared[0], f.tshared[1] = 1000, 1000
 	f.stfm.tinterf[0] = 500 // S = 2 for both
 	f.stfm.tinterf[1] = 500
-	f.view.queued[0], f.view.queued[1] = true, true
+	f.view.requests[0], f.view.requests[1] = 1, 1
 	f.stfm.BeginCycle(0)
 	// Weighted: S' = 1 + (S-1)*W -> thread 1 reads as 11.
 	if got := f.stfm.Slowdown(1); math.Abs(got-11) > 1e-9 {
@@ -165,7 +194,7 @@ func TestQuantizeFixedPointBounds(t *testing.T) {
 
 func TestFairnessModeThreshold(t *testing.T) {
 	f := newFixture(t, 2, DefaultConfig()) // alpha = 1.10
-	f.view.queued[0], f.view.queued[1] = true, true
+	f.view.requests[0], f.view.requests[1] = 1, 1
 	f.tshared[0], f.tshared[1] = 1000, 1000
 	f.stfm.tinterf[0] = 50 // S ~ 1.05
 	f.stfm.BeginCycle(0)
@@ -186,7 +215,7 @@ func TestUnfairnessIgnoresThreadsWithoutRequests(t *testing.T) {
 	f := newFixture(t, 3, DefaultConfig())
 	f.tshared = []int64{1000, 1000, 1000}
 	f.stfm.tinterf[2] = 900 // hugely slowed but has no waiting request
-	f.view.queued[0], f.view.queued[1] = true, true
+	f.view.requests[0], f.view.requests[1] = 1, 1
 	f.stfm.BeginCycle(0)
 	if f.stfm.Unfairness() != 1 {
 		t.Errorf("unfairness = %v, want 1 (thread 2 has no ready request)", f.stfm.Unfairness())
@@ -195,7 +224,7 @@ func TestUnfairnessIgnoresThreadsWithoutRequests(t *testing.T) {
 
 func TestLessTmaxFirstThenFRFCFS(t *testing.T) {
 	f := newFixture(t, 3, DefaultConfig())
-	f.view.queued = []bool{true, true, true}
+	f.view.requests = []int{1, 1, 1}
 	f.tshared = []int64{1000, 1000, 1000}
 	f.stfm.tinterf[1] = 600 // thread 1 is Tmax (S = 2.5)
 	f.stfm.tinterf[2] = 300
@@ -239,7 +268,6 @@ func candAt(thread int, kind dram.CommandKind, bank int, arrival int64) memctrl.
 	return memctrl.Candidate{
 		Req:     &memctrl.Request{ID: candID + uint64(arrival)<<20, Thread: thread, Arrival: arrival},
 		Cmd:     dram.Command{Kind: kind, Bank: bank},
-		Ready:   true,
 		Channel: 0,
 	}
 }
@@ -251,7 +279,8 @@ func TestBusInterferenceCharge(t *testing.T) {
 	victim := candAt(1, dram.CmdRead, 3, 0) // ready CAS on same channel, other bank
 	f.view.requests[1] = 1
 	f.view.banks[1] = 1
-	f.stfm.OnSchedule(0, &chosen, memctrl.NewWaiting([]memctrl.Candidate{chosen, victim}))
+	f.view.wait(chosen, victim)
+	f.stfm.OnSchedule(0, &chosen)
 	if got := f.stfm.Interference(1); got != float64(tm.BurstCycles) {
 		t.Errorf("bus interference = %v, want %d", got, tm.BurstCycles)
 	}
@@ -267,7 +296,8 @@ func TestBankInterferenceAmortization(t *testing.T) {
 	chosen := candAt(0, dram.CmdActivate, 5, 0)
 	victim := candAt(1, dram.CmdPrecharge, 5, 0) // same bank
 	f.view.banks[1] = 4                          // waiting in 4 banks
-	f.stfm.OnSchedule(0, &chosen, memctrl.NewWaiting([]memctrl.Candidate{chosen, victim}))
+	f.view.wait(chosen, victim)
+	f.stfm.OnSchedule(0, &chosen)
 	want := float64(tm.RCD) / 4 // ACT latency / (gamma*BWP)
 	if got := f.stfm.Interference(1); math.Abs(got-want) > 1e-9 {
 		t.Errorf("bank interference = %v, want %v", got, want)
@@ -279,7 +309,8 @@ func TestBankInterferenceIgnoresOtherBanks(t *testing.T) {
 	chosen := candAt(0, dram.CmdActivate, 5, 0)
 	victim := candAt(1, dram.CmdPrecharge, 6, 0) // different bank, not a CAS
 	f.view.banks[1] = 1
-	f.stfm.OnSchedule(0, &chosen, memctrl.NewWaiting([]memctrl.Candidate{chosen, victim}))
+	f.view.wait(chosen, victim)
+	f.stfm.OnSchedule(0, &chosen)
 	if got := f.stfm.Interference(1); got != 0 {
 		t.Errorf("interference = %v, want 0 (different bank, row command)", got)
 	}
@@ -296,7 +327,8 @@ func TestOwnThreadExtraLatency(t *testing.T) {
 	first.Req.Loc = dram.Location{Bank: 2, Row: 7}
 	first.First = true
 	f.view.inService[0] = 1
-	f.stfm.OnSchedule(0, &first, memctrl.NewWaiting([]memctrl.Candidate{first}))
+	f.view.wait(first)
+	f.stfm.OnSchedule(0, &first)
 	if f.stfm.Interference(0) != 0 {
 		t.Fatalf("no own charge expected on first-ever access, got %v", f.stfm.Interference(0))
 	}
@@ -308,7 +340,8 @@ func TestOwnThreadExtraLatency(t *testing.T) {
 	second.Req.Loc = dram.Location{Bank: 2, Row: 7}
 	second.First = true
 	second.Outcome = dram.RowConflict
-	f.stfm.OnSchedule(10, &second, memctrl.NewWaiting([]memctrl.Candidate{second}))
+	f.view.wait(second)
+	f.stfm.OnSchedule(10, &second)
 	want := float64(tm.RP + tm.RCD)
 	if got := f.stfm.Interference(0); math.Abs(got-want) > 1e-9 {
 		t.Errorf("own-thread interference = %v, want %v", got, want)
@@ -324,7 +357,8 @@ func TestOwnThreadNegativeExtraLatency(t *testing.T) {
 	a := candAt(0, dram.CmdRead, 2, 0)
 	a.Req.Loc = dram.Location{Bank: 2, Row: 7}
 	a.First = true
-	f.stfm.OnSchedule(0, &a, memctrl.NewWaiting([]memctrl.Candidate{a}))
+	f.view.wait(a)
+	f.stfm.OnSchedule(0, &a)
 
 	// Next access targets row 9 (conflict alone) but arrives as a hit
 	// in the shared system (someone else opened row 9 — shared data).
@@ -332,7 +366,8 @@ func TestOwnThreadNegativeExtraLatency(t *testing.T) {
 	b.Req.Loc = dram.Location{Bank: 2, Row: 9}
 	b.First = true
 	b.Outcome = dram.RowHit
-	f.stfm.OnSchedule(10, &b, memctrl.NewWaiting([]memctrl.Candidate{b}))
+	f.view.wait(b)
+	f.stfm.OnSchedule(10, &b)
 	if got := f.stfm.Interference(0); got >= 0 {
 		t.Errorf("interference = %v, want negative (positive interference case)", got)
 	}
@@ -346,12 +381,14 @@ func TestOwnThreadUpdateDisabled(t *testing.T) {
 	a := candAt(0, dram.CmdRead, 2, 0)
 	a.Req.Loc = dram.Location{Bank: 2, Row: 7}
 	a.First = true
-	f.stfm.OnSchedule(0, &a, memctrl.NewWaiting([]memctrl.Candidate{a}))
+	f.view.wait(a)
+	f.stfm.OnSchedule(0, &a)
 	b := candAt(0, dram.CmdPrecharge, 2, 10)
 	b.Req.Loc = dram.Location{Bank: 2, Row: 7}
 	b.First = true
 	b.Outcome = dram.RowConflict
-	f.stfm.OnSchedule(10, &b, memctrl.NewWaiting([]memctrl.Candidate{b}))
+	f.view.wait(b)
+	f.stfm.OnSchedule(10, &b)
 	if got := f.stfm.Interference(0); got != 0 {
 		t.Errorf("own-thread update should be disabled, got %v", got)
 	}
@@ -362,14 +399,16 @@ func TestNonReadyVictimNotChargedWhenSelfBlocked(t *testing.T) {
 	// Thread 1's own command last used bank 5; its non-ready request
 	// there is self-blocked and must not be charged.
 	warm := candAt(1, dram.CmdRead, 5, 0)
-	f.stfm.OnSchedule(0, &warm, memctrl.NewWaiting([]memctrl.Candidate{warm}))
+	f.view.wait(warm)
+	f.stfm.OnSchedule(0, &warm)
 	base := f.stfm.Interference(1)
 
 	chosen := candAt(0, dram.CmdActivate, 5, 5)
 	victim := candAt(1, dram.CmdPrecharge, 5, 5)
-	victim.Ready = false
+	f.view.blocked[victim.Req.ID] = true
 	f.view.banks[1] = 1
-	f.stfm.OnSchedule(10, &chosen, memctrl.NewWaiting([]memctrl.Candidate{chosen, victim}))
+	f.view.wait(chosen, victim)
+	f.stfm.OnSchedule(10, &chosen)
 	if got := f.stfm.Interference(1); got != base {
 		t.Errorf("self-blocked victim charged: %v -> %v", base, got)
 	}
@@ -377,7 +416,8 @@ func TestNonReadyVictimNotChargedWhenSelfBlocked(t *testing.T) {
 	// After thread 0 used the bank, thread 1's blocked request is a
 	// cross-thread victim and must be charged.
 	chosen2 := candAt(0, dram.CmdRead, 5, 20)
-	f.stfm.OnSchedule(20, &chosen2, memctrl.NewWaiting([]memctrl.Candidate{chosen2, victim}))
+	f.view.wait(chosen2, victim)
+	f.stfm.OnSchedule(20, &chosen2)
 	if got := f.stfm.Interference(1); got <= base {
 		t.Error("cross-thread-blocked victim must be charged")
 	}
@@ -389,7 +429,7 @@ func TestIntervalReset(t *testing.T) {
 	f := newFixture(t, 2, cfg)
 	f.tshared[0] = 500
 	f.stfm.tinterf[0] = 250
-	f.view.queued[0], f.view.queued[1] = true, true
+	f.view.requests[0], f.view.requests[1] = 1, 1
 	f.stfm.BeginCycle(0)
 	if f.stfm.Slowdown(0) <= 1 {
 		t.Fatal("expected slowdown before reset")
@@ -408,7 +448,7 @@ func TestIntervalReset(t *testing.T) {
 
 func TestFairnessModeFraction(t *testing.T) {
 	f := newFixture(t, 2, DefaultConfig())
-	f.view.queued[0], f.view.queued[1] = true, true
+	f.view.requests[0], f.view.requests[1] = 1, 1
 	f.tshared[0], f.tshared[1] = 1000, 1000
 	f.stfm.tinterf[0] = 500
 	f.stfm.BeginCycle(0)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"stfm/internal/dram"
-	"stfm/internal/memctrl"
 )
 
 // TestTmaxSelectionUsesWeightedSlowdowns: the fairness rule must pick
@@ -16,7 +15,7 @@ func TestTmaxSelectionUsesWeightedSlowdowns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Weights = []float64{1, 10}
 	f := newFixture(t, 2, cfg)
-	f.view.queued[0], f.view.queued[1] = true, true
+	f.view.requests[0], f.view.requests[1] = 1, 1
 	f.tshared[0], f.tshared[1] = 1000, 1000
 	f.stfm.tinterf[0] = 500 // raw S0 = 2.0 -> weighted 2.0
 	f.stfm.tinterf[1] = 91  // raw S1 ~ 1.1 -> weighted ~2.0... make it decisive
@@ -38,7 +37,7 @@ func TestUnfairnessUsesWeightedRatio(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Weights = []float64{1, 4}
 	f := newFixture(t, 2, cfg)
-	f.view.queued[0], f.view.queued[1] = true, true
+	f.view.requests[0], f.view.requests[1] = 1, 1
 	f.tshared[0], f.tshared[1] = 1000, 1000
 	f.stfm.tinterf[0] = 333 // S ~ 1.5 for both threads
 	f.stfm.tinterf[1] = 333
@@ -63,16 +62,18 @@ func TestLastBankUserTracksAcrossChannels(t *testing.T) {
 
 	// Thread 1 uses bank 3 on channel 0.
 	warm := candAt(1, dram.CmdRead, 3, 0)
-	s.OnSchedule(0, &warm, memctrl.NewWaiting(nil))
+	view.wait()
+	s.OnSchedule(0, &warm)
 	// A non-ready victim of thread 1 on channel 1 bank 3 must still be
 	// charged: its self-use was on a different channel.
 	chosen := candAt(0, dram.CmdActivate, 3, 5)
 	chosen.Channel = 1
 	victim := candAt(1, dram.CmdPrecharge, 3, 5)
 	victim.Channel = 1
-	victim.Ready = false
+	view.blocked[victim.Req.ID] = true
 	view.banks[1] = 1
-	s.OnSchedule(10, &chosen, memctrl.NewWaiting([]memctrl.Candidate{chosen, victim}))
+	view.wait(chosen, victim)
+	s.OnSchedule(10, &chosen)
 	if s.Interference(1) <= 0 {
 		t.Error("victim blocked on another channel's bank must be charged")
 	}

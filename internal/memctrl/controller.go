@@ -216,21 +216,15 @@ type Controller struct {
 	threadStats []ThreadStats
 	// work counts scheduling work since construction (Work).
 	work Work
-	// scratch backs the channel's waiting set, built on an issue edge
-	// only when the policy reads it (Waiting.Channel); bankScratch backs
-	// one bank's set (Waiting.Bank), and waiting is the lazily built set
-	// handed to OnSchedule. bankCand[b] holds bank b's level-1 winner
-	// once it is ready (arbitration tracks which entries are current in
-	// a ready mask), and challenger is the stack-avoiding slot
-	// candidates are staged in before comparison (policies receive
-	// *Candidate, and a pointer into controller-owned memory keeps the
-	// edge path free of escape-analysis heap allocations). Channels are
-	// scheduled one at a time, so one set serves them all.
-	scratch     []Candidate
-	bankScratch []Candidate
-	waiting     Waiting
-	bankCand    []Candidate
-	challenger  Candidate
+	// bankCand[b] holds bank b's level-1 winner once it is ready
+	// (arbitration tracks which entries are current in a ready mask),
+	// and challenger is the stack-avoiding slot candidates are staged in
+	// before comparison (policies receive *Candidate, and a pointer into
+	// controller-owned memory keeps the edge path free of escape-analysis
+	// heap allocations). Channels are scheduled one at a time, so one set
+	// serves them all.
+	bankCand   []Candidate
+	challenger Candidate
 	// reserved[ch][bank] is the request whose activate opened the
 	// bank's current row and whose column access has not issued yet.
 	// Until that column access issues, the bank is not re-arbitrated
@@ -317,7 +311,6 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		inServiceBank:  make([][]int16, cfg.NumThreads),
 		inServiceBanks: make([]int, cfg.NumThreads),
 		threadStats:    make([]ThreadStats, cfg.NumThreads),
-		scratch:        make([]Candidate, 0, bufCap),
 		bankCand:       make([]Candidate, banks),
 	}
 	c.SetPolicy(policy)
@@ -334,7 +327,6 @@ func NewController(cfg Config, policy Policy) (*Controller, error) {
 		c.channels = append(c.channels, dram.NewChannel(banks, cfg.Timing))
 		c.reserved = append(c.reserved, make([]*Request, banks))
 	}
-	c.waiting.c = c
 	return c, nil
 }
 
@@ -535,8 +527,8 @@ func (c *Controller) foldRead(now int64, r *Request, q *bankQueue) bool {
 		epoch := channel.BankEpoch(b)
 		refreshMemo(channel, r, epoch)
 		refreshMemo(channel, w, epoch)
-		c.challenger = candidateFor(r, ch, now)
-		c.bankCand[b] = candidateFor(w, ch, now)
+		c.challenger = candidateFor(r, ch)
+		c.bankCand[b] = candidateFor(w, ch)
 		if c.better(&c.challenger, &c.bankCand[b], draining) {
 			m.winner = r
 			h.at = min(h.at, c.edgeCeil(max(now, r.cacheReadyAt)))
@@ -759,9 +751,7 @@ func (c *Controller) completeFinished(now int64) {
 //
 // The steps are eligibility (the channel's read of the global
 // write-drain hysteresis), level 1 (arbitrateChannel), level 2
-// (pickReady), and — on an issue — the commit in issue, which hands the
-// policy a lazily built waiting set (Waiting): a policy pays only for
-// the part of the channel's queues it reads.
+// (pickReady), and — on an issue — the commit in issue.
 func (c *Controller) scheduleChannel(ch int, now int64, orderEp uint64) (issued bool, horizon int64) {
 	draining, useWrites, hasWork := c.eligibility(ch)
 	c.draining[ch] = draining
@@ -779,7 +769,7 @@ func (c *Controller) scheduleChannel(ch int, now int64, orderEp uint64) (issued 
 	if c.trace != nil {
 		c.traceInversion(now, ch, best, ready)
 	}
-	c.issue(ch, now, best, c.waiting.reset(ch, now, useWrites, best))
+	c.issue(ch, now, best)
 	return true, 0
 }
 
@@ -840,11 +830,11 @@ func (c *Controller) arbitrateChannel(ch int, now int64, orderEp uint64, drainin
 			r = m.winner
 			refreshMemo(channel, r, epoch)
 			if now >= r.cacheReadyAt {
-				c.bankCand[b] = candidateFor(r, ch, now)
+				c.bankCand[b] = candidateFor(r, ch)
 			}
 		} else {
 			c.work.MemoMisses++
-			c.scanBank(ch, b, q, channel, epoch, now, draining, useWrites)
+			c.scanBank(ch, b, q, channel, epoch, draining, useWrites)
 			r = c.bankCand[b].Req
 			*m = bankMemo{
 				winner: r, qver: q.ver, bankEp: bankEp, orderEp: orderEp,
@@ -866,11 +856,11 @@ func (c *Controller) arbitrateChannel(ch int, now int64, orderEp uint64, drainin
 // reservation lock) — but only while that request is among the eligible
 // candidates; a reserved write outside a drain episode does not lock
 // the bank. The caller guarantees at least one eligible request.
-func (c *Controller) scanBank(ch, b int, q *bankQueue, channel *dram.Channel, epoch uint64, now int64, draining, useWrites bool) {
+func (c *Controller) scanBank(ch, b int, q *bankQueue, channel *dram.Channel, epoch uint64, draining, useWrites bool) {
 	slot := &c.bankCand[b]
 	if res := c.reserved[ch][b]; res != nil && (!res.IsWrite || useWrites) {
 		refreshMemo(channel, res, epoch)
-		*slot = candidateFor(res, ch, now)
+		*slot = candidateFor(res, ch)
 		return
 	}
 	chal := &c.challenger
@@ -878,7 +868,7 @@ func (c *Controller) scanBank(ch, b int, q *bankQueue, channel *dram.Channel, ep
 	for _, list := range q.eligible(useWrites) {
 		for _, r := range list {
 			refreshMemo(channel, r, epoch)
-			*chal = candidateFor(r, ch, now)
+			*chal = candidateFor(r, ch)
 			if !have || c.better(chal, slot, draining) {
 				*slot = *chal
 				have = true
@@ -901,10 +891,10 @@ func (c *Controller) pickReady(ready uint64, draining bool) *Candidate {
 }
 
 // candidateFor builds r's candidate from its (current) timing memo.
-func candidateFor(r *Request, ch int, now int64) Candidate {
+func candidateFor(r *Request, ch int) Candidate {
 	return Candidate{
 		Req: r, Cmd: r.cacheCmd, Outcome: outcomeFor(r.cacheCmd.Kind), Channel: ch,
-		First: !r.Started, Ready: now >= r.cacheReadyAt,
+		First: !r.Started,
 	}
 }
 
@@ -926,14 +916,14 @@ func (c *Controller) better(a, b *Candidate, draining bool) bool {
 // issue commits the chosen command. The policy's OnSchedule runs after
 // the first-command bookkeeping (so the request's FirstScheduledOutcome
 // and the thread's in-service count include it) and before the command
-// reaches the channel and the request leaves its queue, so the waiting
-// set the policy reads is the pre-issue one. Where OnSchedule sits
-// among the steps cannot change the outcome: it writes only policy
-// registers, and the rest of issue writes only controller and DRAM
-// state that OnSchedule does not read (removing the chosen request
-// changes only the chosen thread's waiting counts, and STFM reads those
-// of the other threads).
-func (c *Controller) issue(ch int, now int64, chosen *Candidate, waiting *Waiting) {
+// reaches the channel and the request leaves its queue, so the View
+// queries the policy makes see the pre-issue queues and bank state.
+// Where OnSchedule sits among the steps cannot change the outcome: it
+// writes only policy registers, and the rest of issue writes only
+// controller and DRAM state that OnSchedule does not read (removing the
+// chosen request changes only the chosen thread's waiting counts, and
+// STFM reads those of the other threads).
+func (c *Controller) issue(ch int, now int64, chosen *Candidate) {
 	channel := c.channels[ch]
 	r := chosen.Req
 	if !r.Started {
@@ -964,7 +954,7 @@ func (c *Controller) issue(ch int, now int64, chosen *Candidate, waiting *Waitin
 			}
 		}
 	}
-	c.policy.OnSchedule(now, chosen, waiting)
+	c.policy.OnSchedule(now, chosen)
 	burstDone := channel.Issue(chosen.Cmd, now)
 	switch {
 	case chosen.Cmd.Kind == dram.CmdActivate:
@@ -1103,13 +1093,10 @@ func outcomeFor(kind dram.CommandKind) dram.RowBufferOutcome {
 	}
 }
 
-// --- View implementation (used by the STFM and PAR-BS policies) ---
+// --- View implementation (used by STFM, FR-FCFS+Cap, NFQ and PAR-BS) ---
 
 // NumThreads implements View.
 func (c *Controller) NumThreads() int { return c.cfg.NumThreads }
-
-// HasQueued implements View.
-func (c *Controller) HasQueued(thread int) bool { return c.queuedPerThr[thread] > 0 }
 
 // InService implements View: the number of distinct banks currently
 // servicing the thread's reads (BankAccessParallelism).
@@ -1150,6 +1137,66 @@ func (c *Controller) AppendQueuedReads(dst []*Request, ch int) []*Request {
 // queued read, and STFM calls it for every interference victim on
 // every scheduled command.
 func (c *Controller) QueuedBanks(thread int) int { return c.queuedBanks[thread] }
+
+// eligibleIn returns channel ch's DRAM channel, the bank's state epoch
+// and the bank's requests eligible under the channel's current write
+// eligibility — what the View queries below scan.
+func (c *Controller) eligibleIn(ch, bank int) (*dram.Channel, uint64, [2][]*Request) {
+	_, useWrites, _ := c.eligibility(ch)
+	channel := c.channels[ch]
+	return channel, channel.BankEpoch(bank), c.queues[ch*c.banksPer+bank].eligible(useWrites)
+}
+
+// BankWaiters implements View.
+func (c *Controller) BankWaiters(now int64, ch, bank int) (waiting, ready uint64) {
+	channel, epoch, lists := c.eligibleIn(ch, bank)
+	for _, list := range lists {
+		for _, r := range list {
+			refreshMemo(channel, r, epoch)
+			bit := uint64(1) << uint(r.Thread)
+			waiting |= bit
+			if now >= r.cacheReadyAt {
+				ready |= bit
+			}
+		}
+	}
+	return waiting, ready
+}
+
+// ReadyColumnWaiters implements View. It visits every bank holding
+// queued requests; eligibleIn leaves out the writes of banks whose
+// writes are not eligible.
+func (c *Controller) ReadyColumnWaiters(now int64, ch, exceptBank int) uint64 {
+	var ready uint64
+	for banks := (c.readMask[ch] | c.writeMask[ch]) &^ (1 << uint(exceptBank)); banks != 0; banks &= banks - 1 {
+		channel, epoch, lists := c.eligibleIn(ch, bits.TrailingZeros64(banks))
+		for _, list := range lists {
+			for _, r := range list {
+				refreshMemo(channel, r, epoch)
+				if r.cacheCmd.Kind.IsColumn() && now >= r.cacheReadyAt {
+					ready |= 1 << uint(r.Thread)
+				}
+			}
+		}
+	}
+	return ready
+}
+
+// OlderRowWaiting implements View.
+func (c *Controller) OlderRowWaiting(ch, bank int, id uint64) bool {
+	channel, epoch, lists := c.eligibleIn(ch, bank)
+	for _, list := range lists {
+		for _, r := range list {
+			if r.ID < id {
+				refreshMemo(channel, r, epoch)
+				if !r.cacheCmd.Kind.IsColumn() {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
 
 // Drain runs the controller forward (from CPU cycle start) until all
 // buffered requests complete, returning the cycle after the last

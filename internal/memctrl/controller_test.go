@@ -184,14 +184,14 @@ func TestWriteBufferFullForcesDrain(t *testing.T) {
 
 func TestPerThreadViewCounters(t *testing.T) {
 	c := newTestController(t, 3)
-	if c.HasQueued(1) {
+	if c.QueuedRequests(1) != 0 {
 		t.Error("no requests queued yet")
 	}
 	c.EnqueueRead(0, 1, addr(t, c, 0, 1, 0), 0)
 	c.EnqueueRead(0, 1, addr(t, c, 3, 1, 0), 0)
 	c.EnqueueRead(0, 2, addr(t, c, 3, 2, 0), 0)
-	if !c.HasQueued(1) || !c.HasQueued(2) || c.HasQueued(0) {
-		t.Error("HasQueued mismatch")
+	if c.QueuedRequests(2) != 1 || c.QueuedRequests(0) != 0 {
+		t.Error("QueuedRequests mismatch")
 	}
 	if got := c.QueuedBanks(1); got != 2 {
 		t.Errorf("QueuedBanks(1) = %d, want 2", got)
@@ -203,7 +203,7 @@ func TestPerThreadViewCounters(t *testing.T) {
 		t.Errorf("NumThreads = %d, want 3", got)
 	}
 	c.Drain(0)
-	if c.HasQueued(1) || c.QueuedBanks(1) != 0 || c.InService(1) != 0 {
+	if c.QueuedRequests(1) != 0 || c.QueuedBanks(1) != 0 || c.InService(1) != 0 {
 		t.Error("counters should return to zero after drain")
 	}
 }

@@ -30,8 +30,8 @@ func (benchFRFCFS) Less(a, b *Candidate) bool {
 	}
 	return a.Req.Older(b.Req)
 }
-func (benchFRFCFS) OnSchedule(int64, *Candidate, *Waiting) {}
-func (benchFRFCFS) OrderEpoch() uint64                     { return 0 }
+func (benchFRFCFS) OnSchedule(int64, *Candidate) {}
+func (benchFRFCFS) OrderEpoch() uint64           { return 0 }
 
 // edgeGrid is the sweep from the perf issue: 2/8/16 cores crossed with
 // 1/2/4 channels (the paper scales channels with cores, but the hot

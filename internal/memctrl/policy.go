@@ -4,11 +4,11 @@ import "stfm/internal/dram"
 
 // Candidate is a request presented to the policy with the next DRAM
 // command it needs given the current row-buffer state of its bank.
-// Candidates are built for every waiting request; DRAM timing
-// readiness is enforced by the controller when the selected command is
-// issued, not during prioritization (the paper's per-bank schedulers
-// arbitrate requests, then issue the winner's commands as they become
-// ready).
+// Arbitration builds one for every eligible request of a bank (level 1)
+// and compares the ready bank winners across the channel (level 2);
+// DRAM timing readiness gates only level 2, not the bank's choice (the
+// paper's per-bank schedulers arbitrate requests, then issue the
+// winner's commands as they become ready).
 type Candidate struct {
 	// Req is the queued request this candidate would service.
 	Req *Request
@@ -26,24 +26,20 @@ type Candidate struct {
 	// service event (STFM's own-thread interference update and the
 	// row-buffer outcome statistics key off it).
 	First bool
-	// Ready reports whether Cmd could issue this DRAM cycle without
-	// violating timing or bus constraints — the paper's definition of
-	// a ready command (footnote 4). STFM charges interference only to
-	// threads with ready commands ("these ready requests could have
-	// been scheduled if the thread had run by itself").
-	Ready bool
 }
 
-// IsColumn reports whether the candidate's next command is a ready
-// column access — the class FR-FCFS's column-first rule prioritizes.
+// IsColumn reports whether the candidate's next command is a column
+// access — the class FR-FCFS's column-first rule prioritizes.
 func (c *Candidate) IsColumn() bool { return c.Cmd.Kind.IsColumn() }
 
 // Policy decides which ready DRAM command the controller issues each
 // DRAM cycle. Implementations are the five schedulers the paper
 // evaluates and two extensions (PAR-BS, TCM). The controller calls
-// BeginCycle once per DRAM cycle, then for each channel selects the
-// maximum candidate under Less and calls OnSchedule with the winner
-// and the channel's waiting set.
+// BeginCycle once per DRAM cycle, then for each channel picks every
+// bank's winner under Less, issues the best ready winner, and calls
+// OnSchedule with it. A policy that needs more of the controller's
+// state than the candidates carry reads it through a View taken at
+// construction.
 type Policy interface {
 	// Name returns the scheduler's short name (e.g. "FR-FCFS").
 	Name() string
@@ -52,21 +48,19 @@ type Policy interface {
 	// bookkeeping, PAR-BS's batch formation) update per-cycle state.
 	BeginCycle(now int64)
 	// Less reports whether candidate a has strictly higher priority
-	// than candidate b. Both candidates are ready commands on the
-	// same channel.
+	// than candidate b. Both candidates are on the same channel. Level 1
+	// compares the eligible requests of one bank, ready or not; level 2
+	// compares the banks' winners whose commands are ready.
 	Less(a, b *Candidate) bool
-	// OnSchedule is invoked when the controller issues chosen's
-	// command, before the command reaches the channel and before the
-	// request leaves its queue. waiting is the channel's pre-issue
-	// waiting set (chosen included), built only as far as the policy
-	// reads it: Bank(b) copies one bank's candidates and Channel() the
-	// whole channel's. Policies that account for inter-thread
-	// interference (STFM) or reordering (FR-FCFS+Cap, NFQ) use it to see
-	// which threads had waiting requests that were delayed; a policy
-	// that needs neither should read nothing. OnSchedule may write only
-	// the policy's own registers, and must not keep waiting, its slices
-	// or the candidates' request pointers past the call.
-	OnSchedule(now int64, chosen *Candidate, waiting *Waiting)
+	// OnSchedule is invoked when the controller issues chosen's command,
+	// before the command reaches the channel and before the request leaves
+	// its queue, so View queries made during the call see the pre-issue
+	// queues and bank state (chosen included). STFM asks its View which
+	// threads the command delays, and FR-FCFS+Cap and NFQ whether it
+	// bypasses an older row access; a policy that needs neither reads
+	// nothing. OnSchedule may write only the policy's own registers, and
+	// must not keep chosen's request pointer past the call.
+	OnSchedule(now int64, chosen *Candidate)
 	// OrderEpoch returns a counter that the policy bumps whenever
 	// internal state consulted by Less changes — i.e. whenever Less(a, b)
 	// could return a different answer than it did on an earlier cycle
@@ -110,8 +104,17 @@ type EventPolicy interface {
 }
 
 // View is the read-only controller interface given to policies that
-// need global request-buffer state (STFM's bank-parallelism registers,
-// PAR-BS's batch formation).
+// need request-buffer state beyond the candidates: STFM's
+// bank-parallelism registers and interference victims, FR-FCFS+Cap's
+// and NFQ's bypassed row accesses, PAR-BS's batch formation.
+//
+// The mask queries return one bit per thread (bit t for thread t), so
+// they cover threads 0–63; STFM, their reader, rejects more threads in
+// NewSTFM. They scan the queues under the channel's current write
+// eligibility (its reads, and its writes when the write-drain policy
+// admits them this edge), refresh each visited request's timing memo,
+// and copy nothing. Called from OnSchedule they answer for the
+// pre-issue state.
 type View interface {
 	// NumThreads returns the number of hardware threads sharing the
 	// controller.
@@ -131,9 +134,18 @@ type View interface {
 	// BankAccessParallelism register ("the number of banks that are
 	// kept busy due to Thread C's requests", Table 1).
 	InService(thread int) int
-	// HasQueued reports whether the thread has at least one request
-	// waiting in the request buffer.
-	HasQueued(thread int) bool
+	// BankWaiters returns the threads with an eligible request in bank
+	// bank of channel ch (waiting), and those among them with one whose
+	// next command is ready at now (ready).
+	BankWaiters(now int64, ch, bank int) (waiting, ready uint64)
+	// ReadyColumnWaiters returns the threads with an eligible request
+	// whose next command is a column access ready at now, in any bank of
+	// channel ch except exceptBank.
+	ReadyColumnWaiters(now int64, ch, exceptBank int) uint64
+	// OlderRowWaiting reports whether an eligible request of bank bank
+	// of channel ch with an ID below id (an older one) needs a row
+	// command, a precharge or an activate, next.
+	OlderRowWaiting(ch, bank int, id uint64) bool
 	// AppendQueuedReads appends channel ch's waiting reads (column
 	// access not yet issued) to dst, in no particular order, and returns
 	// the extended slice. The controller recycles a request once it

@@ -12,6 +12,7 @@ const DefaultCap = 4
 // older row access to the same bank; once the cap is reached the bank
 // falls back to FCFS ordering until a row access is serviced there.
 type FRFCFSCap struct {
+	view   memctrl.View
 	cap    int
 	counts [][]int // [channel][bank] column accesses serviced past an older row access
 	// epoch counts changes to counts — the only policy state Less reads
@@ -19,9 +20,10 @@ type FRFCFSCap struct {
 	epoch uint64
 }
 
-// NewFRFCFSCap creates the policy for a controller with the given
-// channel/bank geometry. cap <= 0 selects DefaultCap.
-func NewFRFCFSCap(cap, channels, banksPerChannel int) *FRFCFSCap {
+// NewFRFCFSCap creates the policy for the controller behind view (which
+// it asks for bypassed row accesses) with the given channel/bank
+// geometry. cap <= 0 selects DefaultCap.
+func NewFRFCFSCap(view memctrl.View, cap, channels, banksPerChannel int) *FRFCFSCap {
 	if cap <= 0 {
 		cap = DefaultCap
 	}
@@ -29,7 +31,7 @@ func NewFRFCFSCap(cap, channels, banksPerChannel int) *FRFCFSCap {
 	for i := range counts {
 		counts[i] = make([]int, banksPerChannel)
 	}
-	return &FRFCFSCap{cap: cap, counts: counts}
+	return &FRFCFSCap{view: view, cap: cap, counts: counts}
 }
 
 // Name implements memctrl.Policy.
@@ -58,8 +60,8 @@ func (p *FRFCFSCap) capped(c *memctrl.Candidate) bool {
 // OnSchedule implements memctrl.Policy: it counts each column access
 // serviced while a strictly older request was waiting on a row access
 // to the same bank, and resets the bank's budget whenever a row access
-// is serviced there. It reads only the chosen bank's waiting set.
-func (p *FRFCFSCap) OnSchedule(_ int64, chosen *memctrl.Candidate, waiting *memctrl.Waiting) {
+// is serviced there. It asks the view about the chosen bank only.
+func (p *FRFCFSCap) OnSchedule(_ int64, chosen *memctrl.Candidate) {
 	bank := chosen.Cmd.Bank
 	if !chosen.IsColumn() {
 		if p.counts[chosen.Channel][bank] != 0 {
@@ -68,14 +70,9 @@ func (p *FRFCFSCap) OnSchedule(_ int64, chosen *memctrl.Candidate, waiting *memc
 		}
 		return
 	}
-	ready := waiting.Bank(bank)
-	for i := range ready {
-		r := &ready[i]
-		if !r.IsColumn() && r.Req.Older(chosen.Req) {
-			p.counts[chosen.Channel][bank]++
-			p.epoch++
-			return
-		}
+	if p.view.OlderRowWaiting(chosen.Channel, bank, chosen.Req.ID) {
+		p.counts[chosen.Channel][bank]++
+		p.epoch++
 	}
 }
 

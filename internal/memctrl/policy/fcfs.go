@@ -18,12 +18,11 @@ func (*FCFS) Name() string { return "FCFS" }
 // BeginCycle implements memctrl.Policy.
 func (*FCFS) BeginCycle(int64) {}
 
-// Less implements memctrl.Policy: strictly oldest-first among ready
-// commands.
+// Less implements memctrl.Policy: strictly oldest-first.
 func (*FCFS) Less(a, b *memctrl.Candidate) bool { return a.Req.Older(b.Req) }
 
 // OnSchedule implements memctrl.Policy; it reads nothing.
-func (*FCFS) OnSchedule(int64, *memctrl.Candidate, *memctrl.Waiting) {}
+func (*FCFS) OnSchedule(int64, *memctrl.Candidate) {}
 
 // OrderEpoch implements memctrl.Policy: the comparator is
 // stateless, so the ordering never changes.

@@ -35,7 +35,7 @@ func (*FRFCFS) Less(a, b *memctrl.Candidate) bool {
 }
 
 // OnSchedule implements memctrl.Policy; it reads nothing.
-func (*FRFCFS) OnSchedule(int64, *memctrl.Candidate, *memctrl.Waiting) {}
+func (*FRFCFS) OnSchedule(int64, *memctrl.Candidate) {}
 
 // OrderEpoch implements memctrl.Policy: the comparator is
 // stateless, so the ordering never changes.

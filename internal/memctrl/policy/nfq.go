@@ -35,6 +35,7 @@ import (
 // pending expiry, so an event-driven controller wakes when one can
 // change a bank's winner.
 type NFQ struct {
+	view   memctrl.View
 	timing dram.Timing
 	shares []float64
 	// vft[thread][channel*banks+bank] is the thread's virtual finish
@@ -54,10 +55,12 @@ type NFQ struct {
 	nextExpiry int64
 }
 
-// NewNFQ creates an NFQ policy for numThreads threads with equal
+// NewNFQ creates an NFQ policy for the controller behind view (which it
+// asks for bypassed row accesses), for numThreads threads with equal
 // bandwidth shares over the given channel/bank geometry.
-func NewNFQ(numThreads, channels, banksPerChannel int, timing dram.Timing) *NFQ {
+func NewNFQ(view memctrl.View, numThreads, channels, banksPerChannel int, timing dram.Timing) *NFQ {
 	p := &NFQ{
+		view:            view,
 		timing:          timing,
 		shares:          make([]float64, numThreads),
 		vft:             make([][]float64, numThreads),
@@ -182,8 +185,8 @@ func (p *NFQ) uncontendedLatency(outcome dram.RowBufferOutcome) float64 {
 // OnSchedule implements memctrl.Policy: advances the serviced thread's
 // virtual finish time on column accesses and maintains the
 // priority-inversion timers, bumping the order epoch on either change.
-// It reads only the chosen bank's waiting set.
-func (p *NFQ) OnSchedule(now int64, chosen *memctrl.Candidate, waiting *memctrl.Waiting) {
+// It asks the view about the chosen bank only.
+func (p *NFQ) OnSchedule(now int64, chosen *memctrl.Candidate) {
 	bank := p.bankIndex(chosen)
 	if !chosen.IsColumn() {
 		if p.rowBlockedSince[bank] >= 0 {
@@ -200,16 +203,9 @@ func (p *NFQ) OnSchedule(now int64, chosen *memctrl.Candidate, waiting *memctrl.
 
 	// If an older request is still waiting on a row access to this
 	// bank, it has just been bypassed: start its inversion timer.
-	if p.rowBlockedSince[bank] < 0 {
-		ready := waiting.Bank(chosen.Cmd.Bank)
-		for i := range ready {
-			r := &ready[i]
-			if !r.IsColumn() && r.Req.Older(chosen.Req) {
-				p.rowBlockedSince[bank] = now
-				p.nextExpiry = min(p.nextExpiry, now+p.timing.RAS)
-				break
-			}
-		}
+	if p.rowBlockedSince[bank] < 0 && p.view.OlderRowWaiting(chosen.Channel, chosen.Cmd.Bank, chosen.Req.ID) {
+		p.rowBlockedSince[bank] = now
+		p.nextExpiry = min(p.nextExpiry, now+p.timing.RAS)
 	}
 }
 

@@ -14,11 +14,12 @@ import (
 // candidate population.
 func TestPolicyOrderingProperties(t *testing.T) {
 	tm := dram.DefaultTiming()
+	view := &bankView{}
 	policies := []memctrl.Policy{
 		NewFRFCFS(),
 		NewFCFS(),
-		NewFRFCFSCap(4, 1, 8),
-		NewNFQ(4, 1, 8, tm),
+		NewFRFCFSCap(view, 4, 1, 8),
+		NewNFQ(view, 4, 1, 8, tm),
 		NewPARBS(&readsView{threads: 4}, 1, 5),
 	}
 
@@ -32,7 +33,6 @@ func TestPolicyOrderingProperties(t *testing.T) {
 				cands = append(cands, memctrl.Candidate{
 					Req:     &memctrl.Request{ID: id, Thread: thread, Arrival: int64(id * 7 % 100), Loc: dram.Location{Bank: bank}},
 					Cmd:     dram.Command{Kind: k, Bank: bank},
-					Ready:   id%3 != 0,
 					Channel: 0,
 				})
 				id++
@@ -50,7 +50,8 @@ func TestPolicyOrderingProperties(t *testing.T) {
 		if nfq, ok := p.(*NFQ); ok {
 			warm := cands[0]
 			warm.Req.FirstScheduledOutcome = dram.RowHit
-			nfq.OnSchedule(1000, &warm, memctrl.NewWaiting(cands))
+			view.waiting = cands
+			nfq.OnSchedule(1000, &warm)
 		}
 		for i := range cands {
 			a := &cands[i]
@@ -75,7 +76,7 @@ func TestPolicyOrderingProperties(t *testing.T) {
 // Less must give the same winner regardless of candidate order.
 func TestPolicySelectionIsScanOrderIndependent(t *testing.T) {
 	tm := dram.DefaultTiming()
-	p := NewNFQ(2, 1, 8, tm)
+	p := NewNFQ(&bankView{}, 2, 1, 8, tm)
 	var cands []memctrl.Candidate
 	for i := uint64(1); i <= 12; i++ {
 		cands = append(cands, cand(i, int(i%2), []dram.CommandKind{dram.CmdRead, dram.CmdPrecharge}[i%2], int(i%4), int64(i*13%50)))

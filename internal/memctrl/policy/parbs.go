@@ -170,10 +170,10 @@ func (p *PARBS) Less(a, b *memctrl.Candidate) bool {
 }
 
 // OnSchedule implements memctrl.Policy: marked requests leave the
-// batch when their column access issues. It reads no waiting set, and
+// batch when their column access issues. It reads nothing, and
 // unmarking needs no epoch bump: the request leaves its queue with the
 // same column access.
-func (p *PARBS) OnSchedule(_ int64, chosen *memctrl.Candidate, _ *memctrl.Waiting) {
+func (p *PARBS) OnSchedule(_ int64, chosen *memctrl.Candidate) {
 	if !chosen.Cmd.Kind.IsColumn() {
 		return
 	}

@@ -114,7 +114,7 @@ func TestPARBSBatchDrainsAndReforms(t *testing.T) {
 	if p.marked[0][2] {
 		t.Error("a read arriving mid-batch must wait for the next batch")
 	}
-	p.OnSchedule(5, &a, memctrl.NewWaiting(nil))
+	p.OnSchedule(5, &a)
 	if p.remaining[0] != 0 {
 		t.Fatalf("batch should drain, remaining = %d", p.remaining[0])
 	}

@@ -14,8 +14,24 @@ func cand(id uint64, thread int, kind dram.CommandKind, bank int, arrival int64)
 		Req:     &memctrl.Request{ID: id, Thread: thread, Arrival: arrival, Loc: dram.Location{Bank: bank}},
 		Cmd:     dram.Command{Kind: kind, Bank: bank},
 		Channel: 0,
-		Ready:   true,
 	}
+}
+
+// bankView is a memctrl.View whose OlderRowWaiting answers from the
+// scripted waiting requests of the next OnSchedule.
+type bankView struct {
+	memctrl.View
+	waiting []memctrl.Candidate
+}
+
+func (v *bankView) OlderRowWaiting(ch, bank int, id uint64) bool {
+	for i := range v.waiting {
+		c := &v.waiting[i]
+		if c.Channel == ch && c.Cmd.Bank == bank && !c.IsColumn() && c.Req.ID < id {
+			return true
+		}
+	}
+	return false
 }
 
 func TestFRFCFSOrdering(t *testing.T) {
@@ -48,7 +64,8 @@ func TestFCFSIgnoresRowState(t *testing.T) {
 }
 
 func TestCapDegradesToFCFS(t *testing.T) {
-	p := NewFRFCFSCap(2, 1, 8)
+	v := &bankView{}
+	p := NewFRFCFSCap(v, 2, 1, 8)
 	if p.Name() != "FRFCFS+Cap" {
 		t.Errorf("name = %q", p.Name())
 	}
@@ -61,7 +78,8 @@ func TestCapDegradesToFCFS(t *testing.T) {
 		if !p.Less(&young, &old) {
 			t.Fatalf("bypass %d should still be allowed", i)
 		}
-		p.OnSchedule(0, &young, memctrl.NewWaiting(append(ready, young)))
+		v.waiting = append(ready, young)
+		p.OnSchedule(0, &young)
 	}
 	// Cap reached: FCFS applies in bank 3 — the old row access wins.
 	young := cand(20, 1, dram.CmdRead, 3, 100)
@@ -75,7 +93,8 @@ func TestCapDegradesToFCFS(t *testing.T) {
 		t.Error("cap in bank 3 must not affect bank 4")
 	}
 	// Servicing a row access resets the bank's budget.
-	p.OnSchedule(0, &old, memctrl.NewWaiting(ready))
+	v.waiting = ready
+	p.OnSchedule(0, &old)
 	young2 := cand(22, 1, dram.CmdRead, 3, 100)
 	if !p.Less(&young2, &old) {
 		t.Error("budget should reset after a row access is serviced")
@@ -83,14 +102,16 @@ func TestCapDegradesToFCFS(t *testing.T) {
 }
 
 func TestCapDefaultValue(t *testing.T) {
-	p := NewFRFCFSCap(0, 1, 8)
+	v := &bankView{}
+	p := NewFRFCFSCap(v, 0, 1, 8)
 	old := cand(1, 0, dram.CmdPrecharge, 0, 0)
 	for i := uint64(0); i < DefaultCap; i++ {
 		young := cand(10+i, 1, dram.CmdRead, 0, 50)
 		if !p.Less(&young, &old) {
 			t.Fatalf("bypass %d refused below default cap", i)
 		}
-		p.OnSchedule(0, &young, memctrl.NewWaiting([]memctrl.Candidate{old, young}))
+		v.waiting = []memctrl.Candidate{old, young}
+		p.OnSchedule(0, &young)
 	}
 	young := cand(30, 1, dram.CmdRead, 0, 50)
 	if p.Less(&young, &old) {
@@ -100,7 +121,7 @@ func TestCapDefaultValue(t *testing.T) {
 
 func TestNFQVirtualFinishTimeOrdering(t *testing.T) {
 	tm := dram.DefaultTiming()
-	p := NewNFQ(2, 1, 8, tm)
+	p := NewNFQ(&bankView{}, 2, 1, 8, tm)
 	p.BeginCycle(0)
 
 	// Service several requests of thread 0 in bank 0: its VFT grows
@@ -108,7 +129,7 @@ func TestNFQVirtualFinishTimeOrdering(t *testing.T) {
 	for i := uint64(0); i < 5; i++ {
 		c := cand(i+1, 0, dram.CmdRead, 0, int64(i)*10)
 		c.Req.FirstScheduledOutcome = dram.RowHit
-		p.OnSchedule(int64(i)*10, &c, memctrl.NewWaiting(nil))
+		p.OnSchedule(int64(i)*10, &c)
 	}
 	// Thread 1 arrives late with a small arrival time vs thread 0's
 	// inflated VFT: thread 1 must win.
@@ -127,13 +148,13 @@ func TestNFQIdlenessProblem(t *testing.T) {
 	// long time (accruing virtual time at N x wall clock), thread 1
 	// wakes up and captures the bank.
 	tm := dram.DefaultTiming()
-	p := NewNFQ(2, 1, 8, tm)
+	p := NewNFQ(&bankView{}, 2, 1, 8, tm)
 	now := int64(0)
 	for i := uint64(0); i < 50; i++ {
 		c := cand(i+1, 0, dram.CmdRead, 0, now)
 		c.Req.FirstScheduledOutcome = dram.RowHit
 		p.BeginCycle(now)
-		p.OnSchedule(now, &c, memctrl.NewWaiting(nil))
+		p.OnSchedule(now, &c)
 		now += 100
 	}
 	// Thread 1's burst arrives at wall clock `now`.
@@ -147,8 +168,8 @@ func TestNFQIdlenessProblem(t *testing.T) {
 
 func TestNFQSharesScaleCharges(t *testing.T) {
 	tm := dram.DefaultTiming()
-	pEq := NewNFQ(2, 1, 8, tm)
-	pWt := NewNFQ(2, 1, 8, tm)
+	pEq := NewNFQ(&bankView{}, 2, 1, 8, tm)
+	pWt := NewNFQ(&bankView{}, 2, 1, 8, tm)
 	if err := pWt.SetShares([]float64{1, 9}); err != nil { // thread 1 gets 90% of bandwidth
 		t.Fatal(err)
 	}
@@ -157,7 +178,7 @@ func TestNFQSharesScaleCharges(t *testing.T) {
 		c := cand(1, 1, dram.CmdRead, 0, 0)
 		c.Req.FirstScheduledOutcome = dram.RowHit
 		p.BeginCycle(0)
-		p.OnSchedule(0, &c, memctrl.NewWaiting(nil))
+		p.OnSchedule(0, &c)
 	}
 	// After one identical request, the weighted thread's VFT must be
 	// smaller (charged 1/0.9 instead of 1/0.5 of latency).
@@ -169,7 +190,7 @@ func TestNFQSharesScaleCharges(t *testing.T) {
 }
 
 func TestNFQSetSharesValidation(t *testing.T) {
-	p := NewNFQ(2, 1, 8, dram.DefaultTiming())
+	p := NewNFQ(&bankView{}, 2, 1, 8, dram.DefaultTiming())
 	for _, bad := range [][]float64{
 		{1},                        // length mismatch
 		{1, 0},                     // non-positive weight
@@ -190,7 +211,8 @@ func TestNFQSetSharesValidation(t *testing.T) {
 
 func TestNFQPriorityInversionPrevention(t *testing.T) {
 	tm := dram.DefaultTiming()
-	p := NewNFQ(2, 1, 8, tm)
+	v := &bankView{}
+	p := NewNFQ(v, 2, 1, 8, tm)
 	old := cand(1, 0, dram.CmdPrecharge, 0, 0)
 	young := cand(2, 1, dram.CmdRead, 0, 10)
 	young.Req.FirstScheduledOutcome = dram.RowHit
@@ -201,7 +223,8 @@ func TestNFQPriorityInversionPrevention(t *testing.T) {
 	}
 	// Scheduling the young column access while the older row access
 	// waits starts the inversion timer.
-	p.OnSchedule(0, &young, memctrl.NewWaiting([]memctrl.Candidate{old, young}))
+	v.waiting = []memctrl.Candidate{old, young}
+	p.OnSchedule(0, &young)
 	p.BeginCycle(tm.RAS - 1)
 	if !p.Less(&young, &old) {
 		t.Error("inversion should still be allowed before tRAS")
@@ -211,7 +234,8 @@ func TestNFQPriorityInversionPrevention(t *testing.T) {
 		t.Error("after tRAS of bypassing, the row access must win")
 	}
 	// Servicing the row access clears the timer.
-	p.OnSchedule(tm.RAS+1, &old, memctrl.NewWaiting([]memctrl.Candidate{old}))
+	v.waiting = []memctrl.Candidate{old}
+	p.OnSchedule(tm.RAS+1, &old)
 	p.BeginCycle(tm.RAS + 2)
 	young2 := cand(3, 1, dram.CmdRead, 0, 10)
 	if !p.Less(&young2, &old) {
@@ -225,7 +249,8 @@ func TestNFQPriorityInversionPrevention(t *testing.T) {
 // the pending expiry is its policy event, recomputed by RestoreState.
 func TestNFQOrderEpochTracksInversionExpiry(t *testing.T) {
 	tm := dram.DefaultTiming()
-	p := NewNFQ(2, 1, 8, tm)
+	v := &bankView{}
+	p := NewNFQ(v, 2, 1, 8, tm)
 	old := cand(1, 0, dram.CmdPrecharge, 0, 0)
 	young := cand(2, 1, dram.CmdRead, 0, 10)
 	young.Req.FirstScheduledOutcome = dram.RowHit
@@ -235,7 +260,8 @@ func TestNFQOrderEpochTracksInversionExpiry(t *testing.T) {
 		t.Errorf("policy event %d with no inversion timer running, want none", at)
 	}
 	ep := p.OrderEpoch()
-	p.OnSchedule(0, &young, memctrl.NewWaiting([]memctrl.Candidate{old, young}))
+	v.waiting = []memctrl.Candidate{old, young}
+	p.OnSchedule(0, &young)
 	if p.OrderEpoch() == ep {
 		t.Error("charging a VFT and starting a timer left the epoch unchanged")
 	}
@@ -246,7 +272,7 @@ func TestNFQOrderEpochTracksInversionExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewNFQ(2, 1, 8, tm)
+	restored := NewNFQ(&bankView{}, 2, 1, 8, tm)
 	if err := restored.RestoreState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +293,8 @@ func TestNFQOrderEpochTracksInversionExpiry(t *testing.T) {
 		t.Errorf("policy event %d after the only expiry, want none", at)
 	}
 	ep = p.OrderEpoch()
-	p.OnSchedule(tm.RAS, &old, memctrl.NewWaiting([]memctrl.Candidate{old}))
+	v.waiting = []memctrl.Candidate{old}
+	p.OnSchedule(tm.RAS, &old)
 	if p.OrderEpoch() == ep {
 		t.Error("clearing the inversion timer left the epoch unchanged")
 	}
@@ -302,7 +329,7 @@ func TestPARBSOrderEpoch(t *testing.T) {
 			p.rank[0], ep, p.OrderEpoch())
 	}
 	drained := cand(1, 1, dram.CmdRead, 0, 20)
-	p.OnSchedule(30, &drained, memctrl.NewWaiting(nil))
+	p.OnSchedule(30, &drained)
 
 	// Marks and ranks: thread 0 is heavier, so thread 1 ranks first.
 	var batch []memctrl.Candidate
@@ -322,9 +349,9 @@ func TestPARBSOrderEpoch(t *testing.T) {
 	// access drains one mark, neither touching the epoch.
 	ep = p.OrderEpoch()
 	act := cand(2, 0, dram.CmdActivate, 0, 2)
-	p.OnSchedule(50, &act, memctrl.NewWaiting(nil))
+	p.OnSchedule(50, &act)
 	for i := range batch {
-		p.OnSchedule(60, &batch[i], memctrl.NewWaiting(nil))
+		p.OnSchedule(60, &batch[i])
 	}
 	if p.remaining[0] != 0 || p.OrderEpoch() != ep {
 		t.Errorf("after the batch's column accesses: remaining %d, epoch %d -> %d, want 0 and no bump",
@@ -347,14 +374,14 @@ func TestRestoreStateIgnoresOrderEpochs(t *testing.T) {
 	tcm := NewTCM(2)
 	tcm.served[1] = 3
 	tcm.recluster()
-	capped := NewFRFCFSCap(4, 1, 8)
+	capped := NewFRFCFSCap(&bankView{}, 4, 1, 8)
 	capped.counts[0][3] = 2
 	for _, tc := range []struct {
 		saved, fresh memctrl.StatefulPolicy
 		field        string
 	}{
 		{tcm, NewTCM(2), "orderEpoch"},
-		{capped, NewFRFCFSCap(4, 1, 8), "epoch"},
+		{capped, NewFRFCFSCap(&bankView{}, 4, 1, 8), "epoch"},
 	} {
 		state, err := tc.saved.SaveState()
 		if err != nil {
@@ -378,8 +405,8 @@ func TestPolicyNames(t *testing.T) {
 	}{
 		{NewFRFCFS(), "FR-FCFS"},
 		{NewFCFS(), "FCFS"},
-		{NewFRFCFSCap(4, 1, 8), "FRFCFS+Cap"},
-		{NewNFQ(2, 1, 8, tm), "NFQ"},
+		{NewFRFCFSCap(&bankView{}, 4, 1, 8), "FRFCFS+Cap"},
+		{NewNFQ(&bankView{}, 2, 1, 8, tm), "NFQ"},
 	} {
 		if got := tc.p.Name(); got != tc.want {
 			t.Errorf("Name() = %q, want %q", got, tc.want)

@@ -168,8 +168,8 @@ func (t *TCM) Less(a, b *memctrl.Candidate) bool {
 }
 
 // OnSchedule implements memctrl.Policy: meter per-thread service. It
-// reads no waiting set.
-func (t *TCM) OnSchedule(_ int64, chosen *memctrl.Candidate, _ *memctrl.Waiting) {
+// reads nothing.
+func (t *TCM) OnSchedule(_ int64, chosen *memctrl.Candidate) {
 	if chosen.Cmd.Kind.IsColumn() && !chosen.Req.IsWrite {
 		t.served[chosen.Req.Thread]++
 	}

@@ -80,9 +80,9 @@ func TestTCMMetering(t *testing.T) {
 	act := cand(2, 0, dram.CmdActivate, 0, 0)
 	wr := cand(3, 1, dram.CmdWrite, 0, 0)
 	wr.Req.IsWrite = true
-	p.OnSchedule(0, &rd, memctrl.NewWaiting(nil))
-	p.OnSchedule(0, &act, memctrl.NewWaiting(nil))
-	p.OnSchedule(0, &wr, memctrl.NewWaiting(nil))
+	p.OnSchedule(0, &rd)
+	p.OnSchedule(0, &act)
+	p.OnSchedule(0, &wr)
 	if p.served[0] != 1 || p.served[1] != 0 {
 		t.Errorf("served = %v, want [1 0] (reads only)", p.served)
 	}

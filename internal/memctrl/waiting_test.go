@@ -12,11 +12,14 @@ import (
 )
 
 // waitingChecker is an FR-FCFS policy whose OnSchedule checks the
-// lazily built waiting set against an eager copy of the channel's
-// pre-issue state, derived independently of the controller's scheduling
-// memos: every candidate's command, readiness and row-buffer outcome
-// come straight from the DRAM channel, and First from the checker's own
-// record of which requests have had a command issued.
+// chosen candidate and the controller's View mask queries against an
+// eager scan of the channel's pre-issue state, derived independently of
+// the controller's scheduling memos and occupancy masks: the eligible
+// requests come from the bank queues under a write eligibility
+// recomputed from the queues and the channel's draining flag, every
+// request's command, readiness and row state straight from the DRAM
+// channel, and First from the checker's own record of which requests
+// have had a command issued.
 type waitingChecker struct {
 	benchFRFCFS
 	t   *testing.T
@@ -26,54 +29,130 @@ type waitingChecker struct {
 	// recorded through CommandTrace (which fires after each issue).
 	started map[uint64]bool
 	// counts of what the checks covered, so the test can require that
-	// every interesting shape occurred.
-	bankReads, channelReads, withWrites, firstChosen, laterChosen int
+	// every interesting shape occurred: issues with writes eligible on a
+	// draining edge and with writes queued but held back, column and row
+	// issues, first and later commands of a request, and queries that
+	// found another thread.
+	draining, heldBack, columns, rows, first, later int
+	bankWaiters, bankReady, readyCol, older         int
 }
 
-func (w *waitingChecker) OnSchedule(now int64, chosen *Candidate, waiting *Waiting) {
-	want, useWrites := w.eager(chosen.Channel, now)
-	if useWrites {
-		w.withWrites++
+// eagerReq is one eligible request of the eager scan.
+type eagerReq struct {
+	r     *Request
+	cmd   dram.Command
+	ready bool
+}
+
+func (w *waitingChecker) OnSchedule(now int64, chosen *Candidate) {
+	ch, bank := chosen.Channel, chosen.Cmd.Bank
+	reqs, draining, heldBack := w.eager(ch, now)
+	if draining {
+		w.draining++
+	}
+	if heldBack {
+		w.heldBack++
+	}
+	if chosen.IsColumn() {
+		w.columns++
+	} else {
+		w.rows++
 	}
 	if chosen.First {
-		w.firstChosen++
+		w.first++
 	} else {
-		w.laterChosen++
+		w.later++
 	}
-	// Read the set in a random order, mixing bank and channel views
-	// and repeating some, so both the cached and the rebuilt paths are
-	// compared.
-	for n := 1 + w.rng.Intn(4); n > 0; n-- {
-		if w.rng.Intn(3) == 0 {
-			w.channelReads++
-			w.compare(now, "Channel()", waiting.Channel(), want)
-			continue
-		}
-		b := chosen.Cmd.Bank
-		if w.rng.Intn(2) == 0 {
-			b = w.rng.Intn(w.c.banksPer)
-		}
-		w.bankReads++
-		var bank []Candidate
-		for _, cd := range want {
-			if cd.Cmd.Bank == b {
-				bank = append(bank, cd)
+	r, channel := chosen.Req, w.c.channels[ch]
+	want := Candidate{
+		Req: r, Cmd: channel.NextCommand(r.Loc.Bank, r.Loc.Row, r.IsWrite),
+		Outcome: channel.Outcome(r.Loc.Bank, r.Loc.Row), Channel: r.Loc.Channel, First: !w.started[r.ID],
+	}
+	eligible := slices.ContainsFunc(reqs, func(e eagerReq) bool { return e.r == r })
+	if canIssue := channel.CanIssue(chosen.Cmd, now); *chosen != want || !canIssue || !eligible {
+		w.t.Fatalf("cycle %d: chosen %+v (can issue: %v, eligible: %v), the DRAM channel and issue record give %+v",
+			now, *chosen, canIssue, eligible, want)
+	}
+	others := ^(uint64(1) << uint(chosen.Req.Thread))
+	other := w.rng.Intn(w.c.banksPer)
+	checks := []func(){
+		func() {
+			for _, b := range []int{bank, other} {
+				var waiting, ready uint64
+				for _, e := range reqs {
+					if e.r.Loc.Bank == b {
+						waiting |= 1 << uint(e.r.Thread)
+						if e.ready {
+							ready |= 1 << uint(e.r.Thread)
+						}
+					}
+				}
+				if gw, gr := w.c.BankWaiters(now, ch, b); gw != waiting || gr != ready {
+					w.t.Fatalf("cycle %d: BankWaiters(ch %d, bank %d) = %b/%b, eager scan %b/%b",
+						now, ch, b, gw, gr, waiting, ready)
+				}
+				if waiting&others != 0 {
+					w.bankWaiters++
+				}
+				if ready&others != 0 {
+					w.bankReady++
+				}
 			}
-		}
-		w.compare(now, fmt.Sprintf("Bank(%d)", b), waiting.Bank(b), bank)
+		},
+		func() {
+			var ready uint64
+			for _, e := range reqs {
+				if e.r.Loc.Bank != bank && e.cmd.Kind.IsColumn() && e.ready {
+					ready |= 1 << uint(e.r.Thread)
+				}
+			}
+			if got := w.c.ReadyColumnWaiters(now, ch, bank); got != ready {
+				w.t.Fatalf("cycle %d: ReadyColumnWaiters(ch %d, except bank %d) = %b, eager scan %b", now, ch, bank, got, ready)
+			}
+			if ready&others != 0 {
+				w.readyCol++
+			}
+		},
+		func() {
+			for _, b := range []int{bank, other} {
+				want := false
+				for _, e := range reqs {
+					want = want || e.r.Loc.Bank == b && e.r.ID < chosen.Req.ID && !e.cmd.Kind.IsColumn()
+				}
+				if got := w.c.OlderRowWaiting(ch, b, chosen.Req.ID); got != want {
+					w.t.Fatalf("cycle %d: OlderRowWaiting(ch %d, bank %d, id %d) = %v, eager scan %v", now, ch, b, chosen.Req.ID, got, want)
+				}
+				if want {
+					w.older++
+				}
+			}
+		},
+	}
+	// Each query refreshes the memos it visits, which could hide a stale
+	// read in a query run after it, so the order rotates.
+	first := w.rng.Intn(len(checks))
+	for i := range checks {
+		checks[(first+i)%len(checks)]()
 	}
 }
 
-// eager builds the channel's waiting set from the queues and the DRAM
-// channel directly: each bank's reads, and its writes when the
-// channel's write-drain eligibility admits them.
-func (w *waitingChecker) eager(ch int, now int64) ([]Candidate, bool) {
+// eager lists the channel's eligible requests from the queues and the
+// DRAM channel directly — each bank's reads, and its writes when the
+// write-drain policy admits them — and reports whether writes are
+// eligible because the channel drains, and whether queued writes are
+// held back.
+func (w *waitingChecker) eager(ch int, now int64) (reqs []eagerReq, draining, heldBack bool) {
 	c := w.c
-	_, useWrites, _ := c.eligibility(ch)
 	channel := c.channels[ch]
-	var out []Candidate
-	for b := 0; b < c.banksPer; b++ {
-		q := &c.queues[ch*c.banksPer+b]
+	queues := c.queues[ch*c.banksPer : (ch+1)*c.banksPer]
+	hasReads, hasWrites := false, false
+	for _, q := range queues {
+		hasReads = hasReads || len(q.reads) > 0
+		hasWrites = hasWrites || len(q.writes) > 0
+	}
+	// scheduleChannel committed this edge's drain state before the issue.
+	useWrites := (c.draining[ch] || !hasReads) && hasWrites
+	for _, q := range queues {
 		lists := [][]*Request{q.reads}
 		if useWrites {
 			lists = append(lists, q.writes)
@@ -81,30 +160,11 @@ func (w *waitingChecker) eager(ch int, now int64) ([]Candidate, bool) {
 		for _, list := range lists {
 			for _, r := range list {
 				cmd := channel.NextCommand(r.Loc.Bank, r.Loc.Row, r.IsWrite)
-				out = append(out, Candidate{
-					Req: r, Cmd: cmd, Outcome: channel.Outcome(r.Loc.Bank, r.Loc.Row), Channel: ch,
-					First: !w.started[r.ID], Ready: now >= channel.CommandReadyAt(cmd),
-				})
+				reqs = append(reqs, eagerReq{r: r, cmd: cmd, ready: channel.CanIssue(cmd, now)})
 			}
 		}
 	}
-	return out, useWrites
-}
-
-func (w *waitingChecker) compare(now int64, view string, got, want []Candidate) {
-	w.t.Helper()
-	got = append([]Candidate(nil), got...)
-	for _, s := range [][]Candidate{got, want} {
-		sort.Slice(s, func(i, j int) bool { return s[i].Req.ID < s[j].Req.ID })
-	}
-	if len(got) != len(want) {
-		w.t.Fatalf("cycle %d: %s has %d candidates, the eager pre-issue set %d", now, view, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			w.t.Fatalf("cycle %d: %s candidate %d = %+v, eager pre-issue set has %+v", now, view, i, got[i], want[i])
-		}
-	}
+	return reqs, c.draining[ch] && hasWrites, hasWrites && !useWrites
 }
 
 // batchChecker runs the same checks under an order that changes
@@ -157,8 +217,8 @@ func (b *batchChecker) Less(x, y *Candidate) bool {
 	return b.benchFRFCFS.Less(x, y)
 }
 
-func (b *batchChecker) OnSchedule(now int64, chosen *Candidate, waiting *Waiting) {
-	b.waitingChecker.OnSchedule(now, chosen, waiting)
+func (b *batchChecker) OnSchedule(now int64, chosen *Candidate) {
+	b.waitingChecker.OnSchedule(now, chosen)
 	if chosen.IsColumn() && b.marked[chosen.Req.ID] {
 		delete(b.marked, chosen.Req.ID)
 		b.remaining[chosen.Channel]--
@@ -170,10 +230,14 @@ func (b *batchChecker) OrderEpoch() uint64 { return b.epoch }
 // TestLazyWaitingSetIsExact drives a 2-channel controller through
 // randomized read/write streams — row hits and conflicts, bursts deep
 // enough to trip write draining, reservation-locked banks, memoized
-// bank winners — and inside every OnSchedule requires Waiting.Bank(b)
-// and Waiting.Channel() to equal the eager pre-issue waiting set field
-// for field, the chosen request's First flag included. The batch=true
-// runs do so under batchChecker's changing order.
+// bank winners whose queues hold stale timing memos — and inside every
+// OnSchedule requires the chosen candidate to be an eligible request
+// whose command can issue, field for field as the DRAM channel and the
+// issue record give it (First included), and the View queries
+// OnSchedule reads (BankWaiters of the chosen bank and of a random one,
+// ReadyColumnWaiters outside the chosen bank, OlderRowWaiting) to equal
+// masks from an eager scan of the pre-issue queues and DRAM channel.
+// The batch=true runs do so under batchChecker's changing order.
 func TestLazyWaitingSetIsExact(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -192,10 +256,11 @@ func TestLazyWaitingSetIsExact(t *testing.T) {
 				if err := c.CheckInvariants(60_000); err != nil {
 					t.Fatal(err)
 				}
-				if chk.bankReads < 100 || chk.channelReads < 100 || chk.withWrites == 0 ||
-					chk.firstChosen == 0 || chk.laterChosen == 0 {
-					t.Fatalf("checks did not cover every shape: %d bank reads, %d channel reads, %d with writes eligible, %d/%d first/later chosen",
-						chk.bankReads, chk.channelReads, chk.withWrites, chk.firstChosen, chk.laterChosen)
+				if min(chk.draining, chk.heldBack, chk.columns, chk.rows, chk.first, chk.later,
+					chk.bankWaiters, chk.bankReady, chk.readyCol, chk.older) < 100 {
+					t.Fatalf("checks did not cover every shape: %d draining, %d held back, %d column and %d row issues, %d/%d first/later commands; another thread in %d bank, %d bank-ready, %d ready-column masks; %d older row waits",
+						chk.draining, chk.heldBack, chk.columns, chk.rows, chk.first, chk.later,
+						chk.bankWaiters, chk.bankReady, chk.readyCol, chk.older)
 				}
 				if batch && bchk.epoch < 10 {
 					t.Fatalf("only %d batches formed", bchk.epoch)
@@ -207,7 +272,9 @@ func TestLazyWaitingSetIsExact(t *testing.T) {
 
 // driveRandom ticks c through the given number of CPU cycles, enqueuing
 // random reads and writes over a few rows per bank so row hits,
-// conflicts and write-drain episodes all occur.
+// conflicts and write-drain episodes all occur. Writes arrive only in
+// the first half of every 8000 cycles, so between episodes the write
+// buffer drains down and its last writes wait behind the reads.
 func driveRandom(c *Controller, rng *trace.Rand, cycles int64) {
 	g := c.cfg.Geometry
 	loc := func() uint64 {
@@ -224,7 +291,7 @@ func driveRandom(c *Controller, rng *trace.Rand, cycles int64) {
 				c.EnqueueRead(now, rng.Intn(c.cfg.NumThreads), loc(), 0)
 			}
 		}
-		if rng.Intn(60) == 0 {
+		if now%8000 < 4000 && rng.Intn(60) == 0 {
 			for n := rng.Intn(12); n > 0 && c.CanAcceptWrite(); n-- {
 				c.EnqueueWrite(now, rng.Intn(c.cfg.NumThreads), loc())
 			}

@@ -10,8 +10,8 @@ import (
 // warm, advancing a whole system — trace generation, cores, the cache
 // hierarchy, the controller and its policy — allocates nothing per
 // simulated cycle. Recycled requests, the instruction window's value
-// ring, completions by tag and the lazily read waiting set are what
-// make it hold; a regression here brings back GC work proportional to
+// ring, completions by tag and the View's copy-free thread masks are
+// what make it hold; a regression here brings back GC work proportional to
 // simulated accesses. Telemetry is off (its sampler appends by design).
 //
 // A queue whose depth the workload sets can still grow past its

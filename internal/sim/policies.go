@@ -12,12 +12,12 @@ func newFRFCFS() memctrl.Policy { return policy.NewFRFCFS() }
 
 func newFCFS() memctrl.Policy { return policy.NewFCFS() }
 
-func newCap(cap int, geom dram.Geometry) memctrl.Policy {
-	return policy.NewFRFCFSCap(cap, geom.Channels, geom.BanksPerChannel)
+func newCap(view memctrl.View, cap int, geom dram.Geometry) memctrl.Policy {
+	return policy.NewFRFCFSCap(view, cap, geom.Channels, geom.BanksPerChannel)
 }
 
-func newNFQ(threads int, geom dram.Geometry, timing dram.Timing, weights []float64) (memctrl.Policy, error) {
-	p := policy.NewNFQ(threads, geom.Channels, geom.BanksPerChannel, timing)
+func newNFQ(view memctrl.View, threads int, geom dram.Geometry, timing dram.Timing, weights []float64) (memctrl.Policy, error) {
+	p := policy.NewNFQ(view, threads, geom.Channels, geom.BanksPerChannel, timing)
 	if weights != nil {
 		if err := p.SetShares(weights); err != nil {
 			return nil, err

@@ -510,17 +510,25 @@ func (s *System) buildPolicy(kind PolicyKind, mcfg memctrl.Config) (memctrl.Poli
 	case PolicyFCFS:
 		return newFCFS(), nil
 	case PolicyFRFCFSCap:
-		return newCap(s.cfg.CapValue, mcfg.Geometry), nil
+		return newCap(s.ctrl, s.cfg.CapValue, mcfg.Geometry), nil
 	case PolicyNFQ:
-		return newNFQ(len(s.profiles), mcfg.Geometry, mcfg.Timing, s.cfg.NFQWeights)
+		return newNFQ(s.ctrl, len(s.profiles), mcfg.Geometry, mcfg.Timing, s.cfg.NFQWeights)
 	case PolicyPARBS:
 		return newPARBS(s.ctrl, mcfg.Geometry, s.cfg.CapValue), nil
 	case PolicyTCM:
 		return newTCM(len(s.profiles)), nil
 	case PolicySTFM:
-		stfmCfg := s.cfg.STFM
+		// Each zero parameter takes its paper default; every other field
+		// (weights, ablation switches) is kept as given.
+		stfmCfg, def := s.cfg.STFM, core.DefaultConfig()
 		if stfmCfg.Alpha == 0 {
-			stfmCfg = core.DefaultConfig()
+			stfmCfg.Alpha = def.Alpha
+		}
+		if stfmCfg.IntervalLength == 0 {
+			stfmCfg.IntervalLength = def.IntervalLength
+		}
+		if stfmCfg.Gamma == 0 {
+			stfmCfg.Gamma = def.Gamma
 		}
 		return core.NewSTFM(stfmCfg, s.ctrl, mcfg.Geometry, mcfg.Timing, s.tshared)
 	default:

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"stfm/internal/core"
@@ -279,6 +280,44 @@ func TestSTFMLargeAlphaMatchesFRFCFSBehavior(t *testing.T) {
 		if stfmRes.Threads[i].Cycles != frRes.Threads[i].Cycles {
 			t.Errorf("thread %d: STFM(alpha=inf) %d cycles vs FR-FCFS %d — should be identical",
 				i, stfmRes.Threads[i].Cycles, frRes.Threads[i].Cycles)
+		}
+	}
+}
+
+// TestSTFMConfigDefaultsPerField: a partial Config.STFM takes the paper
+// default for each zero parameter (Alpha, IntervalLength, Gamma) and
+// keeps every other field, so it runs exactly like the config spelled
+// out from core.DefaultConfig — weights are not dropped, and a lone
+// Alpha does not leave IntervalLength at zero.
+func TestSTFMConfigDefaultsPerField(t *testing.T) {
+	profs := profilesByName(t, "mcf", "libquantum")
+	spelled := func(edit func(*core.Config)) core.Config {
+		c := core.DefaultConfig()
+		edit(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		name          string
+		partial, full core.Config
+	}{
+		{"weights", core.Config{Weights: []float64{1, 8}},
+			spelled(func(c *core.Config) { c.Weights = []float64{1, 8} })},
+		{"alpha", core.Config{Alpha: 1.2},
+			spelled(func(c *core.Config) { c.Alpha = 1.2 })},
+	} {
+		var res [2]*Result
+		for i, stfm := range []core.Config{tc.partial, tc.full} {
+			cfg := DefaultConfig(PolicySTFM, 2)
+			cfg.InstrTarget = 30_000
+			cfg.STFM = stfm
+			r, err := Run(cfg, profs)
+			if err != nil {
+				t.Fatalf("%s: %+v: %v", tc.name, stfm, err)
+			}
+			res[i] = r
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("%s: %+v ran differently from its spelled-out %+v", tc.name, tc.partial, tc.full)
 		}
 	}
 }
