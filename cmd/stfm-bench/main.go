@@ -13,10 +13,10 @@
 // 8- and 16-core STFM mixes that keep the controller busy every DRAM
 // edge (plus the same 16-core mix on the HBM pack's 8 channels), timed
 // event-driven and written to BENCH_sched.json with each mix's
-// controller work counters (memctrl.Work) alongside. Wall clocks are
-// comparable only between runs on one host, so the report carries no
-// ratio against another host's numbers: compare two commits by running
-// the suite on both. The work counters are deterministic and compare
+// controller and engine work counters (memctrl.Work, sim.Work)
+// alongside. Wall clocks are comparable only between runs on one host,
+// so the report carries no ratio against another host's numbers:
+// compare two commits by running the suite on both. The work counters are deterministic and compare
 // exactly across hosts.
 //
 // A third mode, -suite matrix, benchmarks the persistent alone-baseline
@@ -136,6 +136,11 @@ type report struct {
 	TelemetrySamples          int     `json:"telemetry_samples"`
 	TelemetryEvents           uint64  `json:"telemetry_events"`
 	TelemetryResultsIdentical bool    `json:"telemetry_results_identical"`
+	// Work and EngineWork are the event run's controller and engine
+	// work counters: deterministic, so they compare exactly across
+	// hosts.
+	Work       memctrl.Work `json:"work"`
+	EngineWork sim.Work     `json:"engine_work"`
 }
 
 func main() {
@@ -191,10 +196,10 @@ func main() {
 	cfg.InstrTarget = *instrs
 	cfg.MinMisses = *minMisses
 
-	run := func(dense, tel bool) (*sim.Result, *telemetry.Collector, time.Duration) {
+	run := func(dense, tel bool) (*sim.Result, time.Duration, *sim.System) {
 		best := time.Duration(1<<63 - 1)
 		var res *sim.Result
-		var col *telemetry.Collector
+		var sys *sim.System
 		for i := 0; i < *repeat; i++ {
 			c := cfg
 			c.DenseTick = dense
@@ -204,7 +209,11 @@ func main() {
 				c.Telemetry = telemetry.New(telemetry.Options{SampleEvery: *sampleEvery, TraceCap: telemetry.DefaultTraceCap})
 			}
 			start := time.Now()
-			r, err := sim.RunContext(ctx, c, profiles)
+			s, err := sim.NewSystem(c, profiles)
+			if err != nil {
+				fatal(err)
+			}
+			r, err := s.RunContext(ctx)
 			if err != nil {
 				if errors.Is(err, sim.ErrCanceled) || errors.Is(err, sim.ErrDeadline) {
 					fmt.Fprintln(os.Stderr, "stfm-bench: interrupted, no report written:", err)
@@ -216,14 +225,15 @@ func main() {
 			if d := time.Since(start); d < best {
 				best = d
 			}
-			res, col = r, c.Telemetry
+			res, sys = r, s
 		}
-		return res, col, best
+		return res, best, sys
 	}
 
-	denseRes, _, denseT := run(true, false)
-	eventRes, _, eventT := run(false, false)
-	telRes, telCol, telT := run(false, true)
+	denseRes, denseT, _ := run(true, false)
+	eventRes, eventT, eventSys := run(false, false)
+	telRes, telT, telSys := run(false, true)
+	telCol := telSys.Telemetry()
 
 	rep := report{
 		Suite:             "stepping",
@@ -245,6 +255,8 @@ func main() {
 		TelemetrySamples:          telCol.Series.Len(),
 		TelemetryEvents:           telCol.Tracer.Total(),
 		TelemetryResultsIdentical: reflect.DeepEqual(eventRes, telRes),
+		Work:                      eventSys.Controller().Work(),
+		EngineWork:                eventSys.Work(),
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -267,9 +279,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Printf("%s: dense %v, event %v (%.2fx), telemetry %v (%.2fx overhead), %d cycles, identical=%v/%v\n",
+	fmt.Printf("%s: dense %v, event %v (%.2fx), telemetry %v (%.2fx overhead), %d cycles, identical=%v/%v\n  work %+v\n  engine %+v\n",
 		strings.Join(names, "+"), denseT, eventT, rep.Speedup, telT, rep.TelemetryOverhead,
-		rep.Cycles, rep.ResultsIdentical, rep.TelemetryResultsIdentical)
+		rep.Cycles, rep.ResultsIdentical, rep.TelemetryResultsIdentical, rep.Work, rep.EngineWork)
 	if !rep.ResultsIdentical {
 		fatal(fmt.Errorf("dense and event-driven results diverged"))
 	}
@@ -292,10 +304,11 @@ type schedMix struct {
 	EventNs           int64          `json:"event_ns"`
 	EventCyclesPerSec float64        `json:"event_cycles_per_sec"`
 	ResultsIdentical  bool           `json:"results_identical"`
-	// Work is the controller's work counters for the event-driven run:
-	// deterministic, so unlike the wall clocks they compare exactly
-	// across hosts.
-	Work memctrl.Work `json:"work"`
+	// Work and EngineWork are the controller's and the engine's work
+	// counters for the event-driven run: deterministic, so unlike the
+	// wall clocks they compare exactly across hosts.
+	Work       memctrl.Work `json:"work"`
+	EngineWork sim.Work     `json:"engine_work"`
 }
 
 type schedReport struct {
@@ -338,10 +351,10 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out
 			channels = sim.ProtocolChannels(tc.protocol, len(tc.profiles))
 			cfg.Channels = channels
 		}
-		timed := func(dense bool) (*sim.Result, time.Duration, memctrl.Work) {
+		timed := func(dense bool) (*sim.Result, time.Duration, *sim.System) {
 			best := time.Duration(1<<63 - 1)
 			var res *sim.Result
-			var work memctrl.Work
+			var last *sim.System
 			for i := 0; i < repeat; i++ {
 				c := cfg
 				c.DenseTick = dense
@@ -362,12 +375,12 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out
 				if d := time.Since(start); d < best {
 					best = d
 				}
-				res, work = r, sys.Controller().Work()
+				res, last = r, sys
 			}
-			return res, best, work
+			return res, best, last
 		}
 		denseRes, denseT, _ := timed(true)
-		eventRes, eventT, work := timed(false)
+		eventRes, eventT, eventSys := timed(false)
 		names := make([]string, len(tc.profiles))
 		for i, p := range tc.profiles {
 			names[i] = p.Name
@@ -384,11 +397,12 @@ func runSchedSuite(ctx context.Context, stop context.CancelFunc, repeat int, out
 			EventNs:           eventT.Nanoseconds(),
 			EventCyclesPerSec: float64(eventRes.TotalCycles) / eventT.Seconds(),
 			ResultsIdentical:  reflect.DeepEqual(denseRes, eventRes),
-			Work:              work,
+			Work:              eventSys.Controller().Work(),
+			EngineWork:        eventSys.Work(),
 		}
 		rep.Mixes = append(rep.Mixes, m)
-		fmt.Printf("%s: event %v, dense %v, %d cycles, identical=%v\n  work %+v\n",
-			m.Name, eventT, denseT, m.Cycles, m.ResultsIdentical, m.Work)
+		fmt.Printf("%s: event %v, dense %v, %d cycles, identical=%v\n  work %+v\n  engine %+v\n",
+			m.Name, eventT, denseT, m.Cycles, m.ResultsIdentical, m.Work, m.EngineWork)
 		if !m.ResultsIdentical {
 			fatal(fmt.Errorf("%s: dense and event-driven results diverged", m.Name))
 		}

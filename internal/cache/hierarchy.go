@@ -31,7 +31,10 @@ type Hierarchy struct {
 	// stream allocates nothing.
 	waiters     []waiter
 	completions []completion
-	pendingWB   []uint64
+	// nextAt caches the earliest completion's due cycle (Horizon when
+	// none is pending).
+	nextAt    int64
+	pendingWB []uint64
 
 	dramLoads int64
 }
@@ -78,6 +81,7 @@ func NewHierarchy(thread int, l1cfg, l2cfg Config, mshrs int, ctrl *memctrl.Cont
 		ctrl:        ctrl,
 		mshrs:       mshrs,
 		outstanding: make(map[uint64]bool, mshrs),
+		nextAt:      Horizon,
 		// The retry queue holds writebacks the DRAM write buffer turned
 		// away; sized like that buffer, it rarely needs to grow.
 		pendingWB: make([]uint64, 0, ctrl.Config().WriteBufferCap),
@@ -111,15 +115,21 @@ func (h *Hierarchy) OutstandingMisses() int { return len(h.outstanding) }
 // buffer are exhausted; the caller should retry next cycle.
 func (h *Hierarchy) Load(now int64, lineAddr uint64, seq int64) (accepted, l2Miss bool) {
 	if h.l1.Access(lineAddr, false) {
-		h.completions = append(h.completions, completion{at: now + h.l1.cfg.Latency, seq: seq})
+		h.complete(now+h.l1.cfg.Latency, seq)
 		return true, false
 	}
 	if h.l2.Access(lineAddr, false) {
 		h.fillL1(lineAddr, false)
-		h.completions = append(h.completions, completion{at: now + h.l2.cfg.Latency, seq: seq})
+		h.complete(now+h.l2.cfg.Latency, seq)
 		return true, false
 	}
 	return h.miss(now, lineAddr, false, seq), true
+}
+
+// complete schedules the cache-hit completion of load seq at cycle at.
+func (h *Hierarchy) complete(at, seq int64) {
+	h.completions = append(h.completions, completion{at: at, seq: seq})
+	h.nextAt = min(h.nextAt, at)
 }
 
 // Store issues a cache-line write (write-allocate, write-back). Store
@@ -203,16 +213,13 @@ func (h *Hierarchy) writeback(now int64, lineAddr uint64) {
 }
 
 // Tick delivers due cache-hit completions and retries writebacks that
-// found the DRAM write buffer full. It returns the hierarchy's event
-// horizon: the earliest cycle a scheduled completion comes due, or
-// Horizon when none is pending. Blocked writebacks do not contribute —
-// the write buffer only drains on controller events, which the
-// controller's own horizon tracks, and a failed retry is side-effect
-// free.
-func (h *Hierarchy) Tick(now int64) int64 {
+// found the DRAM write buffer full.
+func (h *Hierarchy) Tick(now int64) {
+	h.nextAt = Horizon
 	for i := 0; i < len(h.completions); {
 		c := h.completions[i]
 		if c.at > now {
+			h.nextAt = min(h.nextAt, c.at)
 			i++
 			continue
 		}
@@ -229,23 +236,26 @@ func (h *Hierarchy) Tick(now int64) int64 {
 	if sent > 0 {
 		h.pendingWB = h.pendingWB[:copy(h.pendingWB, h.pendingWB[sent:])]
 	}
-	return h.NextEventAt()
+}
+
+// Due reports whether a Tick at now can change anything: a completion
+// is due, or refused writebacks wait and the controller ticked this
+// cycle (ctrlTicked). A retry on any other cycle fails, since a
+// write-buffer slot frees only when a write issues inside
+// memctrl.Controller.Tick.
+func (h *Hierarchy) Due(now int64, ctrlTicked bool) bool {
+	return now >= h.nextAt || ctrlTicked && len(h.pendingWB) > 0
 }
 
 // Horizon is the "no event scheduled" sentinel returned when the
 // hierarchy has no pending completion. The value matches dram.Horizon.
 const Horizon = int64(1) << 62
 
-// NextEventAt returns the earliest pending completion time, or Horizon.
-// The simulation queries it after ticking the cores, because cores
-// schedule new cache-hit completions during their own tick — after
-// this hierarchy's Tick for the cycle has already returned.
-func (h *Hierarchy) NextEventAt() int64 {
-	next := int64(Horizon)
-	for i := range h.completions {
-		if h.completions[i].at < next {
-			next = h.completions[i].at
-		}
-	}
-	return next
-}
+// NextEventAt returns the hierarchy's event horizon: the earliest
+// pending completion time, or Horizon. Blocked writebacks do not
+// contribute — the write buffer only drains on controller events, which
+// the controller's own horizon tracks, and a failed retry is side-effect
+// free. The simulation queries it after ticking the cores, because
+// cores schedule new cache-hit completions during their own tick —
+// after this hierarchy's Tick for the cycle has already returned.
+func (h *Hierarchy) NextEventAt() int64 { return h.nextAt }

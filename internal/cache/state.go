@@ -145,13 +145,13 @@ func (h *Hierarchy) RestoreState(st HierarchyState) error {
 			waiters = append(waiters, waiter{line: ms.LineAddr, seq: seq})
 		}
 	}
-	completions := make([]completion, 0, len(st.Completions))
+	h.completions = make([]completion, 0, len(st.Completions))
+	h.nextAt = Horizon
 	for _, cs := range st.Completions {
-		completions = append(completions, completion{at: cs.At, seq: cs.Tag})
+		h.complete(cs.At, cs.Tag)
 	}
 	h.outstanding = outstanding
 	h.waiters = waiters
-	h.completions = completions
 	h.pendingWB = append([]uint64(nil), st.PendingWB...)
 	h.dramLoads = st.DRAMLoads
 	return nil

@@ -140,17 +140,24 @@ type Core struct {
 	// FlushIdle.
 	nextAt int64
 
-	// Lazy idle accounting. settled is the exclusive upper bound of the
+	// Lazy accounting. settled is the exclusive upper bound of the
 	// cycles already reflected in the architected counters; cycles in
-	// [settled, now) of a parked window are accounted in bulk by
-	// FlushIdle using the per-cycle rates recorded at the last Tick.
-	// The rates are frozen at tick time deliberately: a load completion
-	// at cycle T mutates window state before the core's own Tick at T,
-	// but the idle window it terminates ends at T, so the park-time
-	// classification is the correct one for every cycle in it.
+	// [settled, now) that the engine skipped are applied in bulk by
+	// FlushIdle: as pure ticks when the last Tick started a pure run,
+	// otherwise as idle cycles at the per-cycle rates recorded at the
+	// last Tick. The rates are frozen at tick time deliberately: a load
+	// completion at cycle T mutates window state before the core's own
+	// Tick at T, but the idle window it terminates ends at T, so the
+	// park-time classification is the correct one for every cycle in it.
 	settled      int64
+	pure         bool // skipped cycles are pure ticks (see pureTicks)
 	idleHasWork  bool // a parked cycle is a stall cycle (stallAny)
 	idleMemStall bool // ... and a Tshared memory-stall cycle (memStall)
+
+	// target is the thread's instruction target (0 when it has none): a
+	// pure run stops short of it, so the tick that reaches it is a real
+	// one and its owner sees the crossing on that tick.
+	target int64
 }
 
 // New builds a core with the given id over a memory port and an
@@ -165,8 +172,16 @@ func New(id int, cfg Config, mem Memory, stream trace.Stream) *Core {
 // ID returns the core's index.
 func (c *Core) ID() int { return c.id }
 
-// Committed returns the number of committed instructions.
+// Committed returns the number of committed instructions. Like
+// MemStallCycles and Cycles, it lags on a core the engine skipped in
+// the middle of a pure-compute run: flush (FlushIdle) before reading a
+// possibly-skipped core.
 func (c *Core) Committed() int64 { return c.committed }
+
+// SetTarget sets the thread's instruction target, or clears it with 0.
+// A pure-compute run never commits the target's instruction, so the
+// Tick that reaches the target is never skipped.
+func (c *Core) SetTarget(target int64) { c.target = target }
 
 // MemStallCycles returns the Tshared counter: cycles in which the core
 // could not commit because the oldest instruction was an incomplete L2
@@ -205,14 +220,16 @@ func (c *Core) MCPI() float64 {
 // Tick advances the core by one CPU cycle: commit first (so completed
 // loads retire with their completion-cycle timing), then issue loads
 // whose dependences have resolved, then fetch. It returns the next
-// cycle the core can make progress on its own — now+1 when it can
-// commit, issue or fetch next cycle, Horizon when it is fully stalled
-// on external events (DRAM fills, cache completions, back-pressured
-// buffers). Ticking the core on cycles it did not ask for is always
-// safe; failing to tick it at its reported cycle is not.
+// cycle the core must be ticked at on its own — now+1 when it can
+// commit, issue or fetch next cycle, now+1+k when the next k ticks are
+// pure (FlushIdle applies them in closed form), Horizon when it is
+// fully stalled on external events (DRAM fills, cache completions,
+// back-pressured buffers). Ticking the core on cycles it did not ask
+// for is always safe; failing to tick it at its reported cycle is not.
 func (c *Core) Tick(now int64) int64 {
 	c.FlushIdle(now)
 	c.settled = now + 1
+	c.pure = false
 	c.cycles++
 	c.fetchedMem = false
 	committed := c.commit()
@@ -236,6 +253,10 @@ func (c *Core) Tick(now int64) int64 {
 		}
 	}
 	n := c.nextEvent(now)
+	if k := c.pureTicks(); k > 0 {
+		c.pure = true
+		n += k
+	}
 	c.nextAt = n
 	if n >= Horizon {
 		// The engine may skip this core — the jump target is bounded
@@ -301,6 +322,35 @@ func (c *Core) parkSafe() bool {
 	return true
 }
 
+// pureTicks returns k, the number of ticks after this one that are
+// pure: each commits exactly Width compute instructions from the head
+// entry, issues no load, and fetches exactly Width compute instructions
+// of the current gap into the open tail. They change no state outside
+// the core, so FlushIdle can apply them in closed form. That holds
+// while fetch is mid-gap into the open tail and every unissued load is
+// held by a busy dependence chain, which only this core's own load
+// completions release (LoadDone settles the core first). The run ends
+// before the gap, the head entry's compute (unless the head is the open
+// tail, which fetch refills as commit drains it) or the instruction
+// target runs out.
+func (c *Core) pureTicks() int64 {
+	if !c.tailOpen || !c.fetching || !c.parkSafe() {
+		return 0
+	}
+	w := int64(c.cfg.Width)
+	k := c.gapLeft / w
+	head := c.ring[c.head].compute
+	if c.n > 1 {
+		k = min(k, head/w)
+	} else if head < w {
+		return 0
+	}
+	if c.target > 0 {
+		k = min(k, (c.target-c.committed-1)/w)
+	}
+	return k
+}
+
 // nextEvent reports, from post-tick state, whether the core can act at
 // now+1 without any external event. Cases that need an external wake —
 // an unissued load whose port or dependence must clear, a rejected
@@ -310,8 +360,10 @@ func (c *Core) parkSafe() bool {
 func (c *Core) nextEvent(now int64) int64 {
 	if c.n > 0 {
 		head := &c.ring[c.head]
-		if head.compute > 0 || (head.hasMem && head.memDone) {
-			return now + 1 // commit can retire next cycle
+		if head.compute > 0 || !head.hasMem || head.memDone {
+			// Commit can retire next cycle, or pop the open tail whose
+			// compute it just drained (which may finish the trace).
+			return now + 1
 		}
 	}
 	if c.fetchedMem {
@@ -335,17 +387,20 @@ func (c *Core) nextEvent(now int64) int64 {
 	return Horizon
 }
 
-// FlushIdle brings the architected counters up to date through cycle
-// now-1, bulk-accounting the skipped idle window [settled, now) at the
-// rates recorded when the core parked. It applies exactly the per-cycle
-// bookkeeping a dense Tick performs on inert cycles — the cycle counter
-// always advances; the stall counters advance at the park-time
-// classification (see recordIdleRates for why that classification is
-// exact for the whole window) — so lazy accounting is bit-identical to
-// dense ticking. Callers must flush before reading MemStallCycles,
-// StallCycles or Cycles of a possibly-skipped core; Tick flushes
-// itself. Flushing is idempotent and monotone: a second call with the
-// same or an earlier cycle is a no-op.
+// FlushIdle brings the architected counters and the window up to date
+// through cycle now-1, applying the skipped cycles [settled, now) in
+// closed form. It applies exactly the bookkeeping k dense Ticks would
+// perform, so lazy accounting is bit-identical to dense ticking. The
+// cycle counter always advances. In a pure run (see pureTicks) each
+// cycle commits Width compute instructions from the head entry and
+// fetches Width more of the gap into the open tail, and the stall
+// counters stay put. In an idle window the stall counters advance at the
+// park-time classification (see recordIdleRates for why that
+// classification is exact for the whole window). Callers must flush
+// before reading Committed, MemStallCycles, StallCycles or Cycles of a
+// possibly-skipped core; Tick and LoadDone flush themselves. Flushing
+// is idempotent and monotone: a second call with the same or an earlier
+// cycle is a no-op.
 func (c *Core) FlushIdle(now int64) {
 	k := now - c.settled
 	if k <= 0 {
@@ -353,6 +408,14 @@ func (c *Core) FlushIdle(now int64) {
 	}
 	c.settled = now
 	c.cycles += k
+	if c.pure {
+		n := k * int64(c.cfg.Width)
+		c.committed += n
+		c.ring[c.head].compute -= n
+		c.ring[c.slot(c.n-1)].compute += n
+		c.gapLeft -= n
+		return
+	}
 	if !c.idleHasWork {
 		return
 	}
@@ -514,14 +577,16 @@ func (c *Core) issueLoads(now int64) {
 }
 
 // LoadDone completes the in-flight load with issue sequence number seq
-// at cycle now: it marks the load done, releases its dependence chain,
-// and wakes a parked core (the completion may unblock commit or a
-// dependent load at this cycle). Memory ports call it exactly once per
+// at cycle now: it settles the cycles before now (FlushIdle), marks the
+// load done, releases its dependence chain, and wakes a parked core or
+// ends a pure run (the completion may unblock commit or a dependent
+// load at this cycle). Memory ports call it exactly once per
 // accepted load. An issued, incomplete load cannot commit, so its entry
 // is always in the window; the scan starts at the oldest entry, where
 // completions mostly land. A seq naming no in-flight load is a port
 // bug and panics.
 func (c *Core) LoadDone(now, seq int64) {
+	c.FlushIdle(now)
 	for pos := 0; pos < c.n; pos++ {
 		e := &c.ring[c.slot(pos)]
 		if e.seq != seq || !e.issued || e.memDone {

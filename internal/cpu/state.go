@@ -55,10 +55,13 @@ type CoreState struct {
 	DRAMLoads int64 `json:"dramLoads"`
 	IssueSeq  int64 `json:"issueSeq"`
 
-	NextAt       int64 `json:"nextAt"`
-	Settled      int64 `json:"settled"`
-	IdleHasWork  bool  `json:"idleHasWork"`
-	IdleMemStall bool  `json:"idleMemStall"`
+	NextAt  int64 `json:"nextAt"`
+	Settled int64 `json:"settled"`
+	// Pure marks a pending pure-compute run: the cycles [Settled,
+	// NextAt) are pure ticks still to be applied (Core.FlushIdle).
+	Pure         bool `json:"pure,omitempty"`
+	IdleHasWork  bool `json:"idleHasWork"`
+	IdleMemStall bool `json:"idleMemStall"`
 }
 
 // SaveState captures the core's mutable state.
@@ -82,6 +85,7 @@ func (c *Core) SaveState() CoreState {
 		IssueSeq:     c.issueSeq,
 		NextAt:       c.nextAt,
 		Settled:      c.settled,
+		Pure:         c.pure,
 		IdleHasWork:  c.idleHasWork,
 		IdleMemStall: c.idleMemStall,
 	}
@@ -121,6 +125,14 @@ func (c *Core) RestoreState(st CoreState) error {
 			return fmt.Errorf("cpu: snapshot unissued index %d out of range for window of %d", idx, len(st.Window))
 		}
 	}
+	if st.Pure {
+		// The pending run must fit the gap and the head entry, as
+		// pureTicks guarantees, or FlushIdle would drive them negative.
+		w, k := int64(c.cfg.Width), st.NextAt-st.Settled
+		if st.TailIdx < 0 || k < 0 || k > st.GapLeft/w || len(st.Window) > 1 && k > st.Window[0].Compute/w {
+			return fmt.Errorf("cpu: snapshot pure run of %d ticks does not fit the window and fetch state", k)
+		}
+	}
 	for i, e := range st.Window {
 		c.ring[i] = winEntry{
 			compute: e.Compute, hasMem: e.HasMem, memDone: e.MemDone,
@@ -147,6 +159,7 @@ func (c *Core) RestoreState(st CoreState) error {
 	c.issueSeq = st.IssueSeq
 	c.nextAt = st.NextAt
 	c.settled = st.Settled
+	c.pure = st.Pure
 	c.idleHasWork = st.IdleHasWork
 	c.idleMemStall = st.IdleMemStall
 	return nil

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"stfm/internal/dram"
 	"stfm/internal/sim"
+	"stfm/internal/trace"
 )
 
 // TestEquivalence is the differential test behind the event-driven
@@ -19,21 +21,27 @@ import (
 func TestEquivalence(t *testing.T) {
 	t.Parallel()
 	workloads := []struct {
-		name  string
-		mix   []string
-		cache bool
+		name string
+		mix  []string
+		// setup, if non-nil, adjusts the config before each run.
+		setup func(*testing.T, *sim.Config)
 	}{
 		// Figure 6's case-study mix: two intensive threads (one
 		// low-RB-hit, one streaming) against two non-intensive ones.
-		{"fig6-4core", []string{"mcf", "libquantum", "GemsFDTD", "astar"}, false},
+		{"fig6-4core", []string{"mcf", "libquantum", "GemsFDTD", "astar"}, nil},
 		// A 2-thread mix pairing the most intensive benchmark with a
 		// bursty, sparse one — the workload shape with the most dead
 		// cycles, i.e. the most opportunity for a skipping bug.
-		{"2thread-sparse", []string{"mcf", "h264ref"}, false},
+		{"2thread-sparse", []string{"mcf", "h264ref"}, nil},
 		// Full L1/L2 hierarchy mode: cache-hit completions and
 		// writeback retries take different event paths than the direct
 		// miss-stream port.
-		{"2thread-caches", []string{"mcf", "dealII"}, true},
+		{"2thread-caches", []string{"mcf", "dealII"}, func(_ *testing.T, c *sim.Config) { c.UseCaches = true }},
+		// Store-heavy cache streams whose footprint, hot set included,
+		// exceeds L2: dirty evictions outrun the DRAM write buffer, so
+		// refused writebacks queue in the hierarchies and retry only on
+		// cycles the controller ticks (cache.Hierarchy.Due).
+		{"2thread-writeback", []string{"mcf", "mcf"}, writebackSetup},
 	}
 	policies := []sim.PolicyKind{
 		sim.PolicyFRFCFS,
@@ -50,26 +58,72 @@ func TestEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := sim.DefaultConfig(pol, len(profiles))
-				cfg.InstrTarget = 20_000
-				cfg.MinMisses = 40
-				cfg.UseCaches = wl.cache
-
-				cfg.DenseTick = true
-				dense, err := sim.Run(cfg, profiles)
+				base := sim.DefaultConfig(pol, len(profiles))
+				base.InstrTarget = 20_000
+				base.MinMisses = 40
+				system := func(dense bool) *sim.System {
+					cfg := base
+					cfg.DenseTick = dense
+					if wl.setup != nil {
+						wl.setup(t, &cfg)
+					}
+					sys, err := sim.NewSystem(cfg, profiles)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return sys
+				}
+				dense, err := system(true).Run()
 				if err != nil {
 					t.Fatalf("dense run: %v", err)
 				}
-				cfg.DenseTick = false
-				event, err := sim.Run(cfg, profiles)
+				event, err := system(false).Run()
 				if err != nil {
 					t.Fatalf("event run: %v", err)
 				}
 				if !reflect.DeepEqual(dense, event) {
 					t.Errorf("dense and event-driven results diverge\ndense: %+v\nevent: %+v", dense, event)
 				}
+				if wl.name != "2thread-writeback" {
+					return
+				}
+				// The cell must exercise what it is for: at some point of
+				// the run, a hierarchy holds refused writebacks.
+				sys := system(false)
+				for sys.Now() < event.TotalCycles {
+					sys.Tick()
+					if sys.Now()%1000 != 0 {
+						continue
+					}
+					for i := range profiles {
+						if len(sys.Hierarchy(i).SaveState().PendingWB) > 0 {
+							return
+						}
+					}
+				}
+				t.Error("no refused writeback was ever pending")
 			})
 		}
+	}
+}
+
+// writebackSetup is the 2thread-writeback cell's setup: DDR4 over two
+// channels, so the write-allocate fills reach the dirty-eviction phase
+// early (about cycle 120k), a target that runs well past it, and two
+// store-heavy trace.CacheStreams built afresh for each run.
+func writebackSetup(t *testing.T, c *sim.Config) {
+	w := trace.CacheWorkload{Name: "writer", HotLines: 16_000, HotFraction: 0.1, ColdLines: 200_000, StoreFraction: 0.9, Gap: 2}
+	c.UseCaches = true
+	c.InstrTarget = 40_000
+	c.Protocol = dram.DDR4
+	c.Channels = 2
+	c.Streams = nil
+	for i := 0; i < 2; i++ {
+		s, err := trace.NewCacheStream(w, i, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Streams = append(c.Streams, s)
 	}
 }
 

@@ -103,22 +103,28 @@ func TestSchedulingCacheOracle(t *testing.T) {
 	}
 }
 
-// TestControllerWorkDeterministic: the controller's work counters are a
-// function of the configuration alone — two runs give identical counts
-// — and every command they count as issued is one a DRAM channel
-// recorded.
+// TestControllerWorkDeterministic: the controller's and the engine's
+// work counters are a function of the configuration alone — two runs
+// give identical counts — every command the controller counts as issued
+// is one a DRAM channel recorded, and a dense run executes one step per
+// simulated cycle.
 func TestControllerWorkDeterministic(t *testing.T) {
 	profs := profilesByName(t, "mcf", "libquantum", "GemsFDTD", "astar")
+	type counts struct {
+		ctrl   memctrl.Work
+		engine Work
+	}
 	for _, pol := range ExtendedPolicies() {
 		cfg := DefaultConfig(pol, len(profs))
 		cfg.Channels = 2
 		cfg.InstrTarget = 5_000
-		run := func() memctrl.Work {
+		run := func(cfg Config) (counts, *Result) {
 			s, err := NewSystem(cfg, profs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Run(); err != nil {
+			res, err := s.Run()
+			if err != nil {
 				t.Fatal(err)
 			}
 			w := s.Controller().Work()
@@ -130,10 +136,15 @@ func TestControllerWorkDeterministic(t *testing.T) {
 			if w.CommandsIssued != cmds {
 				t.Errorf("%s: %d commands counted as issued, the channels recorded %d", pol, w.CommandsIssued, cmds)
 			}
-			return w
+			return counts{w, s.Work()}, res
 		}
-		if a, b := run(), run(); a != b {
+		a, _ := run(cfg)
+		if b, _ := run(cfg); a != b {
 			t.Errorf("%s: work counters differ between identical runs:\n%+v\n%+v", pol, a, b)
+		}
+		cfg.DenseTick = true
+		if c, res := run(cfg); c.engine.Steps != res.TotalCycles {
+			t.Errorf("%s: a dense run took %d steps for %d cycles", pol, c.engine.Steps, res.TotalCycles)
 		}
 	}
 }

@@ -38,11 +38,14 @@ import (
 //
 // Version 2 added the request tag; a version-1 checkpoint is rejected
 // at the envelope, which the service treats like any unreadable
-// checkpoint: the job reruns from scratch.
+// checkpoint: the job reruns from scratch. Version 3 added a core's
+// pending pure-compute run (cpu.CoreState.Pure), which a version-2
+// reader would drop; a version-2 checkpoint still restores, as a
+// snapshot with no pending run, the only kind version 2 wrote.
 
 const (
 	checkpointMagic   = "STFMCKPT"
-	checkpointVersion = 2
+	checkpointVersion = 3
 	// envelope layout offsets
 	ckptHeaderLen = len(checkpointMagic) + 4 + 8
 )
@@ -155,8 +158,8 @@ func decodeCheckpoint(data []byte) (*checkpointPayload, error) {
 		return nil, ckptErr("envelope", "bad magic %q", data[:len(checkpointMagic)])
 	}
 	ver := binary.BigEndian.Uint32(data[len(checkpointMagic):])
-	if ver != checkpointVersion {
-		return nil, ckptErr("envelope", "unsupported version %d (supported: %d)", ver, checkpointVersion)
+	if ver != checkpointVersion && ver != 2 {
+		return nil, ckptErr("envelope", "unsupported version %d (supported: 2, %d)", ver, checkpointVersion)
 	}
 	plen := binary.BigEndian.Uint64(data[len(checkpointMagic)+4:])
 	if plen != uint64(len(data)-ckptHeaderLen-sha256.Size) {
@@ -268,6 +271,7 @@ func Restore(data []byte, opts *RestoreOptions) (sys *System, err error) {
 	copy(s.frozen, p.Frozen)
 	copy(s.results, p.Results)
 	copy(s.targets, p.Targets)
+	s.setCoreTargets()
 	// Sampling cadence is an attachment of the restored run, not the
 	// snapshotted one: keep the saved cursor only when the cadence
 	// matches, otherwise restart on the next boundary. Either way the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -169,6 +170,35 @@ func TestCheckpointRejectsStreams(t *testing.T) {
 	if !errors.As(err, &cerr) || cerr.Stage != "save" {
 		t.Fatalf("Checkpoint with Streams: got %v, want save-stage *CheckpointError", err)
 	}
+}
+
+// TestRestoreVersion2 pins the compatibility promise of envelope
+// version 3: a version-2 checkpoint, which never carries a pending
+// pure-compute run, still restores and finishes exactly. A snapshot
+// taken before the first cycle has no run pending, so re-sealing it as
+// version 2 gives a checkpoint as version 2 wrote it.
+func TestRestoreVersion2(t *testing.T) {
+	cfg := DefaultConfig(PolicySTFM, 2)
+	cfg.InstrTarget = 5_000
+	profs := profilesByName(t, "mcf", "hmmer")
+	s, err := NewSystem(cfg, profs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(data[len(checkpointMagic):], 2)
+	restored, err := Restore(data, nil)
+	if err != nil {
+		t.Fatalf("version-2 checkpoint: %v", err)
+	}
+	got, err := restored.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, "restored version-2 checkpoint", got, runReference(t, cfg, "mcf", "hmmer"))
 }
 
 // TestRestoreRejectsCorruptEnvelope covers the envelope failure modes

@@ -298,7 +298,27 @@ type System struct {
 	tel          *telemetry.Collector
 	sampleEvery  int64
 	nextSampleAt int64
+
+	work Work
 }
+
+// Work counts the engine's stepping work since construction (a
+// restored system starts from zero), next to the controller's
+// memctrl.Work, which already counts policy BeginCycle calls as
+// EdgesTicked. The counts are deterministic: one configuration gives
+// the same counts on every host.
+type Work struct {
+	// Steps counts the cycles the engine executed (step calls); under
+	// Config.DenseTick it equals the cycles simulated.
+	Steps int64 `json:"steps"`
+	// CoreTicks counts cpu.Core.Tick calls.
+	CoreTicks int64 `json:"core_ticks"`
+	// HierarchyTicks counts cache.Hierarchy.Tick calls.
+	HierarchyTicks int64 `json:"hierarchy_ticks"`
+}
+
+// Work returns the engine's stepping work counters.
+func (s *System) Work() Work { return s.work }
 
 // NewSystem wires up a simulation of the given workload: one core per
 // profile.
@@ -416,7 +436,21 @@ func NewSystem(cfg Config, profiles []trace.Profile) (*System, error) {
 	s.frozen = make([]bool, n)
 	s.results = make([]ThreadResult, n)
 	s.targets = cfg.InstrTargets(profiles)
+	s.setCoreTargets()
 	return s, nil
+}
+
+// setCoreTargets gives each unfrozen core its instruction target and
+// clears a frozen core's, so a core's pure-compute run stops short of
+// the tick at which step's freeze check must fire.
+func (s *System) setCoreTargets() {
+	for i, c := range s.cores {
+		t := s.targets[i]
+		if s.frozen[i] {
+			t = 0
+		}
+		c.SetTarget(t)
+	}
 }
 
 // InstrTargets returns the per-thread instruction targets the run
@@ -602,32 +636,43 @@ func (s *System) Tick() {
 // activity (enqueues, cache hits) schedules new events for them.
 func (s *System) step() int64 {
 	now := s.now
+	s.work.Steps++
 	if now == s.nextSampleAt {
 		// Snapshot state as of the start of this cycle, before any
 		// component acts (nextSampleAt is the horizon sentinel when
 		// sampling is off, so this branch never fires then).
 		s.takeSample(now)
 	}
-	if s.cfg.DenseTick || now >= s.ctrl.NextTickAt() {
+	ctrlTicked := s.cfg.DenseTick || now >= s.ctrl.NextTickAt()
+	if ctrlTicked {
 		s.ctrl.Tick(now)
 	}
 	for _, h := range s.hier {
-		h.Tick(now)
+		// A hierarchy with no completion due and no writeback retry
+		// that can succeed would tick as a no-op (cache.Hierarchy.Due).
+		if s.cfg.DenseTick || h.Due(now, ctrlTicked) {
+			s.work.HierarchyTicks++
+			h.Tick(now)
+		}
 	}
 	next := int64(horizon)
 	for i, c := range s.cores {
 		// A core whose next required tick is still in the future is
-		// provably inert this cycle: skip it entirely — the stall
-		// bookkeeping its Tick would have performed is applied lazily
-		// (cpu.Core.FlushIdle) when the core next runs or its counters
-		// are read. NextAt is re-read here, after the controller and
-		// hierarchy acted, because the loads they complete pull it to
-		// the current cycle. Dense runs tick unconditionally — they
-		// are the oracle the gating is checked against.
+		// parked or in a pure-compute run: skip it entirely — the
+		// bookkeeping its Ticks would have performed is applied in
+		// closed form (cpu.Core.FlushIdle) when the core next runs or
+		// its counters are read, and its NextAt bounds the jump. NextAt
+		// is re-read here, after the controller and hierarchy acted,
+		// because the loads they complete pull it to the current cycle.
+		// Dense runs tick unconditionally — they are the oracle the
+		// gating is checked against.
 		if s.cfg.DenseTick || c.NextAt() <= now {
+			s.work.CoreTicks++
 			if n := c.Tick(now); n < next {
 				next = n
 			}
+		} else if n := c.NextAt(); n < next {
+			next = n
 		}
 		if !s.frozen[i] && (c.Committed() >= s.targets[i] || c.Done()) {
 			// Reaching the instruction target — or draining a finite
@@ -715,6 +760,7 @@ func (s *System) freeze(i int, now int64, truncated bool) {
 	}
 	s.results[i] = r
 	s.frozen[i] = true
+	c.SetTarget(0)
 }
 
 // Run advances the system until every thread has reached the
@@ -909,9 +955,12 @@ func (s *System) finish() *Result {
 // progressCounters sums the system's two forward-progress signals:
 // instructions committed across all cores and DRAM commands issued
 // across all channels. Any legitimate activity — a compute-bound core,
-// a write drain, a precharge — moves at least one of them.
+// a write drain, a precharge — moves at least one of them. Each core is
+// flushed first: one skipped through a pure-compute run has committed
+// instructions its counter does not show yet.
 func (s *System) progressCounters() (committed, commands int64) {
 	for _, c := range s.cores {
+		c.FlushIdle(s.now)
 		committed += c.Committed()
 	}
 	for i := 0; i < s.ctrl.Config().Geometry.Channels; i++ {
