@@ -43,7 +43,7 @@ import (
 func main() {
 	var (
 		workload = flag.String("workload", "mcf,libquantum", "comma-separated benchmark names, or 'desktop'")
-		policy   = flag.String("policy", "STFM", "scheduler: FR-FCFS, FCFS, FRFCFS+Cap, NFQ, STFM, or the extensions PAR-BS, TCM")
+		policy   = flag.String("policy", "STFM", fmt.Sprint("scheduler, one of ", sim.ExtendedPolicies()))
 		instrs   = flag.Int64("instrs", 300_000, "per-thread instruction budget")
 		seed     = flag.Uint64("seed", 1, "trace generation seed")
 		alpha    = flag.Float64("alpha", 1.10, "STFM maximum tolerable unfairness")

@@ -39,7 +39,7 @@ func main() {
 		knob     = flag.String("knob", "alpha", "what to sweep: alpha, banks, rowbuffer, channels, cores, cap, protocol")
 		workload = flag.String("workload", "mcf,libquantum,GemsFDTD,astar", "comma-separated benchmarks")
 		protocol = flag.String("protocol", "", "DRAM protocol pack for non-protocol sweeps: DDR2, DDR3, DDR4, GDDR5, HBM")
-		policies = flag.String("policies", "", `schedulers to include, or "all" for every implemented policy including the PAR-BS and TCM extensions (default depends on knob)`)
+		policies = flag.String("policies", "", fmt.Sprintf(`comma-separated schedulers from %v, or "all" for every one (default depends on knob)`, sim.ExtendedPolicies()))
 		instrs   = flag.Int64("instrs", 200_000, "per-thread instruction budget")
 		seed     = flag.Uint64("seed", 1, "trace seed")
 		baseline = flag.String("baseline-dir", "", "persistent alone-baseline store directory, shared across runs and tools (empty: memory-only)")

@@ -70,22 +70,20 @@ func All(full bool) []Experiment {
 		{"fig14", "Thread weight enforcement (STFM weights vs NFQ shares)", Fig14},
 		{"fig15", "Sensitivity to the alpha threshold", Fig15},
 		{"table5", "Sensitivity to DRAM banks and row-buffer size", table5(nT5)},
-		{"parbs", "Extension: PAR-BS and TCM (the STFM follow-up line) vs the paper's schedulers", ParbsExtension},
+		{"parbs", "Extension: PAR-BS (the STFM follow-up) vs the paper's schedulers", ParbsExtension},
 		{"estimator", "Diagnostic: STFM slowdown-estimate accuracy", EstimatorAccuracy},
 		{"seeds", "Diagnostic: seed sensitivity of the headline result", MultiSeed},
 	}
 }
 
-// ParbsExtension compares the follow-up schedulers implemented as the
-// future-work extension — PAR-BS (ISCA 2008) and a simplified TCM
-// (MICRO 2010) — against FR-FCFS and STFM on the three 4-core case
-// studies. PAR-BS typically lands between the two: close to STFM's
-// fairness with more of FR-FCFS's throughput, by construction (batches
-// bound starvation; shortest-job ranking preserves bank parallelism).
-// TCM hard-protects the latency-sensitive cluster at the expense of
-// the intensive threads' slowdowns.
+// ParbsExtension compares the follow-up scheduler implemented as the
+// future-work extension, PAR-BS (ISCA 2008), against FR-FCFS and STFM
+// on the three 4-core case studies. PAR-BS typically lands between the
+// two: close to STFM's fairness with more of FR-FCFS's throughput, by
+// construction (batches bound starvation; shortest-job ranking
+// preserves bank parallelism).
 func ParbsExtension(r *Runner) (*Report, error) {
-	rep := &Report{ID: "parbs", Title: "Follow-up schedulers on the 4-core case studies"}
+	rep := &Report{ID: "parbs", Title: "PAR-BS on the 4-core case studies"}
 	cases := [][]string{
 		{"mcf", "libquantum", "GemsFDTD", "astar"},
 		{"mcf", "leslie3d", "h264ref", "bzip2"},
@@ -97,7 +95,7 @@ func ParbsExtension(r *Runner) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, pol := range []sim.PolicyKind{sim.PolicyFRFCFS, sim.PolicySTFM, sim.PolicyPARBS, sim.PolicyTCM} {
+		for _, pol := range []sim.PolicyKind{sim.PolicyFRFCFS, sim.PolicySTFM, sim.PolicyPARBS} {
 			wr, err := r.RunWorkload(pol, profs, nil)
 			if err != nil {
 				return nil, err

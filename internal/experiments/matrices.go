@@ -92,9 +92,9 @@ func Matrices() []MatrixSpec {
 		},
 		{
 			ID:       "followups",
-			Title:    "4-core case studies under FR-FCFS, STFM, and the follow-up schedulers",
+			Title:    "4-core case studies under FR-FCFS, STFM, and the follow-up scheduler PAR-BS",
 			Mixes:    workloads.SampleFourCore(),
-			Policies: []sim.PolicyKind{sim.PolicyFRFCFS, sim.PolicySTFM, sim.PolicyPARBS, sim.PolicyTCM},
+			Policies: []sim.PolicyKind{sim.PolicyFRFCFS, sim.PolicySTFM, sim.PolicyPARBS},
 		},
 	}
 }

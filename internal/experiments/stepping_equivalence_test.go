@@ -47,7 +47,7 @@ func TestEquivalence(t *testing.T) {
 		sim.PolicyFRFCFS,
 		sim.PolicySTFM,
 		sim.PolicyNFQ,
-		sim.PolicyTCM,
+		sim.PolicyPARBS,
 	}
 	for _, wl := range workloads {
 		for _, pol := range policies {
@@ -244,16 +244,16 @@ func TestParallelEquivalence(t *testing.T) {
 }
 
 // TestEquivalenceAllPoliciesMultiChannel extends the matrix to every
-// implemented scheduler — the paper's five plus the follow-up PAR-BS
-// and TCM — on an 8-core, 2-channel mix. The multi-channel 8-core shape
+// implemented scheduler — the paper's five plus the follow-up PAR-BS —
+// on an 8-core, 2-channel mix. The multi-channel 8-core shape
 // is where the indexed scheduler state earns its keep (per-bank winner
 // memos, cached channel horizons, per-core gating with lazy idle
 // accounting all active at once), so every policy must still match the
-// dense oracle bit for bit there. Skipped under -short: seven 8-core
+// dense oracle bit for bit there. Skipped under -short: six 8-core
 // dense runs dominate the package's test time.
 func TestEquivalenceAllPoliciesMultiChannel(t *testing.T) {
 	if testing.Short() {
-		t.Skip("seven dense 8-core runs; skipped under -short")
+		t.Skip("six dense 8-core runs; skipped under -short")
 	}
 	t.Parallel()
 	mix := []string{"mcf", "h264ref", "bzip2", "gromacs", "gobmk", "dealII", "wrf", "namd"}

@@ -1012,8 +1012,8 @@ func (c *Controller) traceIssue(now int64, ch int, chosen *Candidate) {
 // then oldest-first) against another ready bank winner of the same
 // read/write class. Plain FR-FCFS never triggers it by construction;
 // under STFM, inversions are exactly the fairness-rule interventions of
-// the paper's Section 3.2.1, and under NFQ/TCM they mark virtual-time /
-// cluster prioritization.
+// the paper's Section 3.2.1, and under NFQ they mark virtual-time
+// prioritization.
 func (c *Controller) traceInversion(now int64, ch int, chosen *Candidate, ready uint64) {
 	r := chosen.Req
 	for ; ready != 0; ready &= ready - 1 {

@@ -34,7 +34,7 @@ func (c *Candidate) IsColumn() bool { return c.Cmd.Kind.IsColumn() }
 
 // Policy decides which ready DRAM command the controller issues each
 // DRAM cycle. Implementations are the five schedulers the paper
-// evaluates and two extensions (PAR-BS, TCM). The controller calls
+// evaluates and one extension (PAR-BS). The controller calls
 // BeginCycle once per DRAM cycle, then for each channel picks every
 // bank's winner under Less, issues the best ready winner, and calls
 // OnSchedule with it. A policy that needs more of the controller's
@@ -88,15 +88,15 @@ type Policy interface {
 
 // EventPolicy is an optional extension interface for policies whose
 // BeginCycle does time-driven work of its own — per-cycle fairness
-// accounting (STFM), quantum-boundary reclustering (TCM), an inversion
-// expiry that changes the order (NFQ) — rather than reacting only to
-// enqueue/issue/complete events. NextPolicyEvent returns the next CPU
-// cycle at which the policy must observe a DRAM clock edge; the
-// controller folds it (rounded up to an edge) into the horizon it
-// reports, so event-driven stepping never skips an edge the policy
-// needed. It is called after BeginCycle on a ticked edge, so
-// implementations report from up-to-date state. Policies that react
-// purely to scheduling events need not implement it.
+// accounting (STFM), an inversion expiry that changes the order (NFQ)
+// — rather than reacting only to enqueue/issue/complete events.
+// NextPolicyEvent returns the next CPU cycle at which the policy must
+// observe a DRAM clock edge; the controller folds it (rounded up to an
+// edge) into the horizon it reports, so event-driven stepping never
+// skips an edge the policy needed. It is called after BeginCycle on a
+// ticked edge, so implementations report from up-to-date state.
+// Policies that react purely to scheduling events need not implement
+// it.
 type EventPolicy interface {
 	// NextPolicyEvent returns the next CPU cycle at which the policy
 	// must observe a DRAM clock edge; see the interface comment.

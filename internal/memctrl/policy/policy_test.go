@@ -368,32 +368,22 @@ func TestPARBSOrderEpoch(t *testing.T) {
 }
 
 // TestRestoreStateIgnoresOrderEpochs: order epochs are cache keys, not
-// state, so a checkpoint written while TCM and FR-FCFS+Cap still saved
-// theirs restores to the same registers.
+// state, so a checkpoint written while FR-FCFS+Cap still saved its
+// epoch restores to the same registers.
 func TestRestoreStateIgnoresOrderEpochs(t *testing.T) {
-	tcm := NewTCM(2)
-	tcm.served[1] = 3
-	tcm.recluster()
 	capped := NewFRFCFSCap(&bankView{}, 4, 1, 8)
 	capped.counts[0][3] = 2
-	for _, tc := range []struct {
-		saved, fresh memctrl.StatefulPolicy
-		field        string
-	}{
-		{tcm, NewTCM(2), "orderEpoch"},
-		{capped, NewFRFCFSCap(&bankView{}, 4, 1, 8), "epoch"},
-	} {
-		state, err := tc.saved.SaveState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := append([]byte(`{"`+tc.field+`":41,`), state[1:]...)
-		if err := tc.fresh.RestoreState(old); err != nil {
-			t.Fatalf("state with %q: %v", tc.field, err)
-		}
-		if got, _ := tc.fresh.SaveState(); string(got) != string(state) {
-			t.Errorf("state with %q restored to %s, want %s", tc.field, got, state)
-		}
+	state, err := capped.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte(`{"epoch":41,`), state[1:]...)
+	fresh := NewFRFCFSCap(&bankView{}, 4, 1, 8)
+	if err := fresh.RestoreState(old); err != nil {
+		t.Fatalf("state with an epoch: %v", err)
+	}
+	if got, _ := fresh.SaveState(); string(got) != string(state) {
+		t.Errorf("state with an epoch restored to %s, want %s", got, state)
 	}
 }
 

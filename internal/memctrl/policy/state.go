@@ -60,51 +60,6 @@ func (p *NFQ) RestoreState(data []byte) error {
 	return nil
 }
 
-type tcmState struct {
-	Served        []int64 `json:"served"`
-	LatencyClass  []bool  `json:"latencyClass"`
-	Rank          []int   `json:"rank"`
-	NextCluster   int64   `json:"nextCluster"`
-	NextShuffle   int64   `json:"nextShuffle"`
-	ShuffleOffset int     `json:"shuffleOffset"`
-}
-
-// SaveState implements memctrl.StatefulPolicy.
-func (t *TCM) SaveState() ([]byte, error) {
-	return json.Marshal(tcmState{
-		Served:        t.served,
-		LatencyClass:  t.latencyClass,
-		Rank:          t.rank,
-		NextCluster:   t.nextCluster,
-		NextShuffle:   t.nextShuffle,
-		ShuffleOffset: t.shuffleOffset,
-	})
-}
-
-// RestoreState implements memctrl.StatefulPolicy.
-func (t *TCM) RestoreState(data []byte) error {
-	var st tcmState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("policy: TCM state: %w", err)
-	}
-	if len(st.Served) != t.threads || len(st.LatencyClass) != t.threads || len(st.Rank) != t.threads {
-		return fmt.Errorf("policy: TCM state has %d/%d/%d thread entries, policy has %d",
-			len(st.Served), len(st.LatencyClass), len(st.Rank), t.threads)
-	}
-	for _, r := range st.Rank {
-		if r < 0 || r >= t.threads {
-			return fmt.Errorf("policy: TCM state rank %d out of range [0,%d)", r, t.threads)
-		}
-	}
-	copy(t.served, st.Served)
-	copy(t.latencyClass, st.LatencyClass)
-	copy(t.rank, st.Rank)
-	t.nextCluster = st.NextCluster
-	t.nextShuffle = st.NextShuffle
-	t.shuffleOffset = st.ShuffleOffset
-	return nil
-}
-
 type parbsState struct {
 	// Marked[ch] holds the marked request IDs of channel ch's current
 	// batch, sorted ascending (map iteration order is not meaningful).

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -625,4 +626,59 @@ func TestRecoveryResumesForkChild(t *testing.T) {
 	if rr, _ := srv2.Result(id); !reflect.DeepEqual(rr.Result, want) {
 		t.Error("resumed fork child differs from a cold run of its config")
 	}
+}
+
+// TestRecoveryRetiredPolicy: a journal may name a scheduler the server
+// no longer implements. Its pending job fails with a ConfigError on
+// Policy instead of running, its done job is still listed and served
+// from the result store, and new submissions still run.
+func TestRecoveryRetiredPolicy(t *testing.T) {
+	root := t.TempDir()
+	journal, cacheDir := filepath.Join(root, "journal"), filepath.Join(root, "cache")
+	done, pending := quickConfig(35), quickConfig(36)
+	done.Policy, pending.Policy = "TCM", "TCM"
+	// The Result the done job spilled; any Result stands in for it.
+	stored := referenceResult(t, quickConfig(35), cacheWorkload)
+	stored.Policy = done.Policy
+	cache, err := store.Open(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(store.Key(done, cacheWorkload), stored); err != nil {
+		t.Fatal(err)
+	}
+	const doneID, pendingID = "j1-0123abcd", "j2-4567cdef"
+	writeJournal(t, journal, submitRecord(doneID, done),
+		map[string]any{"type": walComplete, "job": doneID, "status": StatusDone},
+		submitRecord(pendingID, pending))
+
+	srv := mustNew(t, Options{Workers: 1, JournalDir: journal, CacheDir: cacheDir})
+	defer drainServer(t, srv)
+	if info := waitServerDone(t, srv, pendingID); info.Status != StatusFailed {
+		t.Fatalf("pending job recovered as %s, want failed", info.Status)
+	}
+	srv.mu.Lock()
+	j := srv.jobs[pendingID]
+	srv.mu.Unlock()
+	j.mu.Lock()
+	jerr := j.err
+	j.mu.Unlock()
+	var ce *sim.ConfigError
+	if !errors.As(jerr, &ce) || ce.Field != "Policy" {
+		t.Errorf("pending job failed with %v, want a *sim.ConfigError on Policy", jerr)
+	}
+
+	listed := false
+	for _, info := range srv.Jobs() {
+		if info.ID == doneID {
+			listed = info.Status == StatusDone && info.Recovered && info.Cached
+		}
+	}
+	if !listed {
+		t.Errorf("done job not listed as a recovered, cached done job: %+v", srv.Jobs())
+	}
+	if rr, _ := srv.Result(doneID); !reflect.DeepEqual(rr.Result, stored) {
+		t.Error("done job is not served its stored Result")
+	}
+	runOnce(t, srv, quickConfig(37), cacheWorkload)
 }

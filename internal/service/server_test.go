@@ -339,7 +339,7 @@ func TestServerMatrixSubmission(t *testing.T) {
 	_, client := newTestServer(t, Options{Workers: 2, QueueSize: 32, SampleEvery: 500})
 	ctx := context.Background()
 
-	// fig5 is 29 mixes x 2 policies = 58 cells: more than a
+	// fig5 is 25 mixes x 2 policies = 50 cells: more than a
 	// 32-slot queue, so it must be rejected atomically...
 	_, err := client.Submit(ctx, JobRequest{Config: quickConfig(41), Matrix: "fig5"})
 	var ae *APIError
@@ -354,8 +354,7 @@ func TestServerMatrixSubmission(t *testing.T) {
 		t.Fatalf("rejected matrix left %d jobs behind, want 0", len(jobs))
 	}
 
-	// ...while the 1x4 followups sample fits. Shrink it further by
-	// running the desktop matrix instead (1 mix x 5 policies).
+	// ...while the desktop matrix (1 mix x 5 policies) fits.
 	sub, err := client.Submit(ctx, JobRequest{Config: quickConfig(42), Matrix: "desktop"})
 	if err != nil {
 		t.Fatal(err)

@@ -19,6 +19,7 @@ import (
 	"stfm/internal/cpu"
 	"stfm/internal/dram"
 	"stfm/internal/memctrl"
+	"stfm/internal/memctrl/policy"
 	"stfm/internal/telemetry"
 	"stfm/internal/trace"
 )
@@ -36,7 +37,6 @@ const (
 	PolicyNFQ       PolicyKind = "NFQ"
 	PolicySTFM      PolicyKind = "STFM"
 	PolicyPARBS     PolicyKind = "PAR-BS"
-	PolicyTCM       PolicyKind = "TCM"
 )
 
 // AllPolicies lists the evaluated schedulers in the paper's plotting
@@ -46,10 +46,10 @@ func AllPolicies() []PolicyKind {
 }
 
 // ExtendedPolicies lists every implemented scheduler: the paper's five
-// plus the follow-up schedulers (PAR-BS, TCM) that exist in the
-// codebase but are not part of the paper's comparisons.
+// plus the follow-up scheduler PAR-BS, which exists in the codebase but
+// is not part of the paper's comparisons.
 func ExtendedPolicies() []PolicyKind {
-	return append(AllPolicies(), PolicyPARBS, PolicyTCM)
+	return append(AllPolicies(), PolicyPARBS)
 }
 
 // Config parameterizes one simulation run.
@@ -538,19 +538,24 @@ func (cfg Config) warmupKind() PolicyKind {
 func (s *System) buildPolicy(kind PolicyKind, mcfg memctrl.Config) (memctrl.Policy, error) {
 	// The concrete policies live in memctrl/policy and internal/core;
 	// they are constructed here so callers select them by name.
+	geom := mcfg.Geometry
 	switch kind {
 	case PolicyFRFCFS, "":
-		return newFRFCFS(), nil
+		return policy.NewFRFCFS(), nil
 	case PolicyFCFS:
-		return newFCFS(), nil
+		return policy.NewFCFS(), nil
 	case PolicyFRFCFSCap:
-		return newCap(s.ctrl, s.cfg.CapValue, mcfg.Geometry), nil
+		return policy.NewFRFCFSCap(s.ctrl, s.cfg.CapValue, geom.Channels, geom.BanksPerChannel), nil
 	case PolicyNFQ:
-		return newNFQ(s.ctrl, len(s.profiles), mcfg.Geometry, mcfg.Timing, s.cfg.NFQWeights)
+		p := policy.NewNFQ(s.ctrl, len(s.profiles), geom.Channels, geom.BanksPerChannel, mcfg.Timing)
+		if s.cfg.NFQWeights != nil {
+			if err := p.SetShares(s.cfg.NFQWeights); err != nil {
+				return nil, err
+			}
+		}
+		return p, nil
 	case PolicyPARBS:
-		return newPARBS(s.ctrl, mcfg.Geometry, s.cfg.CapValue), nil
-	case PolicyTCM:
-		return newTCM(len(s.profiles)), nil
+		return policy.NewPARBS(s.ctrl, geom.Channels, s.cfg.CapValue), nil
 	case PolicySTFM:
 		// Each zero parameter takes its paper default; every other field
 		// (weights, ablation switches) is kept as given.
@@ -564,7 +569,7 @@ func (s *System) buildPolicy(kind PolicyKind, mcfg memctrl.Config) (memctrl.Poli
 		if stfmCfg.Gamma == 0 {
 			stfmCfg.Gamma = def.Gamma
 		}
-		return core.NewSTFM(stfmCfg, s.ctrl, mcfg.Geometry, mcfg.Timing, s.tshared)
+		return core.NewSTFM(stfmCfg, s.ctrl, geom, mcfg.Timing, s.tshared)
 	default:
 		return nil, fmt.Errorf("sim: unknown policy %q", kind)
 	}

@@ -387,17 +387,3 @@ func TestCacheStreamWorkload(t *testing.T) {
 		t.Error("cold stream never reached DRAM")
 	}
 }
-
-func TestTCMRuns(t *testing.T) {
-	cfg := DefaultConfig(PolicyTCM, 4)
-	cfg.InstrTarget = 40_000
-	res, err := Run(cfg, profilesByName(t, "mcf", "libquantum", "GemsFDTD", "astar"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, th := range res.Threads {
-		if th.Truncated || th.IPC <= 0 {
-			t.Errorf("%s: truncated=%v ipc=%v", th.Benchmark, th.Truncated, th.IPC)
-		}
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"stfm/internal/dram"
 )
@@ -40,10 +41,9 @@ func (cfg Config) Validate() error {
 		errs = append(errs, &ConfigError{Field: field, Reason: fmt.Sprintf(format, args...)})
 	}
 
-	switch cfg.Policy {
-	case "", PolicyFRFCFS, PolicyFCFS, PolicyFRFCFSCap, PolicyNFQ, PolicySTFM, PolicyPARBS, PolicyTCM:
-	default:
-		bad("Policy", "unknown policy %q", cfg.Policy)
+	known := ExtendedPolicies()
+	if cfg.Policy != "" && !slices.Contains(known, cfg.Policy) {
+		bad("Policy", "unknown policy %q (known: %v)", cfg.Policy, known)
 	}
 	if cfg.Protocol != "" && !cfg.Protocol.Known() {
 		bad("Protocol", "unknown protocol %q (known: %v)", cfg.Protocol, dram.Protocols())
@@ -51,10 +51,8 @@ func (cfg Config) Validate() error {
 	if cfg.ForkAtCycle < 0 {
 		bad("ForkAtCycle", "must be non-negative, got %d", cfg.ForkAtCycle)
 	}
-	switch cfg.WarmupPolicy {
-	case "", PolicyFRFCFS, PolicyFCFS, PolicyFRFCFSCap, PolicyNFQ, PolicySTFM, PolicyPARBS, PolicyTCM:
-	default:
-		bad("WarmupPolicy", "unknown policy %q", cfg.WarmupPolicy)
+	if cfg.WarmupPolicy != "" && !slices.Contains(known, cfg.WarmupPolicy) {
+		bad("WarmupPolicy", "unknown policy %q (known: %v)", cfg.WarmupPolicy, known)
 	}
 	if cfg.WarmupPolicy != "" && cfg.ForkAtCycle <= 0 {
 		bad("WarmupPolicy", "set without ForkAtCycle > 0: the warm-up scheduler only runs before a fork switch")

@@ -32,8 +32,8 @@ import (
 // Scheduler names a DRAM scheduling policy.
 type Scheduler = sim.PolicyKind
 
-// The five schedulers the paper evaluates, plus the two follow-up
-// extensions (PAR-BS, TCM).
+// The five schedulers the paper evaluates, plus the follow-up
+// extension PAR-BS.
 const (
 	// FRFCFS is first-ready first-come-first-serve, the
 	// throughput-oriented, thread-unaware baseline.
@@ -51,10 +51,6 @@ const (
 	// ISCA 2008) — the authors' follow-up to STFM, included as an
 	// extension beyond the paper's five evaluated schedulers.
 	PARBS = sim.PolicyPARBS
-	// TCM is thread cluster memory scheduling (Kim et al., MICRO
-	// 2010), the second follow-up in the STFM line; also an extension
-	// beyond the paper.
-	TCM = sim.PolicyTCM
 )
 
 // Schedulers returns all five schedulers in the paper's order.
